@@ -54,7 +54,6 @@ from .matrix import (
     sylvester_operator,
     unit_vector,
     vec_add,
-    vec_scale,
     vec_sub,
 )
 from .modules import (

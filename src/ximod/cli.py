@@ -266,8 +266,16 @@ def cmd_decompose(args) -> int:
 
 # -- tensor ----------------------------------------------------------------------
 
-def _build_kind(args, payload, ambient):
-    if args.kind == "standard":
+# kind name -> (kind class, names of its polynomial payload fields)
+_OPERATOR_KINDS = {
+    "opair": (OperatorPairKind, ()),
+    "subring": (SubringKind, ("p",)),
+    "branching": (BranchingKind, ("phi", "psi")),
+}
+
+
+def _build_kind(kind_name, payload, ambient):
+    if kind_name == "standard":
         field = None
         if payload and "field" in payload:
             field = parse_field_declaration(payload, "$")
@@ -280,23 +288,19 @@ def _build_kind(args, payload, ambient):
             raise InputValidationError("$", 'standard kind needs integers "n" and "m"')
         return StandardKind(field), n, m
     if not payload or "A" not in payload or "B" not in payload:
-        raise InputValidationError("$", f'kind {args.kind} needs matrices "A" and "B"')
+        raise InputValidationError("$", f'kind {kind_name} needs matrices "A" and "B"')
     A = parse_matrix_json(payload["A"], "$.A", ambient)
     B = parse_matrix_json(payload["B"], "$.B", A.field)
     if not A.is_square or not B.is_square:
         raise InputValidationError("$", "A and B must be square")
-    if args.kind == "opair":
-        return OperatorPairKind(A, B), A.rows, B.rows
-    if args.kind == "subring":
-        if "p" not in payload:
-            raise InputValidationError("$.p", 'subring kind needs a polynomial "p"')
-        p = parse_poly_json(A.field, payload["p"], "$.p")
-        return SubringKind(A, B, p), A.rows, B.rows
-    if "phi" not in payload or "psi" not in payload:
-        raise InputValidationError("$", 'branching kind needs polynomials "phi", "psi"')
-    phi = parse_poly_json(A.field, payload["phi"], "$.phi")
-    psi = parse_poly_json(A.field, payload["psi"], "$.psi")
-    return BranchingKind(A, B, phi, psi), A.rows, B.rows
+    cls, poly_names = _OPERATOR_KINDS[kind_name]
+    if any(name not in payload for name in poly_names):
+        # a single polynomial is reported at its own path, several at the root
+        path = f"$.{poly_names[0]}" if len(poly_names) == 1 else "$"
+        quoted = ", ".join(f'"{name}"' for name in poly_names)
+        raise InputValidationError(path, f"{kind_name} kind needs polynomials {quoted}")
+    polys = (parse_poly_json(A.field, payload[name], f"$.{name}") for name in poly_names)
+    return cls(A, B, *polys), A.rows, B.rows
 
 
 def _check_tensor(W, kind) -> None:
@@ -347,7 +351,7 @@ def cmd_tensor(args) -> int:
         _emit(args, report, human)
         return 0
     payload = _load_payload(args)
-    kind, n, m = _build_kind(args, payload, ambient)
+    kind, n, m = _build_kind(args.kind, payload, ambient)
     W = relation_subspace(kind, n, m)
     _check_tensor(W, kind)
     induced = None
@@ -402,8 +406,7 @@ def cmd_equiv(args) -> int:
         rhs = parse_expression(args.rhs, field)
         kind = StandardKind(field)
     else:
-        fake_args = argparse.Namespace(kind=args.rules, scalar_a=None)
-        kind, n, m = _build_kind(fake_args, payload, ambient)
+        kind, n, m = _build_kind(args.rules, payload, ambient)
         field = kind.A.field
         lhs = parse_expression(args.lhs, field)
         rhs = parse_expression(args.rhs, field)

@@ -368,7 +368,7 @@ class Scalar:
 
 
 def field_arithmetic(a: Scalar, b: Scalar | None, op: str):
-    """Dispatch a named field operation; the uniform entry point used by the CLI.
+    """Dispatch a field operation by name.
 
     ``op`` is one of add, sub, mul, div, neg, inv, eq.  Unary operations
     ignore ``b``.  Raises TagMismatch for mixed fields and DivisionByZero

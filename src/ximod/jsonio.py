@@ -96,93 +96,63 @@ def parse_poly_json(field: Field, arr, path: str) -> Poly:
     )
 
 
-def _parse_shape(obj: dict, path: str) -> tuple[int, int]:
+def _grid_to_json(M, entry_to_json) -> dict:
+    out = field_to_json(M.field)
+    out.update(
+        rows=M.rows,
+        cols=M.cols,
+        entries=[[entry_to_json(e) for e in row] for row in M.entries],
+    )
+    return out
+
+
+def _parse_grid(obj, path: str, field: Field | None, cls, parse_entry, what: str):
+    """Decode a matrix object into `cls`, each entry via parse_entry."""
+    if not isinstance(obj, dict):
+        raise InputValidationError(path, f"a {what} is an object")
+    declared = parse_field_declaration(obj, path) if "field" in obj else None
+    if declared is not None and field is not None and declared != field:
+        raise InputValidationError(
+            f"{path}.field", "payload field conflicts with the ambient field"
+        )
+    use = declared or field
+    if use is None:
+        raise InputValidationError(f"{path}.field", "no field declared")
     rows, cols = obj.get("rows"), obj.get("cols")
     if not isinstance(rows, int) or rows < 0:
         raise InputValidationError(f"{path}.rows", "rows must be a nonnegative integer")
     if not isinstance(cols, int) or cols < 0:
         raise InputValidationError(f"{path}.cols", "cols must be a nonnegative integer")
-    return rows, cols
-
-
-def _entry_rows(obj: dict, rows: int, cols: int, path: str):
     entries = obj.get("entries")
     if not isinstance(entries, list) or len(entries) != rows:
         raise InputValidationError(f"{path}.entries", f"expected {rows} rows")
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise InputValidationError(f"{path}.entries[{i}]", f"expected {cols} entries")
-    return entries
+    return cls(
+        use,
+        (
+            (parse_entry(use, e, f"{path}.entries[{i}][{j}]") for j, e in enumerate(row))
+            for i, row in enumerate(entries)
+        ),
+        (rows, cols),
+    )
 
 
 def matrix_to_json(M: Matrix) -> dict:
-    out = field_to_json(M.field)
-    out.update(
-        rows=M.rows,
-        cols=M.cols,
-        entries=[[scalar_to_json(e) for e in row] for row in M.entries],
-    )
-    return out
+    return _grid_to_json(M, scalar_to_json)
 
 
 def parse_matrix_json(obj, path: str, field: Field | None = None) -> Matrix:
-    if not isinstance(obj, dict):
-        raise InputValidationError(path, "a matrix is an object")
-    declared = parse_field_declaration(obj, path) if "field" in obj else None
-    if declared is not None and field is not None and declared != field:
-        raise InputValidationError(
-            f"{path}.field", "payload field conflicts with the ambient field"
-        )
-    use = declared or field
-    if use is None:
-        raise InputValidationError(f"{path}.field", "no field declared")
-    rows, cols = _parse_shape(obj, path)
-    entries = _entry_rows(obj, rows, cols, path)
-    return Matrix(
-        use,
-        (
-            (
-                parse_scalar_json(use, e, f"{path}.entries[{i}][{j}]")
-                for j, e in enumerate(row)
-            )
-            for i, row in enumerate(entries)
-        ),
-    )
+    return _parse_grid(obj, path, field, Matrix, parse_scalar_json, "matrix")
 
 
 def polymatrix_to_json(P: PolyMatrix) -> dict:
-    out = field_to_json(P.field)
-    out.update(
-        rows=P.rows,
-        cols=P.cols,
-        entries=[[poly_to_json(e) for e in row] for row in P.entries],
-    )
-    return out
+    return _grid_to_json(P, poly_to_json)
 
 
 def parse_polymatrix_json(obj, path: str, field: Field | None = None) -> PolyMatrix:
-    if not isinstance(obj, dict):
-        raise InputValidationError(path, "a polynomial matrix is an object")
-    declared = parse_field_declaration(obj, path) if "field" in obj else None
-    if declared is not None and field is not None and declared != field:
-        raise InputValidationError(
-            f"{path}.field", "payload field conflicts with the ambient field"
-        )
-    use = declared or field
-    if use is None:
-        raise InputValidationError(f"{path}.field", "no field declared")
-    rows, cols = _parse_shape(obj, path)
-    entries = _entry_rows(obj, rows, cols, path)
-    return PolyMatrix(
-        use,
-        (
-            (
-                parse_poly_json(use, e, f"{path}.entries[{i}][{j}]")
-                for j, e in enumerate(row)
-            )
-            for i, row in enumerate(entries)
-        ),
-    )
+    return _parse_grid(obj, path, field, PolyMatrix, parse_poly_json, "polynomial matrix")
 
 
 def vector_to_json(v) -> list:

@@ -19,11 +19,6 @@ Vector = tuple[Scalar, ...]
 
 # -- vector helpers -----------------------------------------------------------
 
-def vec_zero(field: Field, n: int) -> Vector:
-    z = field.zero()
-    return tuple(z for _ in range(n))
-
-
 def unit_vector(field: Field, n: int, i: int) -> Vector:
     return tuple(field.one() if k == i else field.zero() for k in range(n))
 
@@ -40,22 +35,20 @@ def vec_sub(x: Vector, y: Vector) -> Vector:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def vec_scale(c: Scalar, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
+class DenseMatrix:
+    """An immutable rows x cols matrix whose entries share one field.
 
-
-def vec_is_zero(x: Vector) -> bool:
-    return all(a.is_zero for a in x)
-
-
-class Matrix:
-    """An immutable rows x cols matrix of scalars sharing one field.
-
-    The optional shape pins down degenerate sizes (0 x k) that the entry
-    tuples alone cannot express.
+    Subclasses fix the entry type (`_entry_type`, `_entry_error`) and its
+    zero and one (`_entry_zero(field)`, `_entry_one(field)`); everything
+    that only adds and multiplies entries lives here.  The optional shape
+    pins down degenerate sizes (0 x k) that the entry tuples alone cannot
+    express.  Matrices of different subclasses never compare equal.
     """
 
     __slots__ = ("field", "rows", "cols", "entries")
+
+    _entry_type: type
+    _entry_error: str
 
     def __init__(self, field: Field, entries, shape: tuple[int, int] | None = None):
         entries = tuple(tuple(row) for row in entries)
@@ -67,47 +60,38 @@ class Matrix:
             if len(row) != cols:
                 raise DimensionMismatch("ragged rows")
             for e in row:
-                if not isinstance(e, Scalar) or e.field != field:
-                    raise TagMismatch("entry does not belong to the declared field")
+                if not isinstance(e, self._entry_type) or e.field != field:
+                    raise TagMismatch(self._entry_error)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, _value):
-        raise AttributeError(f"Matrix is immutable; cannot set {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
 
     # construction ------------------------------------------------------
     @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
+    def identity(cls, field: Field, n: int):
+        one, zero = cls._entry_one(field), cls._entry_zero(field)
         return cls(field, ((one if i == j else zero for j in range(n)) for i in range(n)))
 
     @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        zero = field.zero()
+    def zeros(cls, field: Field, rows: int, cols: int):
+        zero = cls._entry_zero(field)
         return cls(field, ((zero for _ in range(cols)) for _ in range(rows)), (rows, cols))
 
     @classmethod
-    def from_ints(cls, field: Field, rows) -> "Matrix":
-        return cls(field, ((field.from_int(v) for v in row) for row in rows))
-
-    @classmethod
-    def diagonal(cls, field: Field, diag) -> "Matrix":
+    def diagonal(cls, field: Field, diag):
         diag = list(diag)
-        zero = field.zero()
+        zero = cls._entry_zero(field)
         return cls(
             field,
             ((diag[i] if i == j else zero for j in range(len(diag))) for i in range(len(diag))),
         )
 
-    @classmethod
-    def from_columns(cls, field: Field, columns, rows: int) -> "Matrix":
-        columns = list(columns)
-        return cls(field, ((col[i] for col in columns) for i in range(rows)))
-
     # basic algebra -------------------------------------------------------
-    def _check(self, other: "Matrix"):
+    def _check(self, other: "DenseMatrix"):
         if other.field != self.field:
             raise TagMismatch("matrices over different fields")
 
@@ -115,37 +99,27 @@ class Matrix:
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        return Matrix(
+        return type(self)(
             self.field,
-            (
-                (a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
+            ((a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+            (self.rows, self.cols),
         )
 
     def __sub__(self, other):
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        return Matrix(
+        return type(self)(
             self.field,
-            (
-                (a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
+            ((a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+            (self.rows, self.cols),
         )
-
-    def __neg__(self):
-        return Matrix(self.field, ((-a for a in row) for row in self.entries))
-
-    def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(self.field, ((c * a for a in row) for row in self.entries))
 
     def __matmul__(self, other):
         self._check(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = self.field.zero()
+        zero = self._entry_zero(self.field)
         cols_t = list(zip(*other.entries)) if other.rows else [()] * other.cols
         out = []
         for row in self.entries:
@@ -153,12 +127,63 @@ class Matrix:
             for col in cols_t:
                 acc = zero
                 for a, b in zip(row, col):
-                    acc = acc + a * b
+                    if not (a.is_zero or b.is_zero):
+                        acc = acc + a * b
                 out_row.append(acc)
             out.append(out_row)
-        if not out:
-            return Matrix.zeros(self.field, 0, other.cols)
-        return Matrix(self.field, out)
+        return type(self)(self.field, out, (self.rows, other.cols))
+
+    def transpose(self):
+        if self.rows == 0 or self.cols == 0:
+            return self.zeros(self.field, self.cols, self.rows)
+        return type(self)(self.field, zip(*self.entries))
+
+    @property
+    def is_square(self) -> bool:
+        return self.rows == self.cols
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.field == other.field
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.entries == other.entries
+        )
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.field, self.entries))
+
+    def __str__(self):
+        return "\n".join("[" + ", ".join(str(a) for a in row) + "]" for row in self.entries)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.field.kind}, {self.rows}x{self.cols})"
+
+
+class Matrix(DenseMatrix):
+    """An immutable rows x cols matrix of scalars sharing one field."""
+
+    __slots__ = ()
+
+    _entry_type = Scalar
+    _entry_error = "entry does not belong to the declared field"
+
+    @staticmethod
+    def _entry_zero(field: Field) -> Scalar:
+        return field.zero()
+
+    @staticmethod
+    def _entry_one(field: Field) -> Scalar:
+        return field.one()
+
+    @classmethod
+    def from_ints(cls, field: Field, rows) -> "Matrix":
+        return cls(field, ((field.from_int(v) for v in row) for row in rows))
+
+    def scale(self, c: Scalar) -> "Matrix":
+        return Matrix(self.field, ((c * a for a in row) for row in self.entries))
 
     def matvec(self, x: Vector) -> Vector:
         if len(x) != self.cols:
@@ -172,20 +197,8 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def transpose(self) -> "Matrix":
-        if self.rows == 0 or self.cols == 0:
-            return Matrix.zeros(self.field, self.cols, self.rows)
-        return Matrix(self.field, zip(*self.entries))
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
-
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
     @property
     def is_zero(self) -> bool:
@@ -202,25 +215,6 @@ class Matrix:
             base = base @ base
             n >>= 1
         return result
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.entries))
-
-    def __str__(self):
-        return "\n".join("[" + ", ".join(str(a) for a in row) + "]" for row in self.entries)
-
-    def __repr__(self):
-        return f"Matrix({self.field.kind}, {self.rows}x{self.cols})"
 
 
 @dataclass(frozen=True)
@@ -258,7 +252,7 @@ def rref(M: Matrix) -> EchelonResult:
         r += 1
         if r == nrows:
             break
-    reduced = Matrix(field, rows) if nrows else Matrix.zeros(field, 0, ncols)
+    reduced = Matrix(field, rows, (nrows, ncols))
     return EchelonResult(reduced=reduced, pivot_columns=tuple(pivots), rank=len(pivots))
 
 
@@ -309,9 +303,7 @@ def kronecker(A: Matrix, B: Matrix) -> Matrix:
                 a = A.entries[i][j]
                 row.extend(a * bb for bb in B.entries[ib])
             out.append(row)
-    if not out:
-        return Matrix.zeros(A.field, 0, A.cols * B.cols)
-    return Matrix(A.field, out)
+    return Matrix(A.field, out, (A.rows * B.rows, A.cols * B.cols))
 
 
 def sylvester_operator(A: Matrix, B: Matrix) -> Matrix:

@@ -11,58 +11,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NonSquare, TagMismatch
+from .errors import NonSquare
 from .fields import Field, Scalar
-from .matrix import Matrix
+from .matrix import DenseMatrix, Matrix
 from .poly import Poly
 
 
-class PolyMatrix:
+class PolyMatrix(DenseMatrix):
     """An immutable matrix with polynomial entries over one field."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ()
 
-    def __init__(self, field: Field, entries):
-        entries = tuple(tuple(row) for row in entries)
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        for row in entries:
-            if len(row) != cols:
-                raise DimensionMismatch("ragged rows")
-            for e in row:
-                if not isinstance(e, Poly) or e.field != field:
-                    raise TagMismatch("entry is not a polynomial over the declared field")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+    _entry_type = Poly
+    _entry_error = "entry is not a polynomial over the declared field"
 
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"PolyMatrix is immutable; cannot set {name!r}")
+    @staticmethod
+    def _entry_zero(field: Field) -> Poly:
+        return Poly.zero(field)
 
-    # construction ------------------------------------------------------
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "PolyMatrix":
-        one, zero = Poly.one(field), Poly.zero(field)
-        return cls(field, ((one if i == j else zero for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "PolyMatrix":
-        zero = Poly.zero(field)
-        return cls(field, ((zero for _ in range(cols)) for _ in range(rows)))
-
-    @classmethod
-    def diagonal(cls, field: Field, diag) -> "PolyMatrix":
-        diag = list(diag)
-        zero = Poly.zero(field)
-        return cls(
-            field,
-            ((diag[i] if i == j else zero for j in range(len(diag))) for i in range(len(diag))),
-        )
-
-    @classmethod
-    def from_scalar_matrix(cls, M: Matrix) -> "PolyMatrix":
-        return cls(M.field, ((Poly.constant(e) for e in row) for row in M.entries))
+    @staticmethod
+    def _entry_one(field: Field) -> Poly:
+        return Poly.one(field)
 
     @classmethod
     def characteristic_matrix(cls, A: Matrix) -> "PolyMatrix":
@@ -81,58 +50,6 @@ class PolyMatrix:
                 row.append(entry)
             out.append(row)
         return cls(field, out)
-
-    # algebra -------------------------------------------------------------
-    def _check(self, other: "PolyMatrix"):
-        if other.field != self.field:
-            raise TagMismatch("matrices over different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        return PolyMatrix(
-            self.field,
-            ((a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        return PolyMatrix(
-            self.field,
-            ((a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
-
-    def __matmul__(self, other):
-        self._check(other)
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = Poly.zero(self.field)
-        cols_t = list(zip(*other.entries)) if other.rows else [()] * other.cols
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in cols_t:
-                acc = zero
-                for a, b in zip(row, col):
-                    if not (a.is_zero or b.is_zero):
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        if not out:
-            return PolyMatrix.zeros(self.field, 0, other.cols)
-        return PolyMatrix(self.field, out)
-
-    def transpose(self) -> "PolyMatrix":
-        if self.rows == 0:
-            return PolyMatrix.zeros(self.field, self.cols, 0)
-        return PolyMatrix(self.field, zip(*self.entries))
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
     def evaluate(self, s: Scalar) -> Matrix:
         """Entrywise evaluation at a scalar point."""
@@ -170,25 +87,6 @@ class PolyMatrix:
             return acc
 
         return minor(0, tuple(range(n)))
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.entries))
-
-    def __str__(self):
-        return "\n".join("[" + ", ".join(str(a) for a in row) + "]" for row in self.entries)
-
-    def __repr__(self):
-        return f"PolyMatrix({self.field.kind}, {self.rows}x{self.cols})"
 
 
 def charpoly(A: Matrix) -> Poly:
@@ -354,6 +252,6 @@ def smith_normal_form(P: PolyMatrix) -> SmithForm:
     field = P.field
     return SmithForm(
         U=PolyMatrix(field, w.u),
-        D=PolyMatrix(field, w.d),
+        D=PolyMatrix(field, w.d, (P.rows, P.cols)),
         V=PolyMatrix(field, w.v),
     )

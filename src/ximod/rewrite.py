@@ -40,10 +40,6 @@ from .matrix import (
 )
 from .poly import Poly
 from .tensor import (
-    BranchingKind,
-    OperatorPairKind,
-    StandardKind,
-    SubringKind,
     TensorElement,
     TensorKind,
     relation_subspace,
@@ -161,44 +157,22 @@ def _all_polys(field: PrimeField, max_degree: int) -> list[Poly]:
 
 
 def _action_pairs(rules: RuleSet, field: PrimeField, n: int, m: int, max_degree: int):
-    """All (left matrix, right matrix) pairs a single move may use."""
+    """All (left matrix, right matrix) pairs a single move may use: the
+    (pi(M), pi(N)) for the kind's operator pair (M, N) and every pi up to
+    the degree bound.  For the standard kind pi(I) = pi(1) I, so these are
+    exactly the scalar moves (c I, c I)."""
     degree = min(rules.degree_bound, max_degree)
-    kind = rules.kind
-    pairs = set()
-    if isinstance(kind, StandardKind):
-        for c in field.elements():
-            pairs.add(
-                (Matrix.identity(field, n).scale(c), Matrix.identity(field, m).scale(c))
-            )
-        return sorted_pairs(pairs)
-    if isinstance(kind, OperatorPairKind):
-        for pi in _all_polys(field, degree):
-            pairs.add((poly_eval_operator(pi, kind.A), poly_eval_operator(pi, kind.B)))
-        return sorted_pairs(pairs)
-    if isinstance(kind, SubringKind):
-        pa = poly_eval_operator(kind.p, kind.A)
-        pb = poly_eval_operator(kind.p, kind.B)
-        for q in _all_polys(field, degree):
-            pairs.add((poly_eval_operator(q, pa), poly_eval_operator(q, pb)))
-        return sorted_pairs(pairs)
-    if isinstance(kind, BranchingKind):
-        fa = poly_eval_operator(kind.phi, kind.A)
-        gb = poly_eval_operator(kind.psi, kind.B)
-        for pi in _all_polys(field, degree):
-            pairs.add((poly_eval_operator(pi, fa), poly_eval_operator(pi, gb)))
-        return sorted_pairs(pairs)
-    raise ValueError(f"unknown rule kind {kind!r}")
-
-
-def sorted_pairs(pairs):
-    def key(mn):
-        M, N = mn
-        return (
-            tuple(c.sort_key() for row in M.entries for c in row),
-            tuple(c.sort_key() for row in N.entries for c in row),
-        )
-
-    return sorted(pairs, key=key)
+    M, N = rules.kind.operators(n, m)
+    pairs = {
+        (poly_eval_operator(pi, M), poly_eval_operator(pi, N))
+        for pi in _all_polys(field, degree)
+    }
+    return sorted(
+        pairs,
+        key=lambda mn: tuple(
+            tuple(c.sort_key() for row in X.entries for c in row) for X in mn
+        ),
+    )
 
 
 class _SolutionCache:

@@ -1,13 +1,15 @@
 """Generalized tensor products as computable quotient spaces.
 
 Every product lives on the nm coordinates of the plain tensor square, with
-basis order e_i (x) f_j -> i*m + j.  A product flavour contributes a
-relation subspace W, and the product itself is the quotient by W:
+basis order e_i (x) f_j -> i*m + j.  A product flavour is an operator
+pair (M, N), given by its `operators` method.  It contributes the relation
+subspace W = im(M (x) I - I (x) N), and the product itself is the quotient
+by W:
 
-  * standard          W = 0
-  * operator pair     W = im(A (x) I - I (x) B)
-  * subring (by p)    W = im(p(A) (x) I - I (x) p(B))
-  * branching         W = im(phi(A) (x) I - I (x) psi(B))
+  * standard          (M, N) = (I, I)             W = 0
+  * operator pair     (M, N) = (A, B)
+  * subring (by p)    (M, N) = (p(A), p(B))
+  * branching         (M, N) = (phi(A), psi(B))
 
 The image of the degree-one difference operator really does span all
 rewriting differences: a pair exchange moving pi across the tensor sign
@@ -118,6 +120,10 @@ class StandardKind:
 
     name = "standard"
 
+    def operators(self, n: int, m: int) -> tuple[Matrix, Matrix]:
+        """(I_n, I_m): the Sylvester image is zero."""
+        return Matrix.identity(self.field, n), Matrix.identity(self.field, m)
+
 
 @dataclass(frozen=True)
 class OperatorPairKind:
@@ -127,6 +133,9 @@ class OperatorPairKind:
     B: Matrix
 
     name = "opair"
+
+    def operators(self, n: int, m: int) -> tuple[Matrix, Matrix]:
+        return self.A, self.B
 
 
 @dataclass(frozen=True)
@@ -138,6 +147,9 @@ class SubringKind:
     p: Poly
 
     name = "subring"
+
+    def operators(self, n: int, m: int) -> tuple[Matrix, Matrix]:
+        return poly_eval_operator(self.p, self.A), poly_eval_operator(self.p, self.B)
 
 
 @dataclass(frozen=True)
@@ -152,21 +164,11 @@ class BranchingKind:
 
     name = "branching"
 
+    def operators(self, n: int, m: int) -> tuple[Matrix, Matrix]:
+        return poly_eval_operator(self.phi, self.A), poly_eval_operator(self.psi, self.B)
+
 
 TensorKind = Union[StandardKind, OperatorPairKind, SubringKind, BranchingKind]
-
-
-def _kind_operators(kind: TensorKind) -> tuple[Matrix, Matrix] | None:
-    """The pair (M, N) whose Sylvester image is the relation subspace."""
-    if isinstance(kind, StandardKind):
-        return None
-    if isinstance(kind, OperatorPairKind):
-        return kind.A, kind.B
-    if isinstance(kind, SubringKind):
-        return poly_eval_operator(kind.p, kind.A), poly_eval_operator(kind.p, kind.B)
-    if isinstance(kind, BranchingKind):
-        return poly_eval_operator(kind.phi, kind.A), poly_eval_operator(kind.psi, kind.B)
-    raise WrongKind(f"unknown tensor kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -215,22 +217,16 @@ def relation_subspace(kind: TensorKind, n: int, m: int) -> RelationSubspace:
     """Build the relation subspace of a product flavour on K^n (x) K^m."""
     if n < 1 or m < 1:
         raise DimensionMismatch("factor dimensions must be positive")
-    ops = _kind_operators(kind)
-    if ops is None:
-        field = kind.field
-        generators = Matrix.zeros(field, n * m, n * m)
-    else:
-        M, N = ops
-        if M.rows != n or N.rows != m:
-            raise DimensionMismatch(
-                f"kind operators are {M.rows} and {N.rows}; expected {n} and {m}"
-            )
-        field = M.field
-        generators = sylvester_operator(M, N)
+    M, N = kind.operators(n, m)
+    if M.rows != n or N.rows != m:
+        raise DimensionMismatch(
+            f"kind operators are {M.rows} and {N.rows}; expected {n} and {m}"
+        )
+    generators = sylvester_operator(M, N)
     ech = rref(generators.transpose())
     return RelationSubspace(
         kind=kind,
-        field=field,
+        field=M.field,
         n=n,
         m=m,
         generator_matrix=generators,

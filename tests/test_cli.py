@@ -347,6 +347,20 @@ def test_snf_output_feeds_back_as_input(capsys, tmp_path):
     assert second["diagonal"] == first["diagonal"]
 
 
+def test_snf_keeps_declared_shape_without_rows(capsys, tmp_path):
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(json.dumps({"field": "q", "rows": 0, "cols": 3, "entries": []}))
+    code, out, _ = run_main(capsys, ["snf", "--input", str(payload_file), "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["rows"], report["cols"]) == (0, 3)
+    assert (report["D"]["rows"], report["D"]["cols"]) == (0, 3)
+    one, zero = ["1"], []
+    assert report["V"]["entries"] == [
+        [one if i == j else zero for j in range(3)] for i in range(3)
+    ]
+
+
 def test_field_flag_conflicts_with_payload(capsys, tmp_path):
     payload_file = tmp_path / "p.json"
     payload_file.write_text(SNF_PAYLOAD)

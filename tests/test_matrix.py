@@ -10,6 +10,7 @@ from ximod import (
     NoSolution,
     NotMonic,
     Poly,
+    PolyMatrix,
     PrimeField,
     TagMismatch,
     companion_matrix,
@@ -177,3 +178,11 @@ def test_companion_charpoly_matches():
 def test_unit_vector():
     e1 = unit_vector(QQ, 3, 0)
     assert e1 == (QQ.one(), QQ.zero(), QQ.zero())
+
+
+def test_scalar_and_polynomial_matrices_never_compare_equal():
+    for rows, cols in [(0, 0), (0, 2), (2, 2)]:
+        M, P = Matrix.zeros(QQ, rows, cols), PolyMatrix.zeros(QQ, rows, cols)
+        assert M != P and P != M
+        assert {M} & {P} == set()
+        assert len({M, P}) == 2

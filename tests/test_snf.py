@@ -84,6 +84,14 @@ def test_zero_and_empty_matrices():
     assert snf.diagonal() == []
     assert snf.U @ empty @ snf.V == snf.D
 
+    no_rows = PolyMatrix.zeros(QQ, 0, 3)
+    assert (no_rows.rows, no_rows.cols) == (0, 3)
+    assert empty.transpose() == PolyMatrix.zeros(QQ, 0, 2)
+    snf = smith_normal_form(no_rows)
+    assert (snf.D.rows, snf.D.cols) == (0, 3)
+    assert snf.V == PolyMatrix.identity(QQ, 3)
+    assert snf.U @ no_rows @ snf.V == snf.D
+
 
 def test_rectangular():
     rng = random.Random(52)

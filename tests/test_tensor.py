@@ -6,6 +6,7 @@ import pytest
 
 from ximod import (
     QQ,
+    BranchingKind,
     DimensionMismatch,
     Matrix,
     OperatorPairKind,
@@ -61,6 +62,24 @@ def test_scalar_moves_across_factors():
 
 
 # -- relation subspaces ----------------------------------------------------------
+
+def test_kind_operators():
+    A = Matrix.from_ints(QQ, [[1, 2], [0, 3]])
+    B = Matrix.from_ints(QQ, [[2, 0, 1], [1, 1, 0], [0, 0, 4]])
+    p = Poly.from_ints(QQ, [1, 0, 1])
+    q = Poly.from_ints(QQ, [0, 2])
+    I2, I3 = Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)
+    assert StandardKind(QQ).operators(2, 3) == (I2, I3)
+    assert OperatorPairKind(A, B).operators(2, 3) == (A, B)
+    assert SubringKind(A, B, p).operators(2, 3) == (
+        poly_eval_operator(p, A),
+        poly_eval_operator(p, B),
+    )
+    assert BranchingKind(A, B, p, q).operators(2, 3) == (
+        poly_eval_operator(p, A),
+        poly_eval_operator(q, B),
+    )
+
 
 def test_standard_subspace_is_trivial():
     W = relation_subspace(StandardKind(QQ), 2, 2)
