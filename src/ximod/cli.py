@@ -28,13 +28,14 @@ from .jsonio import (
     parse_matrix_json,
     parse_poly_json,
     parse_polymatrix_json,
+    parse_scalar_json,
     parse_vector_json,
     poly_to_json,
     polymatrix_to_json,
     scalar_to_json,
     vector_to_json,
 )
-from .matrix import Matrix, poly_eval_operator
+from .matrix import Matrix, kronecker_column, poly_eval_operator
 from .modules import (
     ModuleDecomposition,
     OperatorModule,
@@ -55,8 +56,6 @@ from .tensor import (
     StandardKind,
     SubringKind,
     TensorElement,
-    apply_left,
-    apply_right,
     induced_operator,
     project_to_quotient,
     quotient_dim,
@@ -303,18 +302,15 @@ def _build_kind(kind_name, payload, ambient):
     return cls(A, B, *polys), A.rows, B.rows
 
 
-def _check_tensor(W, kind) -> None:
+def _check_tensor(W, induced) -> None:
     if quotient_dim(W) + W.rank != W.n * W.m:
         raise SelfCheckFailed("rank and quotient dimension do not add up")
-    if isinstance(kind, OperatorPairKind):
-        for j in W.canonical_indices:
-            coords = [W.field.zero()] * (W.n * W.m)
-            coords[j] = W.field.one()
-            t = TensorElement(W.field, W.n, W.m, tuple(coords))
-            left = project_to_quotient(apply_left(kind.A, t), W)
-            right = project_to_quotient(apply_right(kind.B, t), W)
-            if left.canonical != right.canonical:
-                raise SelfCheckFailed("left and right actions disagree on the quotient")
+    if induced is not None:
+        # x acts through A (x) I; on the quotient it must agree with I (x) B
+        identity = Matrix.identity(W.field, W.n)
+        right = (kronecker_column(identity, W.kind.B, k) for k in W.canonical_indices)
+        if W.coset_coordinates(right) != induced:
+            raise SelfCheckFailed("left and right actions disagree on the quotient")
 
 
 def cmd_tensor(args) -> int:
@@ -323,7 +319,7 @@ def cmd_tensor(args) -> int:
         if args.kind != "branching":
             raise InputValidationError("--scalar-a", "only valid with --kind branching")
         field = ambient or QQ
-        a = field.parse(args.scalar_a)
+        a = parse_scalar_json(field, args.scalar_a, "--scalar-a")
         rep = scalar_branching_report(a)
         if not rep.literal_span_agrees:
             raise SelfCheckFailed("literal relation span disagrees with the kind span")
@@ -353,16 +349,14 @@ def cmd_tensor(args) -> int:
     payload = _load_payload(args)
     kind, n, m = _build_kind(args.kind, payload, ambient)
     W = relation_subspace(kind, n, m)
-    _check_tensor(W, kind)
-    induced = None
+    induced = induced_operator(W) if isinstance(kind, OperatorPairKind) else None
+    _check_tensor(W, induced)
     induced_body = None
     induced_dec = None
-    if isinstance(kind, OperatorPairKind):
-        induced = induced_operator(W)
-        if args.decompose and induced.rows >= 1:
-            module = OperatorModule(W.field, induced.rows, induced)
-            induced_dec = decompose_operator_module(module)
-            induced_body, _, _, _ = _decomposition_report(induced_dec, W.field, False)
+    if induced is not None and args.decompose and induced.rows >= 1:
+        module = OperatorModule(W.field, induced.rows, induced)
+        induced_dec = decompose_operator_module(module)
+        induced_body, _, _, _ = _decomposition_report(induced_dec, W.field, False)
     report = {
         "command": "tensor",
         "kind": kind.name,

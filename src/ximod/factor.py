@@ -34,34 +34,7 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     f = f.monic()
     if f.degree == 0:
         return []
-    if f.field.characteristic == 0:
-        parts = _yun(f)
-    else:
-        parts = _squarefree_char_p(f)
-    merged: dict[Poly, int] = {}
-    for g, m in parts:
-        if g.degree >= 1:
-            merged[g] = merged.get(g, 0) + m
-    return sorted(merged.items(), key=lambda gm: gm[0].sort_key())
-
-
-def _yun(f: Poly) -> list[tuple[Poly, int]]:
-    # Yun's algorithm; valid in characteristic zero only
-    out = []
-    d = f.derivative()
-    g = poly_gcd(f, d)
-    w = f // g
-    y = d // g
-    i = 1
-    while w.degree >= 1:
-        z = y - w.derivative()
-        h = poly_gcd(w, z)
-        if h.degree >= 1:
-            out.append((h, i))
-        w = w // h
-        y = z // h
-        i += 1
-    return out
+    return sorted(_squarefree_parts(f), key=lambda gm: gm[0].sort_key())
 
 
 def _pth_root(f: Poly) -> Poly:
@@ -71,12 +44,15 @@ def _pth_root(f: Poly) -> Poly:
     return Poly(f.field, (f.coefficient(k) for k in range(0, len(f.coeffs), p)))
 
 
-def _squarefree_char_p(f: Poly) -> list[tuple[Poly, int]]:
+def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
+    # Musser's gcd peeling splits off the factors of multiplicity i in round
+    # i.  Factors whose multiplicity is a multiple of p stay in c, where a
+    # p-th root takes over; in characteristic 0 there are none.
     p = f.field.characteristic
     out: list[tuple[Poly, int]] = []
     d = f.derivative()
     if d.is_zero:
-        for g, m in _squarefree_char_p(_pth_root(f)):
+        for g, m in _squarefree_parts(_pth_root(f)):
             out.append((g, m * p))
         return out
     c = poly_gcd(f, d)
@@ -91,7 +67,7 @@ def _squarefree_char_p(f: Poly) -> list[tuple[Poly, int]]:
         c = c // y
         i += 1
     if c.degree >= 1:
-        for g, m in _squarefree_char_p(_pth_root(c)):
+        for g, m in _squarefree_parts(_pth_root(c)):
             out.append((g, m * p))
     return out
 

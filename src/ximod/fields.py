@@ -26,9 +26,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# Python's default int-to-str limit: a longer numerator or denominator could
+# be parsed but never printed
+_MAX_LITERAL_DIGITS = 4300
+
+
 def _parse_fraction(text: str) -> Fraction:
     # accept the unicode minus sign alongside the ASCII one
-    return Fraction(text.strip().replace("−", "-"))
+    text = text.strip().replace("−", "-")
+    # bound "1e10000000" before Fraction spends seconds building 10**exponent
+    mantissa, e, exponent = text.lower().partition("e")
+    if e:
+        try:
+            digits = sum(ch.isdigit() for ch in mantissa) + abs(int(exponent))
+        except ValueError:
+            digits = 0  # not an exponent; Fraction rejects the text itself
+        if digits > _MAX_LITERAL_DIGITS:
+            raise ValueError(f"literal expands past {_MAX_LITERAL_DIGITS} digits")
+    return Fraction(text)
 
 
 class Field:

@@ -291,19 +291,23 @@ def solve_linear(M: Matrix, b: Vector) -> Vector:
     return tuple(x)
 
 
+def kronecker_column(A: Matrix, B: Matrix, k: int) -> Vector:
+    """Column k = i*m + j of A (x) B, which is (A e_i) (x) (B f_j).  Zero
+    factors are skipped, not multiplied: one side is often an identity."""
+    i, j = divmod(k, B.cols)
+    zero = A.field.zero()
+    return tuple(
+        zero if a.is_zero or b.is_zero else a * b for a in A.column(i) for b in B.column(j)
+    )
+
+
 def kronecker(A: Matrix, B: Matrix) -> Matrix:
     """Kronecker product in the fixed basis order e_i (x) f_j -> i*m + j."""
     if A.field != B.field:
         raise TagMismatch("kronecker requires a common field")
-    out = []
-    for i in range(A.rows):
-        for ib in range(B.rows):
-            row = []
-            for j in range(A.cols):
-                a = A.entries[i][j]
-                row.extend(a * bb for bb in B.entries[ib])
-            out.append(row)
-    return Matrix(A.field, out, (A.rows * B.rows, A.cols * B.cols))
+    columns = [kronecker_column(A, B, k) for k in range(A.cols * B.cols)]
+    rows = A.rows * B.rows
+    return Matrix(A.field, ((c[r] for c in columns) for r in range(rows)), (rows, len(columns)))
 
 
 def sylvester_operator(A: Matrix, B: Matrix) -> Matrix:

@@ -37,9 +37,11 @@ from .matrix import (
     EchelonResult,
     Matrix,
     Vector,
+    kronecker_column,
     poly_eval_operator,
     rref,
     sylvester_operator,
+    unit_vector,
 )
 from .poly import Poly
 
@@ -212,6 +214,17 @@ class RelationSubspace:
     def contains(self, coords: tuple[Scalar, ...]) -> bool:
         return all(a.is_zero for a in self.reduce(coords))
 
+    def coset_coordinates(self, vectors) -> Matrix:
+        """The coset map: column c is the canonical coordinates of
+        vectors[c] + W, read on the surviving `canonical_indices`."""
+        reduced = [self.reduce(v) for v in vectors]
+        indices = self.canonical_indices
+        return Matrix(
+            self.field,
+            ((v[t] for v in reduced) for t in indices),
+            (len(indices), len(reduced)),
+        )
+
 
 def relation_subspace(kind: TensorKind, n: int, m: int) -> RelationSubspace:
     """Build the relation subspace of a product flavour on K^n (x) K^m."""
@@ -256,9 +269,7 @@ def project_to_quotient(t: TensorElement, W: RelationSubspace) -> QuotientClass:
     """The canonical surjection onto the quotient by W."""
     if (t.n, t.m) != (W.n, W.m) or t.field != W.field:
         raise DimensionMismatch("tensor element does not match the subspace")
-    reduced = W.reduce(t.coords)
-    canonical = tuple(reduced[j] for j in W.canonical_indices)
-    return QuotientClass(subspace=W, canonical=canonical)
+    return QuotientClass(subspace=W, canonical=W.coset_coordinates([t.coords]).column(0))
 
 
 def induced_operator(W: RelationSubspace) -> Matrix:
@@ -271,20 +282,10 @@ def induced_operator(W: RelationSubspace) -> Matrix:
     """
     if not isinstance(W.kind, OperatorPairKind):
         raise WrongKind("induced operator is defined for the operator-pair kind")
-    A = W.kind.A
-    field = W.field
-    indices = W.canonical_indices
-    columns = []
-    for src in indices:
-        i, j = divmod(src, W.m)
-        # (A (x) I) e_{i (x) j} = (A e_i) (x) e_j, directly in coordinates
-        coords = [field.zero()] * (W.n * W.m)
-        for k in range(W.n):
-            coords[k * W.m + j] = A.entries[k][i]
-        reduced = W.reduce(tuple(coords))
-        columns.append([reduced[t] for t in indices])
-    q = len(indices)
-    return Matrix(field, ((columns[c][r] for c in range(q)) for r in range(q)))
+    identity = Matrix.identity(W.field, W.m)
+    return W.coset_coordinates(
+        kronecker_column(W.kind.A, identity, k) for k in W.canonical_indices
+    )
 
 
 def apply_left(A: Matrix, t: TensorElement) -> TensorElement:
@@ -314,24 +315,10 @@ def induced_surjection(source: RelationSubspace, target: RelationSubspace) -> Ma
     """
     if (source.n, source.m, source.field) != (target.n, target.m, target.field):
         raise DimensionMismatch("subspaces live on different coordinate spaces")
-    for j in range(source.generator_matrix.cols):
-        col = source.generator_matrix.column(j)
-        if not target.contains(col):
-            raise DimensionMismatch(
-                "source relations are not contained in the target relations"
-            )
-    src_idx = source.canonical_indices
-    tgt_idx = target.canonical_indices
-    columns = []
-    for j in src_idx:
-        coords = [source.field.zero()] * (source.n * source.m)
-        coords[j] = source.field.one()
-        reduced = target.reduce(tuple(coords))
-        columns.append([reduced[t] for t in tgt_idx])
-    return Matrix(
-        source.field,
-        ((columns[c][r] for c in range(len(src_idx))) for r in range(len(tgt_idx))),
-        (len(tgt_idx), len(src_idx)),
+    if not target.coset_coordinates(source.generator_matrix.transpose().entries).is_zero:
+        raise DimensionMismatch("source relations are not contained in the target relations")
+    return target.coset_coordinates(
+        unit_vector(source.field, source.n * source.m, j) for j in source.canonical_indices
     )
 
 

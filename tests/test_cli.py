@@ -1,11 +1,22 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from ximod import Poly, PolyMatrix, SmithForm
-from ximod.cli import main
+from ximod import (
+    QQ,
+    Matrix,
+    OperatorPairKind,
+    Poly,
+    PolyMatrix,
+    SelfCheckFailed,
+    SmithForm,
+    induced_operator,
+    relation_subspace,
+)
+from ximod.cli import _check_smith, _check_tensor, main
 
 
 def run_cli(args, stdin_text=""):
@@ -114,6 +125,27 @@ def test_self_check_failure_exit_three(capsys, tmp_path, monkeypatch):
     code, _, err = run_main(capsys, ["snf", "--input", str(payload_file)])
     assert code == 3
     assert "self-check" in err
+
+
+def test_smith_check_rejects_a_transform_that_is_not_unimodular():
+    # U @ P @ V == D holds, so only the determinant of U can catch it
+    x = Poly.x(QQ)
+    one = Poly.one(QQ)
+    U = PolyMatrix.diagonal(QQ, (one, x))
+    P = PolyMatrix.diagonal(QQ, (x, x))
+    V = PolyMatrix.identity(QQ, 2)
+    with pytest.raises(SelfCheckFailed, match="U is not unimodular"):
+        _check_smith(P, SmithForm(U=U, D=U @ P @ V, V=V))
+
+
+def test_tensor_check_rejects_a_tampered_induced_operator():
+    A = Matrix.from_ints(QQ, [[1, 0], [0, 2]])
+    B = Matrix.from_ints(QQ, [[1, 0], [0, 3]])
+    W = relation_subspace(OperatorPairKind(A, B), 2, 2)
+    induced = induced_operator(W)
+    _check_tensor(W, induced)
+    with pytest.raises(SelfCheckFailed, match="disagree"):
+        _check_tensor(W, induced + Matrix.identity(QQ, induced.rows))
 
 
 # -- determinism ---------------------------------------------------------------------
@@ -265,6 +297,24 @@ def test_tensor_scalar_a_shortcut(capsys):
         capsys, ["tensor", "--kind", "branching", "--scalar-a", "1", "--json"]
     )
     assert json.loads(out)["quotient_dim"] == 1
+
+
+@pytest.mark.parametrize("literal", ["x", "1e5000", "1e10000000"])
+def test_tensor_scalar_a_rejects_bad_literals_quickly(capsys, literal):
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, ["tensor", "--kind", "branching", "--scalar-a", literal])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "--scalar-a" in err
+
+
+def test_tensor_scalar_a_accepts_a_large_exponent(capsys):
+    code, out, _ = run_main(
+        capsys, ["tensor", "--kind", "branching", "--scalar-a", "1e300", "--json"]
+    )
+    assert code == 0
+    assert json.loads(out)["scalar_a"] == "1" + "0" * 300
 
 
 def test_tensor_dimension_mismatch_exit_two(capsys, tmp_path):

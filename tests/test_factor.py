@@ -51,6 +51,33 @@ def test_squarefree_char_p_cube():
     assert parts == [(x + Poly.one(F3), 3)]
 
 
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_squarefree_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    field = QQ if p == 0 else PrimeField(p)
+    domain = {"domain": "QQ"} if p == 0 else {"modulus": p}
+    # >= 3 takes several peeling rounds; a multiple of p needs the p-th root step
+    high = 3 if p == 0 else p
+    rng = random.Random(61 + p)
+    for _ in range(8):
+        f = Poly.one(field)
+        expr = sympy.Integer(1)
+        for k in range(rng.randint(1, 3)):
+            coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 2))] + [1]
+            m = rng.choice((high, high + 1, 2 * high) if k == 0 else (1, 2, high))
+            f = f * Poly.from_ints(field, coeffs) ** m
+            expr = expr * sympy.Poly(coeffs[::-1], x).as_expr() ** m
+        _, parts = sympy.Poly(expr, x, **domain).sqf_list()
+        expected = []
+        for g, m in parts:
+            coeffs = g.all_coeffs()[::-1]
+            g = Poly(field, (field.from_int(int(c.p)) / field.from_int(int(c.q)) for c in coeffs))
+            expected.append((g.monic(), m))
+        expected.sort(key=lambda gm: gm[0].sort_key())
+        assert squarefree_decomposition(f) == expected
+
+
 def test_squarefree_zero_rejected():
     with pytest.raises(ZeroPolynomial):
         squarefree_decomposition(Poly.zero(QQ))

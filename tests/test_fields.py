@@ -120,3 +120,14 @@ def test_gaussian_text_forms():
 def test_prime_field_parse_canonicalizes():
     assert parse_scalar_text(F5, "7") == F5.from_int(2)
     assert parse_scalar_text(F5, "-1") == F5.from_int(4)
+
+
+def test_exponent_literals_stay_printable():
+    # every accepted literal renders within Python's 4300-digit int-str limit
+    for text in ("1e4299", "-1e-4299", "25e4298"):
+        assert str(parse_scalar_text(QQ, text))
+    for text in ("1e4300", "1e-4300", "25e4299", "1.5e4300", "1e10000000"):
+        with pytest.raises(ValueError, match="4300 digits"):
+            parse_scalar_text(QQ, text)
+    with pytest.raises(ValueError, match="4300 digits"):
+        parse_scalar_text(QI, "1e5000i")

@@ -1,15 +1,28 @@
 import random
+import time
+
+import pytest
 
 from ximod import (
+    QI,
     QQ,
     Matrix,
     Poly,
     PolyMatrix,
     PrimeField,
+    charpoly,
     companion_matrix,
     smith_normal_form,
+    solve_linear,
+    unit_vector,
 )
-from oracles import krylov_minimal_polynomial, naive_poly_det, rand_polymatrix
+from oracles import (
+    krylov_minimal_polynomial,
+    naive_poly_det,
+    rand_invertible,
+    rand_poly,
+    rand_polymatrix,
+)
 
 F5 = PrimeField(5)
 
@@ -140,6 +153,46 @@ def test_determinant_matches_diagonal_product_up_to_unit():
             assert prod.is_zero
         else:
             assert prod == det.monic()
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, QI, PrimeField(2), PrimeField(101)], ids=["q", "qi", "fp2", "fp101"]
+)
+def test_determinant_matches_naive_cofactor_expansion(field):
+    rng = random.Random(57)
+    singular = 0
+    for n in range(6):
+        for _ in range(12):
+            # zero entries force pivot row swaps and singular matrices
+            P = PolyMatrix(
+                field,
+                (
+                    (
+                        Poly.zero(field) if rng.random() < 0.4 else rand_poly(field, 2, rng)
+                        for _ in range(n)
+                    )
+                    for _ in range(n)
+                ),
+                (n, n),
+            )
+            det = P.determinant()
+            assert det == naive_poly_det(P)
+            singular += det.is_zero
+    assert singular > 0
+
+
+def test_charpoly_of_dense_16x16_runs_in_polynomial_time():
+    # memoised cofactor expansion, which is exponential, took over 10 s here
+    field = PrimeField(101)
+    rng = random.Random(58)
+    f = rand_poly(field, 16, rng, monic=True, min_degree=16)
+    S = rand_invertible(field, 16, rng)
+    S_inv_columns = [solve_linear(S, unit_vector(field, 16, j)) for j in range(16)]
+    S_inv = Matrix(field, ((col[i] for col in S_inv_columns) for i in range(16)))
+    A = S @ companion_matrix(f) @ S_inv
+    start = time.process_time()
+    assert charpoly(A) == f
+    assert time.process_time() - start < 10
 
 
 def test_determinism():
