@@ -758,6 +758,12 @@ def main(argv=None) -> int:
     except AlgebraError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # Python's int-str limit: a computed coefficient too long to print
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

@@ -2,11 +2,12 @@
 
 Factorisation is complete over prime fields (distinct-degree plus
 equal-degree splitting).  Over the rational and gaussian-rational fields it
-is deliberately partial: squarefree decomposition, exhaustive root
-extraction, cubic-without-root certification, and exact quadratic-formula
-splitting.  A squarefree factor of degree >= 4 with no roots cannot be
-decided by these means and raises FactorizationIncomplete; callers fall
-back to invariant factors.
+is deliberately partial: squarefree decomposition, then exhaustive root
+extraction by p-adic lifting of the roots mod a small prime p, found by the
+same prime-field splitting.  A rootless factor of degree <= 3 is
+irreducible, since any splitting of it has a linear part.  A rootless
+factor of degree >= 4 cannot be decided by these means and raises
+FactorizationIncomplete; callers fall back to invariant factors.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import random
 from fractions import Fraction
 
 from .errors import FactorizationIncomplete, ZeroPolynomial
-from .fields import GaussianRationals, PrimeField, Rationals, Scalar
+from .fields import GaussianRationals, PrimeField, Rationals, Scalar, _is_prime
 from .poly import Poly, poly_gcd
 
 # fixed seed: equal-degree splitting must be reproducible run to run
@@ -100,31 +101,18 @@ def factor_irreducible(f: Poly) -> list[tuple[Poly, int]]:
 
 def _factor_squarefree_roots(g: Poly) -> list[Poly]:
     """Split a squarefree monic g over Q or Q(i) by exhaustive root
-    extraction, then certify or split what is left."""
+    extraction.  A rootless factor of degree <= 3 is irreducible: any
+    splitting of it has a linear part."""
     field = g.field
     factors: list[Poly] = []
-    if isinstance(field, Rationals):
-        roots = _rational_roots(g)
-    else:
-        roots = _gaussian_roots(g)
-    for r in roots:
+    for r in _roots(g):
         linear = Poly(field, (-r, field.one()))
         factors.append(linear)
         g = g // linear
+    if g.degree > 3:
+        raise FactorizationIncomplete(g)
     if g.degree >= 1:
-        if g.degree == 1:
-            factors.append(g)
-        elif g.degree == 2:
-            split = _quadratic_split(g)
-            if split is None:
-                factors.append(g)  # irreducible: discriminant has no square root
-            else:
-                factors.extend(split)
-        elif g.degree == 3:
-            # a rootless cubic cannot factor: any splitting has a linear part
-            factors.append(g)
-        else:
-            raise FactorizationIncomplete(g)
+        factors.append(g)
     return factors
 
 
@@ -168,129 +156,92 @@ def exact_square_root(s: Scalar) -> Scalar | None:
     raise TypeError("square roots are supported over Q and Q(i) only")
 
 
-def _quadratic_split(g: Poly) -> list[Poly] | None:
-    # g monic of degree 2; roots (-b +- sqrt(b^2 - 4c)) / 2
+# -- roots over Q and Q(i): p-adic lifting ------------------------------------
+
+def _roots(g: Poly) -> list[Scalar]:
+    """All roots of a squarefree monic g in Q or Q(i).
+
+    With L the lcm of the coefficient denominators, h(x) = L^n g(x/L) is
+    monic with gaussian-integer coefficients, so its roots are gaussian
+    integers u + vi with |u|, |v| at most the Cauchy bound.
+    Their images mod p (with i -> +-s over Q(i)) are simple roots of the
+    images of h; Newton lifting to p^k > 2 * bound recovers u and v as
+    symmetric residues, and every candidate is checked exactly.
+    """
     field = g.field
-    c, b = g.coefficient(0), g.coefficient(1)
-    disc = b * b - field.from_int(4) * c
-    root = exact_square_root(disc)
-    if root is None:
+    gaussian = isinstance(field, GaussianRationals)
+    n = g.degree
+    parts = [c.value if gaussian else (c.value, Fraction(0)) for c in g.coeffs]
+    lcm = math.lcm(*(x.denominator for part in parts for x in part))
+    h = [(int(re * lcm ** (n - k)), int(im * lcm ** (n - k))) for k, (re, im) in enumerate(parts)]
+    bound = 1 + max(abs(re) + abs(im) for re, im in h[:-1])
+    signs = (1, -1) if gaussian else (1,)
+
+    def image(t: int, m: int) -> list[int]:  # h mod m with i -> t
+        return [(re + im * t) % m for re, im in h]
+
+    # the smallest prime (= 1 mod 4 over Q(i)) at which every image is squarefree
+    p, s = 1, 0
+    while True:
+        p += 4 if gaussian else 1
+        if not _is_prime(p):
+            continue
+        if gaussian:
+            s = min(_roots_mod_p([1, 0, 1], p))
+        mod_roots = [_roots_mod_p(image(e * s, p), p) for e in signs]
+        if None not in mod_roots:
+            break
+    modulus = p
+    while modulus <= 2 * bound:
+        modulus *= modulus
+    s = _lift([1, 0, 1], s, p, modulus) if gaussian else 0
+    lifted = [[_lift(image(e * s, modulus), a, p, modulus) for a in roots]
+              for e, roots in zip(signs, mod_roots)]
+    if gaussian:
+        half, half_s = pow(2, -1, modulus), pow(2 * s, -1, modulus)
+        pairs = [((a + b) * half, (a - b) * half_s) for a in lifted[0] for b in lifted[1]]
+    else:
+        pairs = [(a, 0) for a in lifted[0]]
+    out = []
+    for pair in pairs:
+        u, v = ((w + modulus // 2) % modulus - modulus // 2 for w in pair)
+        if abs(u) <= bound and abs(v) <= bound:
+            value = (Fraction(u, lcm), Fraction(v, lcm))
+            z = field.scalar(value if gaussian else value[0])
+            if g.eval(z).is_zero:
+                out.append(z)
+    return out
+
+
+def _roots_mod_p(f: list[int], p: int) -> list[int] | None:
+    """The roots of the monic f mod p, or None if f mod p is not squarefree."""
+    field = PrimeField(p)
+    fp = Poly.from_ints(field, f)
+    if poly_gcd(fp, fp.derivative()).degree > 0:
         return None
-    two_inv = field.from_int(2).inv()
-    r1 = (-b + root) * two_inv
-    r2 = (-b - root) * two_inv
-    return sorted(
-        (Poly(field, (-r1, field.one())), Poly(field, (-r2, field.one()))),
-        key=Poly.sort_key,
-    )
+    x = Poly.x(field)
+    w = poly_gcd(fp, _pow_mod(x, p, fp) - x)  # the product of fp's linear factors
+    if w.degree < 1:
+        return []
+    linear = _equal_degree_split(w, 1, random.Random(_SPLIT_SEED))
+    return [(-q.coefficient(0)).value for q in linear]
 
 
-# -- rational roots ----------------------------------------------------------
+def _lift(f: list[int], a: int, p: int, modulus: int) -> int:
+    """Newton-lift a simple root a of f mod p to a root mod modulus = p^(2^j)."""
+    df = [k * c for k, c in enumerate(f)][1:]
+    m = p
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+    def at(coeffs):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * a + c) % m
+        return acc
 
-
-def _rational_roots(g: Poly) -> list[Scalar]:
-    """All rational roots of g (squarefree), via the integer root bound on
-    the denominator-cleared polynomial."""
-    field = g.field
-    roots = []
-    zero = field.zero()
-    if g.coefficient(0).is_zero:
-        roots.append(zero)
-        g = g // Poly.x(field)
-    if g.degree < 1:
-        return roots
-    lcm = 1
-    for c in g.coeffs:
-        lcm = lcm * c.value.denominator // math.gcd(lcm, c.value.denominator)
-    ints = [int(c.value * lcm) for c in g.coeffs]
-    a0, an = ints[0], ints[-1]
-    candidates = set()
-    for p in _int_divisors(a0):
-        for q in _int_divisors(an):
-            candidates.add(Fraction(p, q))
-            candidates.add(Fraction(-p, q))
-    for cand in sorted(candidates):
-        s = field.scalar(cand)
-        if g.eval(s).is_zero:
-            roots.append(s)
-    return roots
-
-
-# -- gaussian-rational roots -------------------------------------------------
-
-def _gaussian_int_divisors(z: tuple[int, int]) -> list[tuple[int, int]]:
-    """All gaussian-integer divisors of z (unit multiples included), found by
-    enumerating two-square representations of each divisor of the norm."""
-    a, b = z
-    norm = a * a + b * b
-    divisors = set()
-    for d in _int_divisors(norm):
-        for x in range(math.isqrt(d) + 1):
-            y2 = d - x * x
-            y = math.isqrt(y2)
-            if y * y != y2:
-                continue
-            for u, v in {(x, y), (y, x)}:
-                for su in (1, -1):
-                    for sv in (1, -1):
-                        w = (su * u, sv * v)
-                        if w != (0, 0) and _gaussian_divides(w, z):
-                            divisors.add(w)
-    return sorted(divisors)
-
-
-def _gaussian_divides(w: tuple[int, int], z: tuple[int, int]) -> bool:
-    # z / w = z * conj(w) / N(w) must have integer parts
-    wn = w[0] * w[0] + w[1] * w[1]
-    re = z[0] * w[0] + z[1] * w[1]
-    im = z[1] * w[0] - z[0] * w[1]
-    return re % wn == 0 and im % wn == 0
-
-
-def _gaussian_roots(g: Poly) -> list[Scalar]:
-    """All roots of squarefree g in Q(i): candidates p/q with p dividing the
-    cleared constant term and q dividing the cleared leading term in Z[i]."""
-    field = g.field
-    roots = []
-    if g.coefficient(0).is_zero:
-        roots.append(field.zero())
-        g = g // Poly.x(field)
-    if g.degree < 1:
-        return roots
-    lcm = 1
-    for c in g.coeffs:
-        for part in c.value:
-            lcm = lcm * part.denominator // math.gcd(lcm, part.denominator)
-    ints = [(int(c.value[0] * lcm), int(c.value[1] * lcm)) for c in g.coeffs]
-    a0, an = ints[0], ints[-1]
-    numerators = _gaussian_int_divisors(a0)
-    denominators = _gaussian_int_divisors(an)
-    seen = set()
-    candidates = []
-    for p in numerators:
-        for q in denominators:
-            qn = q[0] * q[0] + q[1] * q[1]
-            re = Fraction(p[0] * q[0] + p[1] * q[1], qn)
-            im = Fraction(p[1] * q[0] - p[0] * q[1], qn)
-            if (re, im) not in seen:
-                seen.add((re, im))
-                candidates.append((re, im))
-    for re, im in sorted(candidates):
-        s = field.scalar((re, im))
-        if g.eval(s).is_zero:
-            roots.append(s)
-    return roots
+    while m < modulus:
+        m *= m
+        a = (a - at(f) * pow(at(df), -1, m)) % m
+    return a
 
 
 # -- prime fields: distinct-degree + equal-degree splitting ------------------

@@ -13,16 +13,31 @@ from fractions import Fraction
 from .errors import DivisionByZero, TagMismatch
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# this bound (Sorenson & Webster 2015); larger moduli are refused
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MAX_MODULUS = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
     return True
 
 
@@ -219,7 +234,8 @@ def _parse_gaussian_text(text: str):
     # find a top-level sign separating the real and imaginary parts
     split = -1
     for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "+-/":
+        # a sign after e/E belongs to a decimal exponent
+        if body[k] in "+-" and body[k - 1] not in "+-/eE":
             split = k
             break
     if split == -1:
@@ -245,6 +261,8 @@ class PrimeField(Field):
     kind = "fp"
 
     def __post_init__(self):
+        if self.p >= _MAX_MODULUS:
+            raise ValueError(f"modulus {self.p} is too large (must be below {_MAX_MODULUS})")
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 

@@ -4,7 +4,9 @@ A public helper with no caller and no test is dead code.  Each function or
 class that ``ximod/__init__.py`` re-exports must be referenced somewhere
 besides its own ``def``/``class`` statement and that re-export: in a
 ``src/ximod`` module (its own included, e.g. a result type that a function
-there constructs) or under ``tests/``.
+there constructs) or under ``tests/``.  Each module-level private function
+or class must be referenced in ``src/ximod``: a private helper that only
+tests call is dead code too.
 """
 import ast
 import inspect
@@ -46,3 +48,21 @@ def test_every_reexport_has_a_user():
     files += list(TESTS.glob("*.py"))
     used = set().union(*(_referenced_names(p) for p in files))
     assert [name for name in _reexports() if name not in used] == []
+
+
+def _private_definitions(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+
+
+def test_every_private_helper_has_a_user_in_src():
+    files = list(SRC.glob("*.py"))
+    used = set().union(*(_referenced_names(p) for p in files))
+    unused = [
+        f"{p.name}:{name}" for p in files for name in _private_definitions(p) if name not in used
+    ]
+    assert unused == []

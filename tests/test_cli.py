@@ -420,6 +420,58 @@ def test_field_flag_conflicts_with_payload(capsys, tmp_path):
     assert code == 2
 
 
+def test_large_prime_modulus_is_accepted_quickly(capsys, tmp_path):
+    p = 1000000000000000003
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(
+        json.dumps({"field": "fp", "p": p, "rows": 1, "cols": 1, "entries": [[["1", "1"]]]})
+    )
+    start = time.process_time()
+    code, out, _ = run_main(
+        capsys, ["snf", "--field", f"fp:{p}", "--input", str(payload_file), "--json"]
+    )
+    assert time.process_time() - start < 1
+    assert code == 0
+    assert json.loads(out)["p"] == p
+
+
+def test_modulus_beyond_the_primality_bound_exits_two(capsys, tmp_path):
+    p = 2**89 - 1  # a Mersenne prime, beyond the bound where primality is decided
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(SNF_PAYLOAD)
+    code, out, err = run_main(capsys, ["snf", "--field", f"fp:{p}", "--input", str(payload_file)])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: --field: modulus") and "too large" in err
+    payload_file.write_text(
+        json.dumps({"field": "fp", "p": p, "rows": 1, "cols": 1, "entries": [[["1"]]]})
+    )
+    code, out, err = run_main(capsys, ["snf", "--input", str(payload_file)])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: $.p: modulus") and "too large" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--primary", "--json"]])
+def test_unprintable_computed_coefficient_exits_two(capsys, tmp_path, flags):
+    # (x - 10^3000)^2 has a 6001-digit constant term: past Python's int-str limit
+    payload = {"operator": {"field": "q", "rows": 2, "cols": 2,
+                            "entries": [["1e3000", "1"], ["0", "1e3000"]]}}
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(json.dumps(payload))
+    code, out, err = run_main(capsys, ["decompose", "--input", str(payload_file), *flags])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:")
+
+
+def test_json_integer_past_the_str_limit_exits_two(capsys, tmp_path):
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(
+        '{"operator": {"field": "q", "rows": 1, "cols": 1, "entries": [[1' + "0" * 5000 + "]]}}"
+    )
+    code, out, err = run_main(capsys, ["decompose", "--input", str(payload_file)])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:")
+
+
 def test_demo_register_content(capsys):
     code, out, _ = run_main(capsys, ["demo", "register", "--json"])
     assert code == 0

@@ -1,4 +1,6 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -166,8 +168,6 @@ def test_factor_with_mixed_multiplicities():
 
 
 def test_exact_square_root():
-    from fractions import Fraction
-
     assert exact_square_root(QQ.scalar(Fraction(9, 4))) == QQ.scalar(Fraction(3, 2))
     assert exact_square_root(QQ.from_int(2)) is None
     assert exact_square_root(QI.from_int(-4)) == QI.scalar((0, 2))
@@ -177,7 +177,7 @@ def test_exact_square_root():
 
 
 def test_gaussian_root_extraction_degree_three():
-    # (x - i)(x - 2i)(x + 3): all roots recoverable by divisor enumeration
+    # (x - i)(x - 2i)(x + 3): root extraction finds all three roots
     field = QI
     x = Poly.x(field)
     i = Poly.constant(field.scalar((0, 1)))
@@ -185,3 +185,50 @@ def test_gaussian_root_extraction_degree_three():
     parts = factor_irreducible(f)
     assert len(parts) == 3
     assert remultiply(field, parts) == f.monic()
+
+
+@pytest.mark.parametrize("field", [QQ, QI], ids=["q", "qi"])
+def test_roots_match_sympy(field):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(71 if field is QQ else 72)
+
+    def to_sympy(c):
+        re, im = (c.value, Fraction(0)) if field is QQ else c.value
+        return sympy.Rational(re.numerator, re.denominator) + sympy.I * sympy.Rational(
+            im.numerator, im.denominator
+        )
+
+    def from_sympy(c):
+        re, im = c.as_real_imag()
+        value = (Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+        return field.scalar(value if field is QI else value[0])
+
+    for _ in range(12):
+        # roots with denominators, gaussian parts and 1 to 30 digits, next to
+        # one small monic quadratic or cubic that is usually rootless
+        f = Poly.one(field)
+        for _ in range(rng.randint(1, 3)):
+            size, den = 10 ** rng.choice((1, 3, 20, 30)), rng.randint(1, 12)
+            re, im = (Fraction(rng.randint(-size, size), den) for _ in range(2))
+            root = field.scalar((re, im) if field is QI else re)
+            f = f * Poly(field, (-root, field.one())) ** rng.randint(1, 2)
+        small = [rng.randint(-5, 5) for _ in range(rng.choice((2, 3)))] + [1]
+        f = f * Poly.from_ints(field, small) ** rng.randint(1, 2)
+        expr = sympy.expand(sum(to_sympy(c) * x**k for k, c in enumerate(f.coeffs)))
+        _, parts = sympy.factor_list(expr, x, gaussian=field is QI)
+        expected = []
+        for g, m in parts:
+            g = Poly(field, [from_sympy(c) for c in sympy.Poly(g, x).all_coeffs()[::-1]])
+            expected.append((g.monic(), m))
+        expected.sort(key=lambda gm: gm[0].sort_key())
+        assert factor_irreducible(f) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, QI], ids=["q", "qi"])
+def test_root_extraction_runs_in_polynomial_time(field):
+    # a root search exponential in the digits of the constant term would not finish
+    f = Poly.from_ints(field, [10**40 + 7, 0, 0, 1])
+    start = time.process_time()
+    assert factor_irreducible(f) == [(f, 1)]
+    assert time.process_time() - start < 1

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,19 @@ def test_prime_field_requires_prime_modulus():
         PrimeField(6)
     with pytest.raises(ValueError):
         PrimeField(1)
+    # primality is Miller-Rabin, so an 18-digit prime is accepted at once
+    start = time.process_time()
+    assert PrimeField(1000000000000000003).p == 10**18 + 3
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    assert time.process_time() - start < 1
+    # a Carmichael number, and a strong pseudoprime to the bases 2, 3, 5 and 7
+    for n in (561, 3215031751):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(n)
+    # the first 13 prime bases are exact only below 3317044064679887385961981
+    for n in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(n)
 
 
 def test_tag_mismatch_raises():
@@ -115,6 +129,11 @@ def test_gaussian_text_forms():
     assert parse_scalar_text(QI, "1/2-3/4i") == QI.scalar((Fraction(1, 2), Fraction(-3, 4)))
     assert parse_scalar_text(QI, "-2") == QI.scalar((-2, 0))
     assert str(QI.scalar((Fraction(1, 2), Fraction(-3, 4)))) == "1/2-3/4i"
+    # a sign after e/E belongs to the decimal exponent, not to the imaginary part
+    assert parse_scalar_text(QI, "1e-5i") == QI.scalar((0, Fraction(1, 10**5)))
+    assert parse_scalar_text(QI, "2+1e-5i") == QI.scalar((2, Fraction(1, 10**5)))
+    assert parse_scalar_text(QI, "3-1e-2i") == QI.scalar((3, Fraction(-1, 100)))
+    assert parse_scalar_text(QI, "1E+2-3i") == QI.scalar((100, -3))
 
 
 def test_prime_field_parse_canonicalizes():
