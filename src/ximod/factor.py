@@ -187,7 +187,7 @@ def _roots(g: Poly) -> list[Scalar]:
         if not _is_prime(p):
             continue
         if gaussian:
-            s = min(_roots_mod_p([1, 0, 1], p))
+            s = _sqrt_minus_one(p)
         mod_roots = [_roots_mod_p(image(e * s, p), p) for e in signs]
         if None not in mod_roots:
             break
@@ -211,6 +211,16 @@ def _roots(g: Poly) -> list[Scalar]:
             if g.eval(z).is_zero:
                 out.append(z)
     return out
+
+
+def _sqrt_minus_one(p: int) -> int:
+    """The smaller square root of -1 mod a prime p = 1 (mod 4): c^((p-1)/4)
+    for the least quadratic non-residue c, since c^((p-1)/2) = -1."""
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    s = pow(c, (p - 1) // 4, p)
+    return min(s, p - s)
 
 
 def _roots_mod_p(f: list[int], p: int) -> list[int] | None:

@@ -1,9 +1,12 @@
 """Module structures induced on a vector space by a linear operator.
 
 A square operator A turns K^n into a module over the polynomial ring K[x]:
-a polynomial acts through evaluation at A.  Such a module is torsion with
-invariant factors given by the Smith form of x*I - A; finitely presented
-modules are handled the same way through their presentation matrix.
+a polynomial acts through evaluation at A.  Such a module is torsion.  Its
+invariant factors are those of x*I - A, but they are read off a smaller
+presentation: Krylov chains e, Ae, A^2 e, ... over K present the module by
+a k x k polynomial matrix, k the number of chains, and only that matrix
+goes through the Smith form.  Finitely presented modules go through the
+Smith form of their presentation matrix directly.
 """
 from __future__ import annotations
 
@@ -133,11 +136,66 @@ def operator_from_action(
 
 def decompose_operator_module(module: OperatorModule) -> ModuleDecomposition:
     """Invariant factors of the operator-induced module: the nonconstant
-    diagonal of the Smith form of x*I - A.  Always torsion (free rank 0)."""
-    presentation = PolyMatrix.characteristic_matrix(module.operator)
-    snf = smith_normal_form(presentation)
+    diagonal of the Smith form of its k x k Krylov presentation, where k
+    is the number of chains (1 for a generic operator).  Always torsion
+    (free rank 0)."""
+    snf = smith_normal_form(_krylov_presentation(module.operator))
     return ModuleDecomposition(
         free_rank=0, invariant_factors=tuple(snf.nonconstant_diagonal())
+    )
+
+
+def _krylov_presentation(A: Matrix) -> PolyMatrix:
+    """Present the module of A by Krylov chains, one incremental echelon
+    elimination over K in O(n^3) field operations.
+
+    Chain j runs g_j, A g_j, A^2 g_j, ... from the first unit vector g_j
+    outside the span so far, until A^{d_j} g_j = sum_{i <= j} a_i(A) g_i
+    depends on the vectors before it (deg a_i < d_i).  Column j is that
+    relation: x^{d_j} - a_j on the diagonal and -a_i above it.  The map
+    K[x]^k -> K^n, e_j -> g_j is onto and kills every column, and the
+    quotient by the columns has dimension deg det = sum d_j = n, so the
+    columns generate all relations.
+    """
+    field, n = A.field, A.rows
+    zero, one = field.zero(), field.one()
+    # row m is (pivot, r, c): r[pivot] = 1, r is zero at every earlier
+    # pivot, and r = sum_i c[i] * (Krylov vector i), with c kept to i <= m
+    echelon: list[tuple[int, list, list]] = []
+    starts: list[int] = []  # index of each chain's first Krylov vector
+    columns: list[list[Poly]] = []
+    for j in range(n):
+        if len(echelon) == n:
+            break
+        start = len(echelon)
+        v = unit_vector(field, n, j)
+        while True:
+            # reduce v, keeping w = v + sum_i c[i] * (Krylov vector i)
+            w, c = list(v), [zero] * (n + 1)
+            for pivot, r, rc in echelon:
+                f = w[pivot]
+                if not f.is_zero:
+                    w = [a - f * b for a, b in zip(w, r)]
+                    c[: len(rc)] = [a - f * b for a, b in zip(c, rc)]
+            pivot = next((i for i, a in enumerate(w) if not a.is_zero), None)
+            if pivot is None:
+                break
+            m = len(echelon)
+            c[m] = one
+            inv = w[pivot].inv()
+            echelon.append((pivot, [inv * a for a in w], [inv * a for a in c[: m + 1]]))
+            v = A.matvec(v)
+        if len(echelon) == start:
+            continue  # e_j is already in the span
+        # w = 0 says x^{d_j} g_j + sum_i (c-polynomial of chain i) g_i = 0
+        starts.append(start)
+        c[len(echelon)] = one  # the x^{d_j} term
+        ends = starts[1:] + [len(echelon) + 1]
+        columns.append([Poly(field, c[a:b]) for a, b in zip(starts, ends)])
+    k = len(columns)
+    return PolyMatrix(
+        field,
+        ((col[i] if i < len(col) else Poly.zero(field) for col in columns) for i in range(k)),
     )
 
 

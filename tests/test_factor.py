@@ -232,3 +232,14 @@ def test_root_extraction_runs_in_polynomial_time(field):
     start = time.process_time()
     assert factor_irreducible(f) == [(f, 1)]
     assert time.process_time() - start < 1
+
+
+def test_square_root_of_minus_one_matches_the_prime_field_splitter():
+    # the Q(i) root finder maps i to the smaller square root of -1 mod p
+    from ximod.factor import _roots_mod_p, _sqrt_minus_one
+    from ximod.fields import _is_prime
+
+    primes = [p for p in range(5, 2000, 4) if _is_prime(p)]
+    assert len(primes) > 100
+    for p in primes:
+        assert _sqrt_minus_one(p) == min(_roots_mod_p([1, 0, 1], p)), p

@@ -1,4 +1,6 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +28,7 @@ from ximod import (
     poly_eval_operator,
     primary_decomposition,
     recombine_invariant_factors,
+    smith_normal_form,
     torsion_info,
     unit_vector,
 )
@@ -33,6 +36,8 @@ from oracles import (
     krylov_minimal_polynomial,
     rand_invertible,
     rand_matrix,
+    rand_poly,
+    rand_scalar,
     rand_vector,
 )
 
@@ -181,6 +186,155 @@ def _inverse(M):
     for j in range(M.rows):
         cols.append(solve_linear(M, unit_vector(M.field, M.rows, j)))
     return Matrix(M.field, ((cols[j][i] for j in range(M.rows)) for i in range(M.rows)))
+
+
+# -- the Krylov route against the Smith form of x*I - A ----------------------------
+
+F2 = PrimeField(2)
+F101 = PrimeField(101)
+
+
+def _block_diagonal(field, blocks):
+    n = sum(B.rows for B in blocks)
+    out = [[field.zero()] * n for _ in range(n)]
+    k = 0
+    for B in blocks:
+        for i, row in enumerate(B.entries):
+            out[k + i][k : k + B.rows] = row
+        k += B.rows
+    return Matrix(field, out)
+
+
+def _composition(n, rng, most):
+    parts = []
+    while n:
+        parts.append(rng.randint(1, min(n, most)))
+        n -= parts[-1]
+    return parts
+
+
+def _conjugate(A, rng):
+    S = rand_invertible(A.field, A.rows, rng)
+    return S @ A @ _inverse(S)
+
+
+def _chain_operator(field, degrees, rng):
+    # companions of a_1 | a_2 | ...: each factor is the previous one times a
+    # fresh monic piece, so the degrees must be nondecreasing
+    factors, a = [], Poly.one(field)
+    for d in degrees:
+        a = a * rand_poly(field, d - a.degree, rng, monic=True, min_degree=d - a.degree)
+        factors.append(a)
+    return _block_diagonal(field, [companion_matrix(f) for f in factors])
+
+
+def _operator_classes(field, n, rng):
+    """One operator of each class, keyed by class name."""
+    zero, one, c = field.zero(), field.one(), rand_scalar(field, rng)
+    k = rng.randint(2, 3) if n >= 4 else min(n, 2)
+    heavy = n // 2 + 1
+    # every block shares the linear factor p, so each is an invariant factor
+    p = Poly(field, (-c, one))
+    q = rand_poly(field, 2, rng, monic=True, min_degree=1)
+    repeated, room = [], n
+    while room:
+        f = rng.choice([f for f in (p, p * p, p * q) if f.degree <= room])
+        repeated.append(companion_matrix(f))
+        room -= f.degree
+    jordan = [
+        Matrix(field, ((one if j == i + 1 else zero for j in range(m)) for i in range(m)))
+        for m in _composition(n, rng, 3)
+    ]
+    diagonal = [rand_scalar(field, rng) for _ in range(2)]
+    triangular = Matrix(field, (
+        (rng.choice(diagonal) if i == j
+         else rand_scalar(field, rng) if j > i and rng.random() < 0.5 else zero
+         for j in range(n))
+        for i in range(n)
+    ))
+    generic = companion_matrix(rand_poly(field, n, rng, monic=True, min_degree=n))
+    derogatory = sorted(_composition(n, rng, max(1, n // k)))
+    return {
+        "generic": _conjugate(generic, rng),
+        "derogatory": _conjugate(_chain_operator(field, derogatory, rng), rng),
+        "scalar-heavy": _conjugate(
+            _chain_operator(field, [1] * (heavy - 1) + [n - heavy + 1], rng), rng
+        ),
+        "zero": Matrix.zeros(field, n, n),
+        "scalar": Matrix.identity(field, n).scale(c),
+        "nilpotent": _block_diagonal(field, jordan),
+        "repeated": _block_diagonal(field, repeated),
+        "triangular": triangular,
+    }
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, QI, F2, F3, F101], ids=["q", "qi", "fp2", "fp3", "fp101"]
+)
+def test_krylov_route_matches_smith_form_of_characteristic_matrix(field):
+    from ximod.modules import _krylov_presentation
+
+    rng = random.Random(f"krylov-{field.describe()}")
+    chains, coupled = {}, set()
+    for n in range(1, 9):
+        for name, A in _operator_classes(field, n, rng).items():
+            P = _krylov_presentation(A)
+            # upper triangular, monic diagonal, deg det = n
+            assert all(P.entries[i][j].is_zero for j in range(P.cols) for i in range(j + 1, P.rows))
+            assert all(d.is_monic for d in P.diagonal_entries())
+            assert sum(d.degree for d in P.diagonal_entries()) == n
+            oracle = smith_normal_form(PolyMatrix.characteristic_matrix(A))
+            dec = decompose_operator_module(OperatorModule(field, n, A))
+            assert dec.invariant_factors == tuple(oracle.nonconstant_diagonal()), (name, n)
+            chains[name] = max(chains.get(name, 0), P.rows)
+            if any(not P.entries[i][j].is_zero for j in range(P.cols) for i in range(j)):
+                coupled.add(name)
+    # k is at least the number of invariant factors: n for 0 and c*I, and
+    # one per block (of size <= 3) for the nilpotent and repeated classes
+    assert chains["zero"] == chains["scalar"] == 8
+    assert min(chains["nilpotent"], chains["repeated"]) >= 3, chains
+    # some chains depend on earlier ones: entries above the diagonal
+    assert {"triangular", "nilpotent"} <= coupled
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 101], ids=["q", "fp2", "fp3", "fp101"])
+def test_invariant_factors_match_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import invariant_factors
+
+    x = sympy.Symbol("x")
+    field = QQ if p == 0 else PrimeField(p)
+    ring = (sympy.QQ if p == 0 else sympy.GF(p))[x]
+
+    def to_sympy(c):
+        return sympy.Rational(c.value.numerator, c.value.denominator) if p == 0 else c.value
+
+    def from_sympy(c):
+        return field.scalar(Fraction(c.numerator, c.denominator) if p == 0 else int(c))
+
+    rng = random.Random(f"sympy-{p}")
+    for _ in range(16):
+        n = rng.randint(1, 6)
+        A = rng.choice(list(_operator_classes(field, n, rng).values()))
+        M = sympy.Matrix(n, n, lambda i, j: (x if i == j else 0) - to_sympy(A.entries[i][j]))
+        expected = tuple(
+            Poly(field, [from_sympy(c) for c in f.monic().to_dense()[::-1]])
+            for f in invariant_factors(DomainMatrix.from_Matrix(M).convert_to(ring))
+            if f.degree() >= 1
+        )
+        assert decompose_operator_module(OperatorModule(field, n, A)).invariant_factors == expected
+
+
+def test_generic_decomposition_runs_in_polynomial_time():
+    # the Smith form of the 16x16 x*I - A took seconds; 16 Krylov steps do not
+    rng = random.Random(69)
+    f = rand_poly(QQ, 16, rng, monic=True, min_degree=16)
+    A = _conjugate(companion_matrix(f), rng)
+    start = time.process_time()
+    dec = decompose_operator_module(OperatorModule(QQ, 16, A))
+    assert time.process_time() - start < 1
+    assert dec.invariant_factors == (f,)
 
 
 def test_decompose_free_presentation():
