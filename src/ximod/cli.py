@@ -47,7 +47,7 @@ from .modules import (
     recombine_invariant_factors,
     torsion_info,
 )
-from .poly import Poly
+from .poly import Poly, poly_gcd
 from .polymatrix import PolyMatrix, charpoly, smith_normal_form
 from .rewrite import RuleSet, decide_equiv, format_sequence, linearize, parse_expression
 from .tensor import (
@@ -82,6 +82,8 @@ def _load_payload(args) -> dict:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputValidationError("$", f"malformed JSON: {exc}")
+    except RecursionError:
+        raise InputValidationError("$", "JSON nested too deeply")
     if not isinstance(payload, dict):
         raise InputValidationError("$", "the payload must be a JSON object")
     return payload
@@ -302,15 +304,36 @@ def _build_kind(kind_name, payload, ambient):
     return cls(A, B, *polys), A.rows, B.rows
 
 
-def _check_tensor(W, induced) -> None:
+def _decompose_operator(A: Matrix) -> ModuleDecomposition:
+    return decompose_operator_module(OperatorModule(A.field, A.rows, A))
+
+
+def _check_tensor(W, induced) -> ModuleDecomposition | None:
+    """Check W against independent routes; for the operator-pair kind,
+    return the decomposition of a nonempty induced operator."""
     if quotient_dim(W) + W.rank != W.n * W.m:
         raise SelfCheckFailed("rank and quotient dimension do not add up")
-    if induced is not None:
-        # x acts through A (x) I; on the quotient it must agree with I (x) B
-        identity = Matrix.identity(W.field, W.n)
-        right = (kronecker_column(identity, W.kind.B, k) for k in W.canonical_indices)
-        if W.coset_coordinates(right) != induced:
-            raise SelfCheckFailed("left and right actions disagree on the quotient")
+    if induced is None:
+        return None
+    # x acts through A (x) I; on the quotient it must agree with I (x) B
+    identity = Matrix.identity(W.field, W.n)
+    right = (kronecker_column(identity, W.kind.B, k) for k in W.canonical_indices)
+    if W.coset_coordinates(right) != induced:
+        raise SelfCheckFailed("left and right actions disagree on the quotient")
+    # K[x]/(a) (x) K[x]/(b) = K[x]/gcd(a, b), over the invariant factors of A and B
+    a_factors = _decompose_operator(W.kind.A).invariant_factors
+    b_factors = _decompose_operator(W.kind.B).invariant_factors
+    gcds = [poly_gcd(a, b) for a in a_factors for b in b_factors]
+    if quotient_dim(W) != sum(g.degree for g in gcds):
+        raise SelfCheckFailed("quotient dimension disagrees with the invariant factors of A and B")
+    if induced.rows == 0:
+        return None
+    dec = _decompose_operator(induced)
+    nonconstant = [g for g in gcds if g.degree >= 1]
+    snf = smith_normal_form(PolyMatrix.diagonal(W.field, nonconstant))
+    if tuple(snf.nonconstant_diagonal()) != dec.invariant_factors:
+        raise SelfCheckFailed("induced invariant factors disagree with those of A and B")
+    return dec
 
 
 def cmd_tensor(args) -> int:
@@ -350,12 +373,10 @@ def cmd_tensor(args) -> int:
     kind, n, m = _build_kind(args.kind, payload, ambient)
     W = relation_subspace(kind, n, m)
     induced = induced_operator(W) if isinstance(kind, OperatorPairKind) else None
-    _check_tensor(W, induced)
+    checked = _check_tensor(W, induced)
+    induced_dec = checked if args.decompose else None
     induced_body = None
-    induced_dec = None
-    if induced is not None and args.decompose and induced.rows >= 1:
-        module = OperatorModule(W.field, induced.rows, induced)
-        induced_dec = decompose_operator_module(module)
+    if induced_dec is not None:
         induced_body, _, _, _ = _decomposition_report(induced_dec, W.field, False)
     report = {
         "command": "tensor",

@@ -193,7 +193,8 @@ class Matrix(DenseMatrix):
         for row in self.entries:
             acc = zero
             for a, b in zip(row, x):
-                acc = acc + a * b
+                if not (a.is_zero or b.is_zero):
+                    acc = acc + a * b
             out.append(acc)
         return tuple(out)
 
@@ -226,34 +227,46 @@ class EchelonResult:
     rank: int
 
 
+class Echelon:
+    """The one row elimination over K.  Rows are (pivot, entries): one at the
+    pivot, zero before it and at every earlier row's pivot; `push` trims them."""
+
+    def __init__(self):
+        self.rows: list[tuple[int, list[Scalar]]] = []
+
+    def reduce(self, v) -> list[Scalar]:
+        """Subtract rows in insertion order until v is zero at every pivot;
+        v must be at least as long as every row."""
+        v = list(v)
+        for pivot, row in self.rows:
+            f = v[pivot]
+            if not f.is_zero:
+                tail = zip(v[pivot : len(row)], row[pivot:])
+                v[pivot : len(row)] = [a if b.is_zero else a - f * b for a, b in tail]
+        return v
+
+    def push(self, w) -> None:
+        """Append a reduced w scaled to one at its pivot; zero adds nothing."""
+        nonzero = [i for i, a in enumerate(w) if not a.is_zero]
+        if nonzero:
+            inv = w[nonzero[0]].inv()
+            self.rows.append((nonzero[0], [inv * a for a in w[: nonzero[-1] + 1]]))
+
+
 def rref(M: Matrix) -> EchelonResult:
-    """Gauss-Jordan elimination with exact division."""
-    field = M.field
-    rows = [list(r) for r in M.entries]
-    nrows, ncols = M.rows, M.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [inv * a for a in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    reduced = Matrix(field, rows, (nrows, ncols))
-    return EchelonResult(reduced=reduced, pivot_columns=tuple(pivots), rank=len(pivots))
+    """Reduced row echelon form: rows go through one `Echelon`, then, largest
+    pivot first, each is cleared at the later pivots.  The result is unique."""
+    zero, ncols = M.field.zero(), M.cols
+    forward = Echelon()
+    for row in M.entries:
+        forward.push(forward.reduce(row))
+    back = Echelon()
+    for pivot, row in sorted(forward.rows, reverse=True):
+        back.rows.append((pivot, back.reduce(row + [zero] * (ncols - len(row)))))
+    rows = [row for _, row in reversed(back.rows)]
+    rows += [[zero] * ncols] * (M.rows - len(rows))
+    pivots = tuple(pivot for pivot, _ in reversed(back.rows))
+    return EchelonResult(Matrix(M.field, rows, (M.rows, ncols)), pivots, len(pivots))
 
 
 def rank(M: Matrix) -> int:

@@ -16,7 +16,7 @@ from typing import Callable
 from .errors import DimensionMismatch, InconsistentAction, NonSquare, ZeroVector
 from .factor import factor_irreducible
 from .fields import Field
-from .matrix import Matrix, Vector, poly_eval_operator, unit_vector
+from .matrix import Echelon, Matrix, Vector, poly_eval_operator, unit_vector
 from .poly import Poly
 from .polymatrix import PolyMatrix, smith_normal_form
 
@@ -146,8 +146,10 @@ def decompose_operator_module(module: OperatorModule) -> ModuleDecomposition:
 
 
 def _krylov_presentation(A: Matrix) -> PolyMatrix:
-    """Present the module of A by Krylov chains, one incremental echelon
-    elimination over K in O(n^3) field operations.
+    """Present the module of A by Krylov chains, one `Echelon` over K in
+    O(n^3) field operations.  Krylov vector i enters it followed by e_i in
+    K^{n+1}, so a reduced vector that vanishes on its first n entries is a
+    relation, with its coefficients in the last n + 1.
 
     Chain j runs g_j, A g_j, A^2 g_j, ... from the first unit vector g_j
     outside the span so far, until A^{d_j} g_j = sum_{i <= j} a_i(A) g_i
@@ -158,40 +160,26 @@ def _krylov_presentation(A: Matrix) -> PolyMatrix:
     columns generate all relations.
     """
     field, n = A.field, A.rows
-    zero, one = field.zero(), field.one()
-    # row m is (pivot, r, c): r[pivot] = 1, r is zero at every earlier
-    # pivot, and r = sum_i c[i] * (Krylov vector i), with c kept to i <= m
-    echelon: list[tuple[int, list, list]] = []
+    echelon = Echelon()
     starts: list[int] = []  # index of each chain's first Krylov vector
     columns: list[list[Poly]] = []
     for j in range(n):
-        if len(echelon) == n:
+        if len(echelon.rows) == n:
             break
-        start = len(echelon)
+        start = len(echelon.rows)
         v = unit_vector(field, n, j)
         while True:
-            # reduce v, keeping w = v + sum_i c[i] * (Krylov vector i)
-            w, c = list(v), [zero] * (n + 1)
-            for pivot, r, rc in echelon:
-                f = w[pivot]
-                if not f.is_zero:
-                    w = [a - f * b for a, b in zip(w, r)]
-                    c[: len(rc)] = [a - f * b for a, b in zip(c, rc)]
-            pivot = next((i for i, a in enumerate(w) if not a.is_zero), None)
-            if pivot is None:
+            w = echelon.reduce(v + unit_vector(field, n + 1, len(echelon.rows)))
+            if all(a.is_zero for a in w[:n]):
                 break
-            m = len(echelon)
-            c[m] = one
-            inv = w[pivot].inv()
-            echelon.append((pivot, [inv * a for a in w], [inv * a for a in c[: m + 1]]))
+            echelon.push(w)
             v = A.matvec(v)
-        if len(echelon) == start:
+        if len(echelon.rows) == start:
             continue  # e_j is already in the span
-        # w = 0 says x^{d_j} g_j + sum_i (c-polynomial of chain i) g_i = 0
+        # w says x^{d_j} g_j + sum_i (c-polynomial of chain i) g_i = 0
         starts.append(start)
-        c[len(echelon)] = one  # the x^{d_j} term
-        ends = starts[1:] + [len(echelon) + 1]
-        columns.append([Poly(field, c[a:b]) for a, b in zip(starts, ends)])
+        ends = starts[1:] + [len(echelon.rows) + 1]
+        columns.append([Poly(field, w[n + a : n + b]) for a, b in zip(starts, ends)])
     k = len(columns)
     return PolyMatrix(
         field,

@@ -29,11 +29,13 @@ quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .errors import DimensionMismatch, TagMismatch, WrongKind
 from .fields import Field, Scalar
 from .matrix import (
+    Echelon,
     EchelonResult,
     Matrix,
     Vector,
@@ -177,9 +179,9 @@ TensorKind = Union[StandardKind, OperatorPairKind, SubringKind, BranchingKind]
 class RelationSubspace:
     """The subspace W of coordinate space whose quotient is the product.
 
-    `generator_matrix` columns span W; `echelon` holds the reduced basis
-    (rows) used for canonical coset representatives, and `pivot_columns`
-    are the coordinates eliminated by that basis.
+    `generator_matrix` columns span W; `echelon` is the reduced row echelon
+    form of W, whose pivot columns are the coordinates the coset map
+    eliminates, and `basis` holds its rows as an `Echelon` for that map.
     """
 
     kind: TensorKind
@@ -188,7 +190,13 @@ class RelationSubspace:
     m: int
     generator_matrix: Matrix
     echelon: EchelonResult
-    pivot_columns: tuple[int, ...]
+
+    @cached_property
+    def basis(self) -> Echelon:
+        basis = Echelon()
+        for row in self.echelon.reduced.entries[: self.rank]:
+            basis.push(row)
+        return basis
 
     @property
     def rank(self) -> int:
@@ -196,20 +204,13 @@ class RelationSubspace:
 
     @property
     def canonical_indices(self) -> tuple[int, ...]:
-        pivots = set(self.pivot_columns)
+        pivots = set(self.echelon.pivot_columns)
         return tuple(j for j in range(self.n * self.m) if j not in pivots)
 
     def reduce(self, coords: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
         """Eliminate the pivot coordinates; the result is the canonical
         representative of coords + W."""
-        v = list(coords)
-        for r, pc in enumerate(self.pivot_columns):
-            c = v[pc]
-            if c.is_zero:
-                continue
-            row = self.echelon.reduced.entries[r]
-            v = [a - c * b for a, b in zip(v, row)]
-        return tuple(v)
+        return tuple(self.basis.reduce(coords))
 
     def contains(self, coords: tuple[Scalar, ...]) -> bool:
         return all(a.is_zero for a in self.reduce(coords))
@@ -244,7 +245,6 @@ def relation_subspace(kind: TensorKind, n: int, m: int) -> RelationSubspace:
         m=m,
         generator_matrix=generators,
         echelon=ech,
-        pivot_columns=ech.pivot_columns,
     )
 
 

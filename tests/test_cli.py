@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from ximod import (
     SmithForm,
     induced_operator,
     relation_subspace,
+    rref,
 )
 from ximod.cli import _check_smith, _check_tensor, main
 
@@ -73,6 +75,14 @@ def test_malformed_json_exit_two(capsys, tmp_path):
     code, _, err = run_main(capsys, ["snf", "--input", str(payload_file)])
     assert code == 2
     assert "$" in err
+
+
+def test_deeply_nested_json_exits_two(capsys, tmp_path):
+    payload_file = tmp_path / "deep.json"
+    payload_file.write_text("[" * 100000)
+    code, out, err = run_main(capsys, ["decompose", "--input", str(payload_file)])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: $:") and "nested too deeply" in err
 
 
 def test_schema_violation_reports_path(capsys, tmp_path):
@@ -146,6 +156,25 @@ def test_tensor_check_rejects_a_tampered_induced_operator():
     _check_tensor(W, induced)
     with pytest.raises(SelfCheckFailed, match="disagree"):
         _check_tensor(W, induced + Matrix.identity(QQ, induced.rows))
+
+
+def test_tensor_check_rejects_a_tampered_relation_rank(capsys, tmp_path, monkeypatch):
+    # W = everything passes the action check on the empty quotient, but the
+    # invariant factors of A and B say the quotient has dimension 1
+    def everything(kind, n, m):
+        W = relation_subspace(kind, n, m)
+        return dataclasses.replace(W, echelon=rref(Matrix.identity(QQ, n * m)))
+
+    monkeypatch.setattr("ximod.cli.relation_subspace", everything)
+    payload = {
+        "A": {"field": "q", "rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "2"]]},
+        "B": {"field": "q", "rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "3"]]},
+    }
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(json.dumps(payload))
+    code, out, err = run_main(capsys, ["tensor", "--kind", "opair", "--input", str(payload_file)])
+    assert (code, out) == (3, "")
+    assert "quotient dimension disagrees with the invariant factors" in err
 
 
 # -- determinism ---------------------------------------------------------------------

@@ -122,6 +122,29 @@ def test_factor_fp_matches_exhaustive_oracle():
                 assert exhaustive_irreducible_fp(p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_factor_fp_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    field = PrimeField(p)
+    rng = random.Random(f"factor-fp-{p}")
+    for _ in range(8):
+        f = Poly.one(field)
+        expr = sympy.Integer(1)
+        for _ in range(rng.randint(1, 3)):
+            # random monic pieces of degree up to 6, some of them repeated
+            coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]
+            m = rng.choice((1, 1, 2, 3))
+            f = f * Poly.from_ints(field, coeffs) ** m
+            expr = expr * sympy.Poly(coeffs[::-1], x).as_expr() ** m
+        _, parts = sympy.Poly(expr, x, modulus=p).factor_list()
+        expected = {}
+        for g, m in parts:
+            g = Poly.from_ints(field, [int(c) for c in g.all_coeffs()[::-1]]).monic()
+            expected[g] = expected.get(g, 0) + m
+        assert dict(factor_irreducible(f)) == expected
+
+
 def test_factor_rational_remultiplies():
     rng = random.Random(32)
     for _ in range(15):

@@ -9,6 +9,7 @@ from ximod import (
     Matrix,
     NoSolution,
     NotMonic,
+    OperatorPairKind,
     Poly,
     PolyMatrix,
     PrimeField,
@@ -17,12 +18,13 @@ from ximod import (
     kernel_basis,
     kronecker,
     rank,
+    relation_subspace,
     rref,
     solve_linear,
     sylvester_operator,
     unit_vector,
 )
-from oracles import naive_charpoly, rand_invertible, rand_matrix, rand_vector
+from oracles import naive_charpoly, rand_invertible, rand_matrix, rand_scalar, rand_vector
 
 F5 = PrimeField(5)
 ALL_FIELDS = [QQ, QI, F5]
@@ -44,6 +46,71 @@ def test_rref_identity_and_zero():
 def test_rref_proportional_rows():
     M = Matrix.from_ints(QQ, [[1, 2], [2, 4]])
     assert rref(M).rank == 1
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, QI, PrimeField(2), PrimeField(3), PrimeField(101)],
+    ids=["q", "qi", "fp2", "fp3", "fp101"],
+)
+def test_rref_and_coset_map_match_sympy(field):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    domain = sympy.QQ if field is QQ else sympy.QQ_I if field is QI else sympy.GF(field.p)
+
+    def convert(c):
+        if field is QQ:
+            return domain(c.value.numerator, c.value.denominator)
+        if field is QI:
+            re, im = (sympy.Rational(x.numerator, x.denominator) for x in c.value)
+            return domain.from_sympy(re + sympy.I * im)
+        return domain(c.value)
+
+    def to_sympy(M):
+        entries = [[convert(a) for a in row] for row in M.entries]
+        return DomainMatrix(entries, (M.rows, M.cols), domain)
+
+    rng = random.Random(f"rref-{field.describe()}")
+
+    def sparse(rows, cols):  # about 40% zeros
+        return Matrix(
+            field,
+            ((field.zero() if rng.random() < 0.4 else rand_scalar(field, rng) for _ in range(cols))
+             for _ in range(rows)),
+            (rows, cols),
+        )
+
+    for _ in range(4):
+        repeated = sparse(3, 5).entries
+        cases = [
+            sparse(0, rng.randint(1, 4)),
+            sparse(rng.randint(1, 4), 0),
+            sparse(7, 4),  # tall
+            sparse(3, 8),  # wide
+            sparse(6, 2) @ sparse(2, 6),  # rank at most 2
+            Matrix(field, repeated + repeated[::-1] + repeated[:1]),
+        ]
+        for M in cases:
+            res = rref(M)
+            reduced, pivots = to_sympy(M).rref()
+            assert to_sympy(res.reduced) == reduced
+            assert res.pivot_columns == tuple(pivots)
+            assert res.rank == len(pivots)
+
+    # the coset map: W.reduce(v) vanishes at every pivot and differs from v by
+    # an element of W
+    for _ in range(4):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        A = sparse(n, n)
+        B = A if n == m and rng.random() < 0.5 else sparse(m, m)
+        W = relation_subspace(OperatorPairKind(A, B), n, m)
+        G = to_sympy(W.generator_matrix)
+        for _ in range(3):
+            v = rand_vector(field, n * m, rng)
+            r = W.reduce(v)
+            assert all(r[pivot].is_zero for pivot in W.echelon.pivot_columns)
+            d = to_sympy(Matrix(field, ((a - b,) for a, b in zip(v, r)), (n * m, 1)))
+            assert G.hstack(d).rank() == G.rank()
 
 
 def test_kernel_basis_cases():
