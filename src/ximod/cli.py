@@ -7,6 +7,7 @@ error, 3 failed internal self-check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -695,7 +696,10 @@ def cmd_demo(args) -> int:
 
 # -- argument parsing -------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; `parse_args` returns
+    a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="ximod",
         description=(

@@ -62,7 +62,9 @@ class PolyMatrix(DenseMatrix):
         """Bareiss fraction-free elimination over K[x], O(n^3) ring operations.
 
         Each division by the previous pivot is exact (Sylvester's identity);
-        a zero pivot is replaced by a row swap, which flips the sign.
+        a zero pivot is replaced by a row swap, which flips the sign.  The
+        CLI uses it to test that Smith transforms are unimodular; `charpoly`
+        does not go through it.
         """
         if not self.is_square:
             raise NonSquare("determinant needs a square matrix")
@@ -88,9 +90,69 @@ class PolyMatrix(DenseMatrix):
 
 
 def charpoly(A: Matrix) -> Poly:
-    """Characteristic polynomial det(x*I - A), monic by construction; the
-    Bareiss determinant makes it O(n^3) operations in K[x]."""
-    return PolyMatrix.characteristic_matrix(A).determinant()
+    """Characteristic polynomial det(x*I - A), monic, in O(n^3) operations
+    over K and none over K[x].
+
+    A is first reduced to upper Hessenberg form H by a similarity over K.
+    Column by column, the subdiagonal entry is the pivot; when it is zero, the
+    first row below it with a nonzero entry in that column is swapped up,
+    together with the matching column.  Multiples of the pivot row clear the
+    entries below it, and the inverse column operations keep H similar to A.
+    Then p_0 = 1 and
+
+        p_m = (x - h_mm) p_{m-1}
+              - sum_{i<m} (h_{m,m-1} ... h_{m-i+1,m-i}) h_{m-i,m} p_{m-i-1}
+
+    give p_n = det(x*I - H) (Cohen, *A Course in Computational Algebraic
+    Number Theory*, Alg. 2.2.9).  The CLI uses it to check invariant factors,
+    so it shares no code with their Krylov computation.
+    """
+    if not A.is_square:
+        raise NonSquare("characteristic matrix needs a square operator")
+    field, n = A.field, A.rows
+    zero, one = field.zero(), field.one()
+    H = [list(row) for row in A.entries]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if not H[i][m - 1].is_zero), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            H[m], H[pivot] = H[pivot], H[m]
+            for row in H:
+                row[m], row[pivot] = row[pivot], row[m]
+        inv = H[m][m - 1].inv()
+        for i in range(m + 1, n):
+            u = H[i][m - 1] * inv
+            if u.is_zero:
+                continue
+            # row_i -= u * row_m, then col_m += u * col_i; both rows are zero
+            # left of column m - 1
+            row_i, row_m = H[i], H[m]
+            for j in range(m - 1, n):
+                if not row_m[j].is_zero:
+                    row_i[j] = row_i[j] - u * row_m[j]
+            for row in H:
+                if not row[i].is_zero:
+                    row[m] = row[m] + u * row[i]
+    # p[m] holds the coefficients of p_m, lowest degree first
+    p = [[one]]
+    for m in range(n):
+        h = H[m][m]
+        nxt = [zero] + p[m]
+        if not h.is_zero:
+            for k, c in enumerate(p[m]):
+                nxt[k] = nxt[k] - h * c
+        t = one
+        for i in range(1, m + 1):
+            t = t * H[m - i + 1][m - i]
+            if t.is_zero:
+                break
+            c = t * H[m - i][m]
+            if not c.is_zero:
+                for k, a in enumerate(p[m - i]):
+                    nxt[k] = nxt[k] - c * a
+        p.append(nxt)
+    return Poly(field, p[n])
 
 
 @dataclass(frozen=True)

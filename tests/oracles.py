@@ -1,8 +1,8 @@
 """Independent oracles and random data generators for the test suite.
 
 Everything here recomputes results along a different route than the code
-under test: plain recursive cofactor determinants, Krylov annihilators,
-and exhaustive trial division over prime fields.
+under test: plain recursive cofactor determinants, power sums of matrices,
+Krylov annihilators, and exhaustive trial division over prime fields.
 """
 from __future__ import annotations
 
@@ -45,6 +45,18 @@ def naive_charpoly(A: Matrix) -> Poly:
     return naive_poly_det(PolyMatrix.characteristic_matrix(A))
 
 
+def naive_poly_eval(pi: Poly, A: Matrix) -> Matrix:
+    """sum_i c_i A^i, each power one product after the previous one."""
+    n = A.rows
+    power = Matrix.identity(A.field, n)
+    acc = Matrix.zeros(A.field, n, n)
+    for i, c in enumerate(pi.coeffs):
+        if i:
+            power = power @ A
+        acc = acc + power.scale(c)
+    return acc
+
+
 def krylov_minimal_polynomial(A: Matrix) -> Poly:
     """Least-degree monic annihilator of A, found as the first linear
     dependence among the vectorised powers I, A, A^2, ..."""
@@ -65,6 +77,29 @@ def krylov_minimal_polynomial(A: Matrix) -> Poly:
             powers.append(target)
             continue
         return Poly(field, tuple(-c for c in x) + (field.one(),))
+
+
+def sympy_domain(field):
+    """The sympy domain matching `field`, and the map of its scalars into it;
+    callers skip first when sympy is missing."""
+    import sympy
+
+    if isinstance(field, Rationals):
+        domain = sympy.QQ
+    elif isinstance(field, PrimeField):
+        domain = sympy.GF(field.p)
+    else:
+        domain = sympy.QQ_I
+
+    def convert(c):
+        if isinstance(field, Rationals):
+            return domain(c.value.numerator, c.value.denominator)
+        if isinstance(field, PrimeField):
+            return domain(c.value)
+        re, im = (sympy.Rational(x.numerator, x.denominator) for x in c.value)
+        return domain.from_sympy(re + sympy.I * im)
+
+    return domain, convert
 
 
 def exhaustive_irreducible_fp(f: Poly) -> bool:

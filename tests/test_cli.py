@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import subprocess
 import sys
 import time
@@ -14,11 +15,15 @@ from ximod import (
     PolyMatrix,
     SelfCheckFailed,
     SmithForm,
+    companion_matrix,
     induced_operator,
     relation_subspace,
     rref,
+    solve_linear,
+    unit_vector,
 )
-from ximod.cli import _check_smith, _check_tensor, main
+from ximod.cli import _check_smith, _check_tensor, build_parser, main
+from ximod.jsonio import matrix_to_json, poly_to_json
 
 
 def run_cli(args, stdin_text=""):
@@ -175,6 +180,72 @@ def test_tensor_check_rejects_a_tampered_relation_rank(capsys, tmp_path, monkeyp
     code, out, err = run_main(capsys, ["tensor", "--kind", "opair", "--input", str(payload_file)])
     assert (code, out) == (3, "")
     assert "quotient dimension disagrees with the invariant factors" in err
+
+
+def test_parser_is_built_once_and_carries_nothing_between_calls(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(DECOMPOSE_PAYLOAD)
+    argv = ["decompose", "--input", str(payload_file), "--json"]
+    code, out, _ = run_main(capsys, argv[:1] + ["--primary"] + argv[1:])
+    assert code == 0 and json.loads(out)["primary"] is not None
+    code, out, _ = run_main(capsys, argv)
+    assert code == 0 and json.loads(out)["primary"] is None
+    for bad in (["decompose", "--help"], ["tensor", "--kind", "nope"], []):
+        first = run_main(capsys, bad)
+        assert first[0] in (0, 2) and run_main(capsys, bad) == first
+
+
+# -- polynomial time ---------------------------------------------------------------------
+
+def _generic_operator(n, rng, span):
+    """S C(f) S^-1 with f monic of degree n and S = L U for unit triangular
+    integer L, U: an integer operator with the one invariant factor f."""
+    f = Poly.from_ints(QQ, [rng.randint(-2, 2) for _ in range(n)] + [1])
+
+    def unit_lower():
+        return Matrix.from_ints(
+            QQ, [[1 if i == j else rng.randint(-span, span) if j < i else 0
+                  for j in range(n)] for i in range(n)]
+        )
+
+    def inverse(T):
+        columns = [solve_linear(T, unit_vector(QQ, n, j)) for j in range(n)]
+        return Matrix(QQ, ((column[i] for column in columns) for i in range(n)))
+
+    L, U = unit_lower(), unit_lower().transpose()
+    return L @ U @ companion_matrix(f) @ inverse(U) @ inverse(L), f
+
+
+def test_decompose_of_a_generic_20x20_operator_runs_in_polynomial_time(capsys, tmp_path):
+    # entries of up to 13 digits; with the self-checks over Q[x] (Bareiss
+    # charpoly, Horner annihilation) this took about 5.6 s of process time on
+    # a 2-vCPU VM, and takes about 1 s now
+    A, f = _generic_operator(20, random.Random(7), 4)
+    assert max(len(str(abs(a.value.numerator))) for row in A.entries for a in row) == 13
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(json.dumps({"operator": matrix_to_json(A)}))
+    start = time.process_time()
+    code, out, _ = run_main(capsys, ["decompose", "--json", "--input", str(payload_file)])
+    assert time.process_time() - start < 2.5
+    assert code == 0
+    assert json.loads(out)["invariant_factors"] == [poly_to_json(f)]
+
+
+def test_standard_tensor_of_20_by_20_runs_in_polynomial_time(capsys, tmp_path):
+    # building two dense 400x400 Kronecker products and their difference
+    # took about 1.9 s of process time on a 2-vCPU VM; the whole command
+    # takes about 0.3 s now
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(json.dumps({"field": "q", "n": 20, "m": 20}))
+    start = time.process_time()
+    code, out, _ = run_main(
+        capsys, ["tensor", "--kind", "standard", "--json", "--input", str(payload_file)]
+    )
+    assert time.process_time() - start < 1
+    assert code == 0
+    report = json.loads(out)
+    assert (report["relation_rank"], report["quotient_dim"]) == (0, 400)
 
 
 # -- determinism ---------------------------------------------------------------------

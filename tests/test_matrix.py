@@ -24,7 +24,14 @@ from ximod import (
     sylvester_operator,
     unit_vector,
 )
-from oracles import naive_charpoly, rand_invertible, rand_matrix, rand_scalar, rand_vector
+from oracles import (
+    naive_charpoly,
+    rand_invertible,
+    rand_matrix,
+    rand_scalar,
+    rand_vector,
+    sympy_domain,
+)
 
 F5 = PrimeField(5)
 ALL_FIELDS = [QQ, QI, F5]
@@ -53,18 +60,10 @@ def test_rref_proportional_rows():
     ids=["q", "qi", "fp2", "fp3", "fp101"],
 )
 def test_rref_and_coset_map_match_sympy(field):
-    sympy = pytest.importorskip("sympy")
+    pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
-    domain = sympy.QQ if field is QQ else sympy.QQ_I if field is QI else sympy.GF(field.p)
-
-    def convert(c):
-        if field is QQ:
-            return domain(c.value.numerator, c.value.denominator)
-        if field is QI:
-            re, im = (sympy.Rational(x.numerator, x.denominator) for x in c.value)
-            return domain.from_sympy(re + sympy.I * im)
-        return domain(c.value)
+    domain, convert = sympy_domain(field)
 
     def to_sympy(M):
         entries = [[convert(a) for a in row] for row in M.entries]

@@ -14,7 +14,7 @@ from ximod import (
     poly_eval_operator,
     poly_gcd,
 )
-from oracles import naive_charpoly, rand_matrix, rand_poly
+from oracles import naive_charpoly, naive_poly_eval, rand_matrix, rand_poly, rand_scalar
 
 F5 = PrimeField(5)
 ALL_FIELDS = [QQ, QI, F5]
@@ -120,6 +120,28 @@ def test_eval_operator_is_ring_homomorphism():
             assert poly_eval_operator(p + q, A) == (
                 poly_eval_operator(p, A) + poly_eval_operator(q, A)
             )
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, QI, F5, PrimeField(101)], ids=["q", "qi", "fp5", "fp101"]
+)
+def test_eval_operator_matches_power_sum_oracle(field):
+    # degrees 0..25 take d + 1 both a perfect square (0, 3, 8, 15, 24) and
+    # not, so the last coefficient block is sometimes full and sometimes short
+    rng = random.Random(f"eval-{field.describe()}")
+    for d in range(26):
+        A = rand_matrix(field, 3, 3, rng)
+        # about half the coefficients zero, the constant term among them
+        coeffs = [field.zero()] + [
+            field.zero() if rng.random() < 0.5 else rand_scalar(field, rng, nonzero=True)
+            for _ in range(d - 1)
+        ]
+        coeffs = (coeffs + [rand_scalar(field, rng, nonzero=True)])[-(d + 1):]
+        for pi in (Poly(field, coeffs), rand_poly(field, d, rng, min_degree=d)):
+            assert pi.degree == d
+            assert poly_eval_operator(pi, A) == naive_poly_eval(pi, A)
+        monomial = Poly(field, [field.zero()] * d + [field.one()])
+        assert poly_eval_operator(monomial, A) == A ** d
 
 
 def test_cayley_hamilton_via_independent_determinant():

@@ -18,10 +18,14 @@ from ximod import (
 )
 from oracles import (
     krylov_minimal_polynomial,
+    naive_charpoly,
     naive_poly_det,
     rand_invertible,
+    rand_matrix,
     rand_poly,
     rand_polymatrix,
+    rand_scalar,
+    sympy_domain,
 )
 
 F5 = PrimeField(5)
@@ -193,6 +197,103 @@ def test_charpoly_of_dense_16x16_runs_in_polynomial_time():
     start = time.process_time()
     assert charpoly(A) == f
     assert time.process_time() - start < 10
+
+
+def _charpoly_cases(field, rng):
+    """Matrices whose subdiagonal vanishes partway through the Hessenberg
+    reduction, one whose first pivot needs a row and column swap, and dense
+    and sparse random ones."""
+    zero, one = field.zero(), field.one()
+
+    def grid(n, entry):
+        return Matrix(field, ((entry(i, j) for j in range(n)) for i in range(n)), (n, n))
+
+    def direct_sum(*blocks):
+        n = sum(B.rows for B in blocks)
+        out = [[zero] * n for _ in range(n)]
+        k = 0
+        for B in blocks:
+            for i, row in enumerate(B.entries):
+                out[k + i][k : k + B.rows] = row
+            k += B.rows
+        return Matrix(field, out, (n, n))
+
+    def block_upper(B, C):
+        D = direct_sum(B, C)
+        k, n = B.rows, D.rows
+        return grid(n, lambda i, j: rand_scalar(field, rng) if i < k <= j else D.entries[i][j])
+
+    def permuted(M):
+        # P M P^-1 for a random permutation P keeps the spectrum but moves
+        # the zero blocks to where the reduction meets them midway
+        order = list(range(M.rows))
+        rng.shuffle(order)
+        return grid(M.rows, lambda i, j: M.entries[order[i]][order[j]])
+
+    def sparse(n):
+        return grid(n, lambda i, j: zero if rng.random() < 0.6 else rand_scalar(field, rng))
+
+    def jordan(n, c):
+        return grid(n, lambda i, j: c if i == j else one if j == i + 1 else zero)
+
+    c = rand_scalar(field, rng, nonzero=True)
+    cases = [
+        grid(0, None),
+        grid(1, lambda i, j: c),
+        Matrix.zeros(field, 4, 4),
+        Matrix.identity(field, 4).scale(c),
+        jordan(5, zero),
+        jordan(4, zero).transpose(),
+        # column 0 has a zero subdiagonal entry and a nonzero one below it
+        grid(4, lambda i, j: zero if (i, j) == (1, 0) else one if (i, j) == (3, 0)
+             else rand_scalar(field, rng)),
+        direct_sum(jordan(2, zero), jordan(3, c)),
+    ]
+    for n in range(1, 7):
+        cases.append(rand_matrix(field, n, n, rng))
+        cases.append(sparse(n))
+    for _ in range(3):
+        k = rng.randint(1, 3)
+        B, C = rand_matrix(field, k, k, rng), sparse(rng.randint(1, 3))
+        cases.append(block_upper(B, C))
+        cases.append(permuted(block_upper(B, C)))
+        cases.append(permuted(direct_sum(B, C, jordan(2, zero))))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, QI, PrimeField(2), PrimeField(3), PrimeField(101)],
+    ids=["q", "qi", "fp2", "fp3", "fp101"],
+)
+def test_charpoly_matches_naive_and_sympy(field):
+    pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    domain, convert = sympy_domain(field)
+    rng = random.Random(f"charpoly-{field.describe()}")
+    for A in _charpoly_cases(field, rng):
+        p = charpoly(A)
+        assert p == naive_charpoly(A)
+        entries = [[convert(a) for a in row] for row in A.entries]
+        expected = DomainMatrix(entries, (A.rows, A.cols), domain).charpoly()
+        assert [convert(a) for a in reversed(p.coeffs)] == expected
+
+
+def test_charpoly_of_dense_32x32_over_q_runs_in_polynomial_time():
+    # Bareiss over Q[x] took about 39 s of process time on a 2-vCPU VM;
+    # Hessenberg over Q takes about 1.4 s
+    rng = random.Random(32)
+    A = Matrix.from_ints(QQ, [[rng.randint(-9, 9) for _ in range(32)] for _ in range(32)])
+    start = time.process_time()
+    p = charpoly(A)
+    assert time.process_time() - start < 10
+    assert p.degree == 32 and p.is_monic
+    assert p.coefficient(31) == -sum((A.entries[i][i] for i in range(32)), QQ.zero())
+    # p(t) = det(t*I - A) at two points, by Bareiss on constant polynomials
+    for t in (QQ.zero(), QQ.from_int(3)):
+        T = Matrix.identity(QQ, 32).scale(t) - A
+        det = PolyMatrix(QQ, ((Poly.constant(e) for e in row) for row in T.entries)).determinant()
+        assert det == Poly.constant(p.eval(t))
 
 
 def test_determinism():
