@@ -1,12 +1,14 @@
 """Squarefree and irreducible factorisation of univariate polynomials.
 
 Factorisation is complete over prime fields (distinct-degree plus
-equal-degree splitting).  Over the rational and gaussian-rational fields it
-is deliberately partial: squarefree decomposition, then exhaustive root
-extraction by p-adic lifting of the roots mod a small prime p, found by the
-same prime-field splitting.  A rootless factor of degree <= 3 is
-irreducible, since any splitting of it has a linear part.  A rootless
-factor of degree >= 4 cannot be decided by these means and raises
+equal-degree splitting).  The splitting runs on plain lists of residues in
+[0, p), index = degree, and boxes only the irreducible factors it returns
+as Poly.  Over the rational and gaussian-rational fields it is deliberately
+partial: squarefree decomposition, then exhaustive root extraction by
+p-adic lifting of the roots mod a small prime p, found by the same
+prime-field splitting.  A rootless factor of degree <= 3 is irreducible,
+since any splitting of it has a linear part.  A rootless factor of
+degree >= 4 cannot be decided by these means and raises
 FactorizationIncomplete; callers fall back to invariant factors.
 """
 from __future__ import annotations
@@ -225,16 +227,15 @@ def _sqrt_minus_one(p: int) -> int:
 
 def _roots_mod_p(f: list[int], p: int) -> list[int] | None:
     """The roots of the monic f mod p, or None if f mod p is not squarefree."""
-    field = PrimeField(p)
-    fp = Poly.from_ints(field, f)
-    if poly_gcd(fp, fp.derivative()).degree > 0:
+    f = _trim([c % p for c in f])
+    if len(_gcd(f, _derivative(f, p), p)) > 1:
         return None
-    x = Poly.x(field)
-    w = poly_gcd(fp, _pow_mod(x, p, fp) - x)  # the product of fp's linear factors
-    if w.degree < 1:
+    x = [0, 1]
+    w = _gcd(f, _sub(_pow_mod(x, p, f, p), x, p), p)  # the product of f's linear factors
+    if len(w) < 2:
         return []
-    linear = _equal_degree_split(w, 1, random.Random(_SPLIT_SEED))
-    return [(-q.coefficient(0)).value for q in linear]
+    linear = _equal_degree_split(w, 1, random.Random(_SPLIT_SEED), p)
+    return [-q[0] % p for q in linear]
 
 
 def _lift(f: list[int], a: int, p: int, modulus: int) -> int:
@@ -255,67 +256,117 @@ def _lift(f: list[int], a: int, p: int, modulus: int) -> int:
 
 
 # -- prime fields: distinct-degree + equal-degree splitting ------------------
+#
+# The splitter runs on residue lists: ints in [0, p), index = degree, no
+# trailing zeros, so [] is the zero polynomial.  Products and remainders
+# reduce each coefficient mod p once, when it is final.
 
-def _pow_mod(base: Poly, exp: int, mod: Poly) -> Poly:
-    result = Poly.one(base.field)
-    base = base % mod
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _sub(a: list[int], b: list[int], p: int) -> list[int]:
+    a, b = a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b))
+    return _trim([(s - t) % p for s, t in zip(a, b)])
+
+
+def _mul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            out[i:i + len(b)] = [s + c * t for s, t in zip(out[i:i + len(b)], b)]
+    return _trim([c % p for c in out])
+
+
+def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero b."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], a
+    inv = pow(b[-1], -1, p)
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = rem[k] % p
+        if c:
+            q = quot[k - db] = c * inv % p
+            # b's leading term cancels rem[k], which is not read again
+            rem[k - db:k] = [s - q * t for s, t in zip(rem[k - db:k], b)]
+    return quot, _trim([c % p for c in rem[:db]])
+
+
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of a and b, not both zero."""
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _pow_mod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]:
+    result = [1]
+    base = _divmod(base, mod, p)[1]
     while exp:
         if exp & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
+            result = _divmod(_mul(result, base, p), mod, p)[1]
+        base = _divmod(_mul(base, base, p), mod, p)[1]
         exp >>= 1
     return result
 
 
+def _derivative(a: list[int], p: int) -> list[int]:
+    return _trim([k * c % p for k, c in enumerate(a)][1:])
+
+
 def _factor_squarefree_fp(g: Poly) -> list[Poly]:
-    p = g.field.characteristic
+    field = g.field
+    p = field.characteristic
     rng = random.Random(_SPLIT_SEED)
-    out: list[Poly] = []
-    x = Poly.x(g.field)
+    out: list[list[int]] = []
+    x = [0, 1]
     h = x
-    v = g
+    v = [c.value for c in g.coeffs]
     d = 0
-    while v.degree >= 1:
+    while len(v) > 1:
         d += 1
-        if v.degree < 2 * d:
+        if len(v) - 1 < 2 * d:
             out.append(v)  # what is left is irreducible
             break
-        h = _pow_mod(h, p, v)
-        w = poly_gcd(v, h - x)
-        if w.degree >= 1:
-            out.extend(_equal_degree_split(w, d, rng))
-            v = v // w
-            h = h % v if v.degree >= 1 else h
-    return out
+        h = _pow_mod(h, p, v, p)
+        w = _gcd(v, _sub(h, x, p), p)
+        if len(w) > 1:
+            out.extend(_equal_degree_split(w, d, rng, p))
+            v = _divmod(v, w, p)[0]
+            h = _divmod(h, v, p)[1] if len(v) > 1 else h
+    return [Poly.from_ints(field, q) for q in out]
 
 
-def _random_poly(field: PrimeField, degree: int, rng: random.Random) -> Poly:
-    return Poly(field, (field.from_int(rng.randrange(field.p)) for _ in range(degree + 1)))
-
-
-def _equal_degree_split(g: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Cantor-Zassenhaus: g is a product of irreducibles all of degree d."""
-    if g.degree == d:
+def _equal_degree_split(g: list[int], d: int, rng: random.Random, p: int) -> list[list[int]]:
+    """Cantor-Zassenhaus: g is a monic product of irreducibles all of degree d."""
+    if len(g) - 1 == d:
         return [g]
-    p = g.field.characteristic
     while True:
-        h = _random_poly(g.field, g.degree - 1, rng)
-        if h.is_zero:
+        h = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
+        if not h:
             continue
         if p == 2:
-            # trace map works where the odd-characteristic exponent trick fails
-            t = h
-            acc = h
+            # trace map works where the odd-characteristic exponent trick
+            # fails; in characteristic 2 subtraction is addition
+            t = acc = h
             for _ in range(d - 1):
-                t = (t * t) % g
-                acc = acc + t
-            w = acc % g
+                t = _divmod(_mul(t, t, p), g, p)[1]
+                acc = _sub(acc, t, p)
+            w = acc
         else:
-            w = _pow_mod(h, (p**d - 1) // 2, g) - Poly.one(g.field)
-        if w.is_zero:
+            w = _sub(_pow_mod(h, (p**d - 1) // 2, g, p), [1], p)
+        if not w:
             continue
-        split = poly_gcd(g, w)
-        if 1 <= split.degree < g.degree:
-            left = _equal_degree_split(split, d, rng)
-            right = _equal_degree_split(g // split, d, rng)
+        split = _gcd(g, w, p)
+        if 1 < len(split) < len(g):
+            left = _equal_degree_split(split, d, rng, p)
+            right = _equal_degree_split(_divmod(g, split, p)[0], d, rng, p)
             return left + right

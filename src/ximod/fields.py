@@ -332,7 +332,7 @@ class Scalar:
     def _check(self, other: "Scalar"):
         if not isinstance(other, Scalar):
             raise TypeError(f"expected a Scalar, got {other!r}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise TagMismatch(f"{self.field.describe()} vs {other.field.describe()}")
 
     def __add__(self, other):
@@ -376,7 +376,7 @@ class Scalar:
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise TagMismatch(f"{self.field.describe()} vs {other.field.describe()}")
         return self.value == other.value
 

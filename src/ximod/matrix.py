@@ -61,7 +61,7 @@ class DenseMatrix:
             if len(row) != cols:
                 raise DimensionMismatch("ragged rows")
             for e in row:
-                if not isinstance(e, self._entry_type) or e.field != field:
+                if not isinstance(e, self._entry_type) or (e.field is not field and e.field != field):
                     raise TagMismatch(self._entry_error)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)

@@ -17,7 +17,7 @@ class Poly:
     def __init__(self, field: Field, coeffs):
         coeffs = list(coeffs)
         for c in coeffs:
-            if not isinstance(c, Scalar) or c.field != field:
+            if not isinstance(c, Scalar) or (c.field is not field and c.field != field):
                 raise TagMismatch("coefficient does not belong to the declared field")
         while coeffs and coeffs[-1].is_zero:
             coeffs.pop()
@@ -75,7 +75,7 @@ class Poly:
     def _check(self, other: "Poly"):
         if not isinstance(other, Poly):
             raise TypeError(f"expected a Poly, got {other!r}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise TagMismatch("polynomials over different fields")
 
     def __add__(self, other):

@@ -15,6 +15,7 @@ from ximod import (
     factor_irreducible,
     squarefree_decomposition,
 )
+from ximod.poly import poly_gcd
 from oracles import exhaustive_irreducible_fp, rand_poly
 
 F2 = PrimeField(2)
@@ -122,19 +123,23 @@ def test_factor_fp_matches_exhaustive_oracle():
                 assert exhaustive_irreducible_fp(p)
 
 
-@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("p", [2, 3, 101, 10007, 10**18 + 3])
 def test_factor_fp_matches_sympy(p):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     field = PrimeField(p)
     rng = random.Random(f"factor-fp-{p}")
+    # over the large fields, pieces of degree up to 12 in products up to degree 36
+    top, cap = (6, None) if p <= 101 else (12, 36)
     for _ in range(8):
         f = Poly.one(field)
         expr = sympy.Integer(1)
         for _ in range(rng.randint(1, 3)):
-            # random monic pieces of degree up to 6, some of them repeated
-            coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]
+            # random monic pieces, some of them repeated
+            coeffs = [rng.randrange(p) for _ in range(rng.randint(1, top))] + [1]
             m = rng.choice((1, 1, 2, 3))
+            if cap is not None and f.degree + (len(coeffs) - 1) * m > cap:
+                continue
             f = f * Poly.from_ints(field, coeffs) ** m
             expr = expr * sympy.Poly(coeffs[::-1], x).as_expr() ** m
         _, parts = sympy.Poly(expr, x, modulus=p).factor_list()
@@ -143,6 +148,59 @@ def test_factor_fp_matches_sympy(p):
             g = Poly.from_ints(field, [int(c) for c in g.all_coeffs()[::-1]]).monic()
             expected[g] = expected.get(g, 0) + m
         assert dict(factor_irreducible(f)) == expected
+
+
+@pytest.mark.parametrize("p, degrees", [
+    (10007, (1, 1, 2, 3, 4, 4, 5, 6, 7, 8, 9, 10)),
+    (10**18 + 3, (1, 2, 3, 4, 5, 9)),
+])
+def test_factor_fp_runs_in_polynomial_time(p, degrees):
+    # 60 and 24 in all; splitting on boxed scalars took several times the bound
+    field = PrimeField(p)
+    rng = random.Random(f"fp-time-{p}")
+    f = Poly.one(field)
+    for d in degrees:
+        f = f * Poly.from_ints(field, [rng.randrange(p) for _ in range(d)] + [1])
+    start = time.process_time()
+    parts = factor_irreducible(f)
+    assert time.process_time() - start < 0.5
+    assert remultiply(field, parts) == f
+    assert sum(q.degree * m for q, m in parts) == sum(degrees)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 10007])
+def test_residue_kernel_matches_boxed_poly(p):
+    from ximod.factor import _divmod, _gcd, _pow_mod
+
+    field = PrimeField(p)
+    rng = random.Random(f"residue-kernel-{p}")
+
+    def residues(f):
+        return [c.value for c in f.coeffs]
+
+    def rand(degree, lead=None):
+        coeffs = [rng.randrange(p) for _ in range(degree)] + [lead or rng.randrange(1, p)]
+        return Poly.from_ints(field, coeffs)
+
+    # a zero dividend, a divisor above the dividend's degree, a non-monic
+    # divisor (except over F_2), then random pairs with random leading terms
+    cases = [(Poly.zero(field), rand(3)), (rand(2), rand(5)), (rand(8), rand(3, lead=p - 1))]
+    cases += [(rand(rng.randint(0, 12)), rand(rng.randint(0, 6))) for _ in range(40)]
+    for a, b in cases:
+        q, r = divmod(a, b)
+        assert _divmod(residues(a), residues(b), p) == (residues(q), residues(r))
+        assert _gcd(residues(a), residues(b), p) == residues(poly_gcd(a, b))
+        if b.degree >= 1:
+            e = rng.randrange(40)
+            power = Poly.one(field) % b
+            for _ in range(e):
+                power = (power * a) % b
+            assert _pow_mod(residues(a), e, residues(b), p) == residues(power)
+    # a common factor, so the gcd is not 1
+    c = rand(3, lead=1)
+    a, b = c * rand(4), c * rand(4)
+    assert len(_gcd(residues(a), residues(b), p)) >= 4
+    assert _gcd(residues(a), residues(b), p) == residues(poly_gcd(a, b))
 
 
 def test_factor_rational_remultiplies():

@@ -8,6 +8,8 @@ from ximod import (
     QI,
     QQ,
     DivisionByZero,
+    Matrix,
+    Poly,
     PrimeField,
     TagMismatch,
     field_arithmetic,
@@ -64,6 +66,25 @@ def test_tag_mismatch_raises():
         QQ.one() == QI.one()
     with pytest.raises(TagMismatch):
         PrimeField(3).one() + PrimeField(5).one()
+
+
+def test_equal_field_tags_interoperate_and_unequal_ones_do_not():
+    # two PrimeField(101) objects are distinct but equal: they are one field
+    a, b = PrimeField(101), PrimeField(101)
+    assert a is not b
+    x, y = a.from_int(7), b.from_int(30)
+    assert x + y == b.from_int(37) and x * y == b.from_int(210)
+    assert x - y == a.from_int(-23) and x / y == a.from_int(7) / a.from_int(30)
+    assert Poly(a, (x, y)) == Poly.from_ints(b, [7, 30])
+    assert Poly(a, (x,)) * Poly(b, (y,)) == Poly.from_ints(a, [210])
+    assert Matrix(a, [[x, y]]) == Matrix(b, [[b.from_int(7), b.from_int(30)]])
+    for f, g in ((PrimeField(5), PrimeField(7)), (QQ, QI), (QI, QQ)):
+        u, v = f.one(), g.one()
+        for op in (lambda: u + v, lambda: u * v, lambda: u - v, lambda: u / v,
+                   lambda: u == v, lambda: Poly(f, (v,)), lambda: Poly(f, (u,)) + Poly(g, (v,)),
+                   lambda: Matrix(f, [[u, v]])):
+            with pytest.raises(TagMismatch):
+                op()
 
 
 def test_division_by_zero():
