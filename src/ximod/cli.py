@@ -23,6 +23,7 @@ from .errors import (
 from .fields import QQ, Field
 from .jsonio import (
     field_to_json,
+    json_int,
     matrix_to_json,
     parse_field_declaration,
     parse_field_name,
@@ -232,11 +233,10 @@ def cmd_decompose(args) -> int:
         P = parse_polymatrix_json(payload["presentation"], "$.presentation", ambient)
         if P.rows < 1:
             raise InputValidationError("$.presentation", "need at least one generator")
-        declared = payload.get("generators")
-        if declared is not None and declared != P.rows:
-            raise InputValidationError(
-                "$.generators", "generators must equal the presentation row count"
-            )
+        if payload.get("generators") is not None:
+            message = "generators must equal the presentation row count"
+            if json_int(payload, "generators", "$", message) != P.rows:
+                raise InputValidationError("$.generators", message)
         module = PresentedModule(P.field, P.rows, P)
         dec = decompose_presented_module(module)
         field = P.field
@@ -284,10 +284,8 @@ def _build_kind(kind_name, payload, ambient):
             if ambient is not None and field != ambient:
                 raise InputValidationError("$.field", "field conflicts with --field")
         field = field or ambient or QQ
-        n = payload.get("n") if payload else None
-        m = payload.get("m") if payload else None
-        if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
-            raise InputValidationError("$", 'standard kind needs integers "n" and "m"')
+        n, m = (json_int(payload, k, "$", 'standard kind needs integers "n" and "m"', 1)
+                for k in "nm")
         return StandardKind(field), n, m
     if not payload or "A" not in payload or "B" not in payload:
         raise InputValidationError("$", f'kind {kind_name} needs matrices "A" and "B"')
@@ -480,9 +478,7 @@ def cmd_schmidt(args) -> int:
             raise InputValidationError("$.field", "field conflicts with --field")
         field = declared
     field = field or QQ
-    n, m = payload.get("n"), payload.get("m")
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
-        raise InputValidationError("$", 'schmidt needs integers "n" and "m"')
+    n, m = (json_int(payload, k, "$", 'schmidt needs integers "n" and "m"', 1) for k in "nm")
     coords = parse_vector_json(field, payload.get("coords"), "$.coords")
     if len(coords) != n * m:
         raise InputValidationError("$.coords", f"expected {n * m} coordinates")

@@ -41,14 +41,22 @@ def parse_field_name(name: str) -> Field:
     raise InputValidationError("--field", f"unknown field {name!r} (use q, qi, fp:<p>)")
 
 
+def json_int(obj: dict, key: str, path: str, message: str, least: int | None = None) -> int:
+    """obj[key] as an int (at least `least`), else an input error at
+    path.key.  JSON true and false are refused, though Python's bool is int."""
+    value = obj.get(key)
+    bad_type = isinstance(value, bool) or not isinstance(value, int)
+    if bad_type or (least is not None and value < least):
+        raise InputValidationError(f"{path}.{key}", message)
+    return value
+
+
 def parse_field_declaration(obj: dict, path: str) -> Field:
     name = obj.get("field")
     if name not in _FIELD_NAMES:
         raise InputValidationError(f"{path}.field", f"unknown field kind {name!r}")
     if name == "fp":
-        p = obj.get("p")
-        if not isinstance(p, int):
-            raise InputValidationError(f"{path}.p", "prime-field payloads need an integer p")
+        p = json_int(obj, "p", path, "prime-field payloads need an integer p")
         try:
             return PrimeField(p)
         except ValueError as exc:
@@ -118,11 +126,8 @@ def _parse_grid(obj, path: str, field: Field | None, cls, parse_entry, what: str
     use = declared or field
     if use is None:
         raise InputValidationError(f"{path}.field", "no field declared")
-    rows, cols = obj.get("rows"), obj.get("cols")
-    if not isinstance(rows, int) or rows < 0:
-        raise InputValidationError(f"{path}.rows", "rows must be a nonnegative integer")
-    if not isinstance(cols, int) or cols < 0:
-        raise InputValidationError(f"{path}.cols", "cols must be a nonnegative integer")
+    rows = json_int(obj, "rows", path, "rows must be a nonnegative integer", 0)
+    cols = json_int(obj, "cols", path, "cols must be a nonnegative integer", 0)
     entries = obj.get("entries")
     if not isinstance(entries, list) or len(entries) != rows:
         raise InputValidationError(f"{path}.entries", f"expected {rows} rows")

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from dataclasses import field as dataclass_field
+from fractions import Fraction
+from math import isqrt, lcm
 
 from .errors import (
     ConstantPolynomial,
@@ -12,7 +14,7 @@ from .errors import (
     NotMonic,
     TagMismatch,
 )
-from .fields import Field, Scalar
+from .fields import Field, GaussianRationals, Scalar
 from .poly import Poly
 
 Vector = tuple[Scalar, ...]
@@ -221,53 +223,152 @@ class Matrix(DenseMatrix):
 
 @dataclass(frozen=True)
 class EchelonResult:
-    """Reduced row echelon form with its pivot bookkeeping."""
+    """Reduced row echelon form with its pivot bookkeeping; `basis` is the
+    `Echelon` it was read from, which reduces vectors modulo the row space."""
 
     reduced: Matrix
     pivot_columns: tuple[int, ...]
     rank: int
+    basis: "Echelon" = dataclass_field(compare=False, repr=False)
 
 
 class Echelon:
-    """The one row elimination over K.  Rows are (pivot, entries): one at the
-    pivot, zero before it and at every earlier row's pivot; `push` trims them."""
+    """The one row elimination over K: fraction-free Gauss–Jordan on integral
+    rows, boxed once at the end (Bareiss, Math. Comp. 22, 1968; Geddes,
+    Czapor & Labahn, *Algorithms for Computer Algebra*, ch. 9).
 
-    def __init__(self):
-        self.rows: list[tuple[int, list[Scalar]]] = []
+    Over Q a row is a list of ints, each input's denominators cleared once;
+    over Q(i) a Gaussian-integer row is a pair (re, im) of int lists; over
+    F_p a list of residues.  Every row equals D at its own pivot and zero at
+    every other pivot, D being the latest pivot value (over F_p, D = 1), so
+    each entry is a minor of the cleared inputs and every division in `push`
+    is exact.  All vectors given to one `Echelon` have the same length.
+    """
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.pivots: list[int] = []
+        self.rows: list = []
+        self.D = (1, 0) if isinstance(field, GaussianRationals) else 1
+        self._last = None  # the integral vector of the latest reduction
 
     def reduce(self, v) -> list[Scalar]:
-        """Subtract rows in insertion order until v is zero at every pivot;
-        v must be at least as long as every row."""
-        v = list(v)
-        for pivot, row in self.rows:
-            f = v[pivot]
-            if not f.is_zero:
-                tail = zip(v[pivot : len(row)], row[pivot:])
-                v[pivot : len(row)] = [a if b.is_zero else a - f * b for a, b in tail]
-        return v
+        """The vector of v + (row space) that is zero at every pivot."""
+        return self._box(*self._reduce(v))
 
-    def push(self, w) -> None:
-        """Append a reduced w scaled to one at its pivot; zero adds nothing."""
-        nonzero = [i for i, a in enumerate(w) if not a.is_zero]
-        if nonzero:
-            inv = w[nonzero[0]].inv()
-            self.rows.append((nonzero[0], [inv * a for a in w[: nonzero[-1] + 1]]))
+    def _reduce(self, v):
+        """w = D u - sum_i u[p_i] r_i for u = L v integral, and D L.  The
+        coefficients are read from u, not from the partly reduced w."""
+        field = self.field
+        if any(a.field is not field and a.field != field for a in v):
+            raise TagMismatch("vector and echelon over different fields")
+        vals = [a.value for a in v]
+        D, p = self.D, field.characteristic
+        if isinstance(D, tuple):
+            return self._reduce_gaussian(vals)
+        if p:
+            u, L = vals, 1
+        else:
+            L = lcm(*(x.denominator for x in vals))
+            u = [x.numerator * (L // x.denominator) for x in vals]
+        w = [D * a for a in u] if D != 1 else u
+        for q, r in zip(self.pivots, self.rows):
+            f = u[q]
+            if f:
+                w = [a - f * b for a, b in zip(w, r)]
+        self._last = [a % p for a in w] if p else w
+        return self._last, D * L
+
+    def _reduce_gaussian(self, vals):
+        L = lcm(*(x.denominator for pair in vals for x in pair))
+        ur = [x.numerator * (L // x.denominator) for x, _ in vals]
+        ui = [y.numerator * (L // y.denominator) for _, y in vals]
+        dr, di = self.D
+        wr = [dr * a - di * b for a, b in zip(ur, ui)]
+        wi = [dr * b + di * a for a, b in zip(ur, ui)]
+        for q, (rr, ri) in zip(self.pivots, self.rows):
+            fr, fi = ur[q], ui[q]
+            if fr or fi:
+                wr = [a - fr * c + fi * d for a, c, d in zip(wr, rr, ri)]
+                wi = [b - fr * d - fi * c for b, c, d in zip(wi, rr, ri)]
+        self._last = (wr, wi)
+        return self._last, (dr * L, di * L)
+
+    def _box(self, w, den) -> list[Scalar]:
+        """w / den over K; den is a Gaussian integer (re, im) over Q(i)."""
+        field = self.field
+        zero = field.zero()
+        if field.characteristic:  # den = 1
+            return [Scalar(field, a) for a in w]
+        if isinstance(den, int):
+            return [Scalar(field, Fraction(a, den)) if a else zero for a in w]
+        (wr, wi), (dr, di) = w, den
+        n2 = dr * dr + di * di
+        return [
+            Scalar(field, (Fraction(a * dr + b * di, n2), Fraction(b * dr - a * di, n2)))
+            if a or b else zero
+            for a, b in zip(wr, wi)
+        ]
+
+    def push(self) -> None:
+        """Append the integral vector w of the latest `reduce`; zero adds
+        nothing.  With D' = w[pivot], each row r becomes (D' r - r[pivot] w) / D."""
+        w, self._last = self._last, None
+        D, p = self.D, self.field.characteristic
+        if isinstance(D, tuple):
+            return self._push_gaussian(*w)
+        q = next((i for i, a in enumerate(w) if a), None)
+        if q is None:
+            return
+        if p:
+            inv = pow(w[q], -1, p)
+            w = [a * inv % p for a in w]
+        Dn = w[q]
+        for i, r in enumerate(self.rows):
+            f = r[q]
+            if p:
+                self.rows[i] = [(a - f * b) % p for a, b in zip(r, w)] if f else r
+            else:
+                self.rows[i] = [(Dn * a - f * b) // D for a, b in zip(r, w)]
+        self.D = Dn
+        self.pivots.append(q)
+        self.rows.append(w)
+
+    def _push_gaussian(self, wr, wi):
+        """As `push`, with the division by D made a division by |D|^2:
+        (D' r - f w) / D = (D' conj(D) r - f conj(D) w) / |D|^2."""
+        q = next((i for i, (a, b) in enumerate(zip(wr, wi)) if a or b), None)
+        if q is None:
+            return
+        (dr, di), nr, ni = self.D, wr[q], wi[q]
+        n2 = dr * dr + di * di
+        ar, ai = nr * dr + ni * di, ni * dr - nr * di
+        for i, (rr, ri) in enumerate(self.rows):
+            fr, fi = rr[q], ri[q]
+            br, bi = fr * dr + fi * di, fi * dr - fr * di
+            cols = list(zip(rr, ri, wr, wi))
+            self.rows[i] = (
+                [(ar * c - ai * d - br * a + bi * b) // n2 for c, d, a, b in cols],
+                [(ar * d + ai * c - br * b - bi * a) // n2 for c, d, a, b in cols],
+            )
+        self.D = (nr, ni)
+        self.pivots.append(q)
+        self.rows.append((wr, wi))
 
 
 def rref(M: Matrix) -> EchelonResult:
-    """Reduced row echelon form: rows go through one `Echelon`, then, largest
-    pivot first, each is cleared at the later pivots.  The result is unique."""
-    zero, ncols = M.field.zero(), M.cols
-    forward = Echelon()
+    """Reduced row echelon form by fraction-free Gauss–Jordan: every row goes
+    through one `Echelon`, and its rows, sorted by pivot, are boxed once,
+    each divided by D.  The result is unique."""
+    ech = Echelon(M.field)
     for row in M.entries:
-        forward.push(forward.reduce(row))
-    back = Echelon()
-    for pivot, row in sorted(forward.rows, reverse=True):
-        back.rows.append((pivot, back.reduce(row + [zero] * (ncols - len(row)))))
-    rows = [row for _, row in reversed(back.rows)]
-    rows += [[zero] * ncols] * (M.rows - len(rows))
-    pivots = tuple(pivot for pivot, _ in reversed(back.rows))
-    return EchelonResult(Matrix(M.field, rows, (M.rows, ncols)), pivots, len(pivots))
+        ech._reduce(row)
+        ech.push()
+    order = sorted(range(len(ech.pivots)), key=ech.pivots.__getitem__)
+    rows = [ech._box(ech.rows[i], ech.D) for i in order]
+    rows += [[M.field.zero()] * M.cols] * (M.rows - len(rows))
+    pivots = tuple(ech.pivots[i] for i in order)
+    return EchelonResult(Matrix(M.field, rows, (M.rows, M.cols)), pivots, len(pivots), ech)
 
 
 def rank(M: Matrix) -> int:

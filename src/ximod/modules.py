@@ -160,7 +160,7 @@ def _krylov_presentation(A: Matrix) -> PolyMatrix:
     columns generate all relations.
     """
     field, n = A.field, A.rows
-    echelon = Echelon()
+    echelon = Echelon(field)
     starts: list[int] = []  # index of each chain's first Krylov vector
     columns: list[list[Poly]] = []
     for j in range(n):
@@ -172,7 +172,7 @@ def _krylov_presentation(A: Matrix) -> PolyMatrix:
             w = echelon.reduce(v + unit_vector(field, n + 1, len(echelon.rows)))
             if all(a.is_zero for a in w[:n]):
                 break
-            echelon.push(w)
+            echelon.push()
             v = A.matvec(v)
         if len(echelon.rows) == start:
             continue  # e_j is already in the span

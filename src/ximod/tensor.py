@@ -24,18 +24,18 @@ the rewrite module at finite-field scale.
 
 Cosets are represented canonically by eliminating the pivot coordinates of
 an echelonised basis of W; the surviving coordinates index a basis of the
-quotient.
+quotient.  W's basis and the coset map come from one fraction-free
+Gauss-Jordan elimination on integral rows (`matrix.Echelon`), boxed back
+into K once at the end.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 from .errors import DimensionMismatch, TagMismatch, WrongKind
 from .fields import Field, Scalar
 from .matrix import (
-    Echelon,
     EchelonResult,
     Matrix,
     Vector,
@@ -181,7 +181,8 @@ class RelationSubspace:
 
     `generator_matrix` columns span W; `echelon` is the reduced row echelon
     form of W, whose pivot columns are the coordinates the coset map
-    eliminates, and `basis` holds its rows as an `Echelon` for that map.
+    eliminates; the coset map runs on the `Echelon` that `echelon` was
+    read from.
     """
 
     kind: TensorKind
@@ -190,13 +191,6 @@ class RelationSubspace:
     m: int
     generator_matrix: Matrix
     echelon: EchelonResult
-
-    @cached_property
-    def basis(self) -> Echelon:
-        basis = Echelon()
-        for row in self.echelon.reduced.entries[: self.rank]:
-            basis.push(row)
-        return basis
 
     @property
     def rank(self) -> int:
@@ -210,7 +204,7 @@ class RelationSubspace:
     def reduce(self, coords: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
         """Eliminate the pivot coordinates; the result is the canonical
         representative of coords + W."""
-        return tuple(self.basis.reduce(coords))
+        return tuple(self.echelon.basis.reduce(coords))
 
     def contains(self, coords: tuple[Scalar, ...]) -> bool:
         return all(a.is_zero for a in self.reduce(coords))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from ximod import (
     Matrix,
@@ -17,13 +17,14 @@ from ximod import (
     PolyMatrix,
     PrimeField,
     Rationals,
+    poly_gcd,
     solve_linear,
 )
 
 
-def naive_poly_det(P: PolyMatrix) -> Poly:
-    """Recursive cofactor expansion, no memoisation, no pivoting."""
-    n = P.rows
+def naive_poly_det(P: PolyMatrix, rows=None, cols=None) -> Poly:
+    """Recursive cofactor expansion, no memoisation, no pivoting; with rows
+    and cols, the minor on them."""
 
     def det(rows, cols):
         if not rows:
@@ -38,11 +39,30 @@ def naive_poly_det(P: PolyMatrix) -> Poly:
             acc = acc + term if k % 2 == 0 else acc - term
         return acc
 
-    return det(tuple(range(n)), tuple(range(n)))
+    return det(tuple(range(P.rows)) if rows is None else tuple(rows),
+               tuple(range(P.cols)) if cols is None else tuple(cols))
 
 
 def naive_charpoly(A: Matrix) -> Poly:
     return naive_poly_det(PolyMatrix.characteristic_matrix(A))
+
+
+def naive_invariant_factors(A: Matrix) -> tuple[Poly, ...]:
+    """Nonconstant invariant factors of xI - A from its determinantal
+    divisors: d_k is the monic gcd of all k x k minors (cofactor expansion),
+    and the k-th invariant factor is d_k / d_(k-1)."""
+    P = PolyMatrix.characteristic_matrix(A)
+    divisors = [Poly.one(A.field)]
+    for k in range(1, A.rows + 1):
+        d = Poly.zero(A.field)
+        for rows in combinations(range(A.rows), k):
+            for cols in combinations(range(A.rows), k):
+                minor = naive_poly_det(P, rows, cols)
+                if not minor.is_zero:
+                    d = poly_gcd(d, minor)
+        divisors.append(d)
+    factors = (divisors[k] // divisors[k - 1] for k in range(1, A.rows + 1))
+    return tuple(f for f in factors if f.degree >= 1)
 
 
 def naive_poly_eval(pi: Poly, A: Matrix) -> Matrix:
@@ -133,6 +153,17 @@ def rand_scalar(field, rng: random.Random, nonzero=False):
             )
         if not nonzero or not s.is_zero:
             return s
+
+
+def rand_big_scalar(field, rng: random.Random):
+    """Numerators of 20-30 digits over denominators up to 10^6, either sign."""
+
+    def big():
+        return Fraction(rng.choice((-1, 1)) * rng.randrange(10**19, 10**30), rng.randint(1, 10**6))
+
+    if isinstance(field, Rationals):
+        return field.scalar(big())
+    return field.scalar((big(), big()))
 
 
 def rand_vector(field, n, rng, nonzero=False):

@@ -572,6 +572,44 @@ def test_json_integer_past_the_str_limit_exits_two(capsys, tmp_path):
     assert err.startswith("input error:")
 
 
+_OPERATOR_1x1 = {"field": "q", "rows": 1, "cols": 1, "entries": [["2"]]}
+_BOOLEAN_FIELDS = {
+    # case: (argv, payload with the field at its accepted value, path of the field)
+    "tensor-n": (["tensor", "--kind", "standard"], {"field": "q", "n": 1, "m": 1}, ("n",)),
+    "tensor-m": (["tensor", "--kind", "standard"], {"field": "q", "n": 1, "m": 1}, ("m",)),
+    "schmidt-n": (["schmidt"], {"field": "q", "n": 1, "m": 1, "coords": ["1"]}, ("n",)),
+    "schmidt-m": (["schmidt"], {"field": "q", "n": 1, "m": 1, "coords": ["1"]}, ("m",)),
+    "rows": (["decompose"], {"operator": _OPERATOR_1x1}, ("operator", "rows")),
+    "cols": (["decompose"], {"operator": _OPERATOR_1x1}, ("operator", "cols")),
+    "generators": (
+        ["decompose"],
+        {"presentation": {"field": "q", "rows": 1, "cols": 1, "entries": [[["1", "1"]]]},
+         "generators": 1},
+        ("generators",),
+    ),
+    "p": (["decompose"], {"operator": {**_OPERATOR_1x1, "field": "fp", "p": 2}}, ("operator", "p")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BOOLEAN_FIELDS))
+def test_json_booleans_are_not_integers(capsys, tmp_path, case):
+    # Python's bool is an int, so a JSON true once passed for 1
+    argv, payload, path = _BOOLEAN_FIELDS[case]
+    payload = json.loads(json.dumps(payload))  # a copy to edit
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(json.dumps(payload))
+    code, out, _ = run_main(capsys, [*argv, "--json", "--input", str(payload_file)])
+    assert code == 0 and json.loads(out)["self_check"] == "ok"
+    inner = payload
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = True
+    payload_file.write_text(json.dumps(payload))
+    code, out, err = run_main(capsys, [*argv, "--json", "--input", str(payload_file)])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: $." + ".".join(path) + ":") and "True" not in err
+
+
 def test_demo_register_content(capsys):
     code, out, _ = run_main(capsys, ["demo", "register", "--json"])
     assert code == 0

@@ -26,6 +26,7 @@ from ximod import (
 )
 from oracles import (
     naive_charpoly,
+    rand_big_scalar,
     rand_invertible,
     rand_matrix,
     rand_scalar,
@@ -55,11 +56,8 @@ def test_rref_proportional_rows():
     assert rref(M).rank == 1
 
 
-@pytest.mark.parametrize(
-    "field", [QQ, QI, PrimeField(2), PrimeField(3), PrimeField(101)],
-    ids=["q", "qi", "fp2", "fp3", "fp101"],
-)
-def test_rref_and_coset_map_match_sympy(field):
+def _sympy_converter(field):
+    """Skip without sympy; else the map of a matrix over field to a DomainMatrix."""
     pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
@@ -69,6 +67,15 @@ def test_rref_and_coset_map_match_sympy(field):
         entries = [[convert(a) for a in row] for row in M.entries]
         return DomainMatrix(entries, (M.rows, M.cols), domain)
 
+    return to_sympy
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, QI, PrimeField(2), PrimeField(3), PrimeField(101)],
+    ids=["q", "qi", "fp2", "fp3", "fp101"],
+)
+def test_rref_and_coset_map_match_sympy(field):
+    to_sympy = _sympy_converter(field)
     rng = random.Random(f"rref-{field.describe()}")
 
     def sparse(rows, cols):  # about 40% zeros
@@ -110,6 +117,55 @@ def test_rref_and_coset_map_match_sympy(field):
             assert all(r[pivot].is_zero for pivot in W.echelon.pivot_columns)
             d = to_sympy(Matrix(field, ((a - b,) for a, b in zip(v, r)), (n * m, 1)))
             assert G.hstack(d).rank() == G.rank()
+
+
+@pytest.mark.parametrize("field", [QQ, QI], ids=["q", "qi"])
+def test_rref_and_coset_map_are_exact_on_large_entries(field):
+    # the integral rows divide exactly only when each update divides by the
+    # right pivot value; 20-30 digit entries, negative and non-unit pivots,
+    # rank deficiency and repeated rows leave that no slack
+    to_sympy = _sympy_converter(field)
+    rng = random.Random(f"rref-big-{field.describe()}")
+
+    def big(rows, cols):
+        return Matrix(field, ((rand_big_scalar(field, rng) for _ in range(cols))
+                              for _ in range(rows)), (rows, cols))
+
+    def small(rows, cols):  # Gaussian integers, 2+3i in the corner; -7 over Q
+        def entry():
+            if field is QI:
+                return field.scalar((rng.randint(-4, 4), rng.randint(-4, 4)))
+            return field.from_int(rng.randint(-9, 9))
+        entries = [[entry() for _ in range(cols)] for _ in range(rows)]
+        entries[0][0] = field.scalar((2, 3)) if field is QI else field.from_int(-7)
+        return Matrix(field, entries)
+
+    for _ in range(3):
+        repeated = big(3, 6).entries
+        scaled = tuple(rand_big_scalar(field, rng) * a for a in repeated[1])
+        cases = [
+            big(5, 7),
+            big(8, 4),  # tall: full column rank
+            big(6, 2) @ big(2, 7),  # rank at most 2
+            Matrix(field, repeated + (scaled,) + repeated[::-1]),
+            small(5, 6),
+            small(4, 3) @ small(3, 6),
+        ]
+        for M in cases:
+            res = rref(M)
+            reduced, pivots = to_sympy(M).rref()
+            assert to_sympy(res.reduced) == reduced
+            assert res.pivot_columns == tuple(pivots)
+            # the coset map: v - sum_i v[p_i] R_i, R the reduced rows
+            k = len(pivots)
+            for v in (rand_vector(field, M.cols, rng), [rand_big_scalar(field, rng)
+                                                       for _ in range(M.cols)]):
+                r = Matrix(field, [res.basis.reduce(v)])
+                expected = to_sympy(Matrix(field, [v]))
+                if k:
+                    coeffs = to_sympy(Matrix(field, [[v[q] for q in pivots]]))
+                    expected = expected - coeffs.matmul(reduced.extract(range(k), range(M.cols)))
+                assert to_sympy(r) == expected
 
 
 def test_kernel_basis_cases():

@@ -29,11 +29,14 @@ from ximod import (
     primary_decomposition,
     recombine_invariant_factors,
     smith_normal_form,
+    solve_linear,
     torsion_info,
     unit_vector,
 )
 from oracles import (
     krylov_minimal_polynomial,
+    naive_invariant_factors,
+    rand_big_scalar,
     rand_invertible,
     rand_matrix,
     rand_poly,
@@ -295,6 +298,21 @@ def test_krylov_route_matches_smith_form_of_characteristic_matrix(field):
     assert min(chains["nilpotent"], chains["repeated"]) >= 3, chains
     # some chains depend on earlier ones: entries above the diagonal
     assert {"triangular", "nilpotent"} <= coupled
+
+
+def test_krylov_smith_diagonal_over_qi_matches_determinantal_divisors():
+    # large fractional Gaussian entries: the Krylov rows and their coefficient
+    # block go through the integral elimination with non-unit pivots
+    from ximod.modules import _krylov_presentation
+
+    rng = random.Random("krylov-qi-big")
+    for n in range(1, 5):
+        S = Matrix(QI, ((rand_big_scalar(QI, rng) for _ in range(n)) for _ in range(n)))
+        S_inv = Matrix(QI, zip(*(solve_linear(S, unit_vector(QI, n, j)) for j in range(n))))
+        for name, A in _operator_classes(QI, n, rng).items():
+            A = S @ A @ S_inv
+            snf = smith_normal_form(_krylov_presentation(A))
+            assert tuple(snf.nonconstant_diagonal()) == naive_invariant_factors(A), (name, n)
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 101], ids=["q", "fp2", "fp3", "fp101"])
