@@ -268,6 +268,10 @@ def cmd_decompose(args) -> int:
 
 # -- tensor ----------------------------------------------------------------------
 
+# the largest n*m a standard payload may declare: W = 0 takes no work, but
+# the report lists every one of the n*m canonical indices
+STANDARD_MAX_COORDINATES = 1 << 16
+
 # kind name -> (kind class, names of its polynomial payload fields)
 _OPERATOR_KINDS = {
     "opair": (OperatorPairKind, ()),
@@ -286,6 +290,9 @@ def _build_kind(kind_name, payload, ambient):
         field = field or ambient or QQ
         n, m = (json_int(payload, k, "$", 'standard kind needs integers "n" and "m"', 1)
                 for k in "nm")
+        if n * m > STANDARD_MAX_COORDINATES:
+            raise InputValidationError(
+                "$", f"standard kind needs n*m <= {STANDARD_MAX_COORDINATES}")
         return StandardKind(field), n, m
     if not payload or "A" not in payload or "B" not in payload:
         raise InputValidationError("$", f'kind {kind_name} needs matrices "A" and "B"')

@@ -53,7 +53,7 @@ def json_int(obj: dict, key: str, path: str, message: str, least: int | None = N
 
 def parse_field_declaration(obj: dict, path: str) -> Field:
     name = obj.get("field")
-    if name not in _FIELD_NAMES:
+    if not isinstance(name, str) or name not in _FIELD_NAMES:
         raise InputValidationError(f"{path}.field", f"unknown field kind {name!r}")
     if name == "fp":
         p = json_int(obj, "p", path, "prime-field payloads need an integer p")

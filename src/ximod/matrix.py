@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from dataclasses import field as dataclass_field
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -223,19 +222,17 @@ class Matrix(DenseMatrix):
 
 @dataclass(frozen=True)
 class EchelonResult:
-    """Reduced row echelon form with its pivot bookkeeping; `basis` is the
-    `Echelon` it was read from, which reduces vectors modulo the row space."""
+    """Reduced row echelon form with its pivot bookkeeping."""
 
     reduced: Matrix
     pivot_columns: tuple[int, ...]
     rank: int
-    basis: "Echelon" = dataclass_field(compare=False, repr=False)
 
 
 class Echelon:
     """The one row elimination over K: fraction-free Gauss–Jordan on integral
-    rows, boxed once at the end (Bareiss, Math. Comp. 22, 1968; Geddes,
-    Czapor & Labahn, *Algorithms for Computer Algebra*, ch. 9).
+    rows (Bareiss, Math. Comp. 22, 1968; Geddes, Czapor & Labahn,
+    *Algorithms for Computer Algebra*, ch. 9).
 
     Over Q a row is a list of ints, each input's denominators cleared once;
     over Q(i) a Gaussian-integer row is a pair (re, im) of int lists; over
@@ -243,6 +240,7 @@ class Echelon:
     every other pivot, D being the latest pivot value (over F_p, D = 1), so
     each entry is a minor of the cleared inputs and every division in `push`
     is exact.  All vectors given to one `Echelon` have the same length.
+    `reduce` gives (w, den) with w integral; only `box` takes w back to K.
     """
 
     def __init__(self, field: Field):
@@ -250,15 +248,11 @@ class Echelon:
         self.pivots: list[int] = []
         self.rows: list = []
         self.D = (1, 0) if isinstance(field, GaussianRationals) else 1
-        self._last = None  # the integral vector of the latest reduction
 
-    def reduce(self, v) -> list[Scalar]:
-        """The vector of v + (row space) that is zero at every pivot."""
-        return self._box(*self._reduce(v))
-
-    def _reduce(self, v):
-        """w = D u - sum_i u[p_i] r_i for u = L v integral, and D L.  The
-        coefficients are read from u, not from the partly reduced w."""
+    def reduce(self, v):
+        """(w, D L) with w = D u - sum_i u[p_i] r_i for u = L v integral, so
+        that w / (D L) is the vector of v + (row space) that is zero at every
+        pivot.  The coefficients are read from u, not from the partly reduced w."""
         field = self.field
         if any(a.field is not field and a.field != field for a in v):
             raise TagMismatch("vector and echelon over different fields")
@@ -276,8 +270,7 @@ class Echelon:
             f = u[q]
             if f:
                 w = [a - f * b for a, b in zip(w, r)]
-        self._last = [a % p for a in w] if p else w
-        return self._last, D * L
+        return ([a % p for a in w] if p else w), D * L
 
     def _reduce_gaussian(self, vals):
         L = lcm(*(x.denominator for pair in vals for x in pair))
@@ -291,35 +284,43 @@ class Echelon:
             if fr or fi:
                 wr = [a - fr * c + fi * d for a, c, d in zip(wr, rr, ri)]
                 wi = [b - fr * d - fi * c for b, c, d in zip(wi, rr, ri)]
-        self._last = (wr, wi)
-        return self._last, (dr * L, di * L)
+        return (wr, wi), (dr * L, di * L)
 
-    def _box(self, w, den) -> list[Scalar]:
-        """w / den over K; den is a Gaussian integer (re, im) over Q(i)."""
+    def leading(self, w) -> int | None:
+        """The index of the first nonzero entry of w, None if w is zero."""
+        if isinstance(self.D, tuple):
+            return next((i for i, (a, b) in enumerate(zip(*w)) if a or b), None)
+        return next((i for i, a in enumerate(w) if a), None)
+
+    def box(self, w, den, indices=None) -> list[Scalar]:
+        """w / den over K, at `indices` if given; den is (re, im) over Q(i)."""
         field = self.field
         zero = field.zero()
+        if isinstance(den, tuple):
+            w = list(zip(*w))
+        if indices is not None:
+            w = [w[t] for t in indices]
         if field.characteristic:  # den = 1
             return [Scalar(field, a) for a in w]
         if isinstance(den, int):
             return [Scalar(field, Fraction(a, den)) if a else zero for a in w]
-        (wr, wi), (dr, di) = w, den
+        dr, di = den
         n2 = dr * dr + di * di
         return [
             Scalar(field, (Fraction(a * dr + b * di, n2), Fraction(b * dr - a * di, n2)))
             if a or b else zero
-            for a, b in zip(wr, wi)
+            for a, b in w
         ]
 
-    def push(self) -> None:
-        """Append the integral vector w of the latest `reduce`; zero adds
-        nothing.  With D' = w[pivot], each row r becomes (D' r - r[pivot] w) / D."""
-        w, self._last = self._last, None
-        D, p = self.D, self.field.characteristic
-        if isinstance(D, tuple):
-            return self._push_gaussian(*w)
-        q = next((i for i, a in enumerate(w) if a), None)
+    def push(self, w) -> None:
+        """Append w from the latest `reduce`; zero adds nothing.  With D' = w[q],
+        q the leading index, each row r becomes (D' r - r[q] w) / D."""
+        q = self.leading(w)
         if q is None:
             return
+        D, p = self.D, self.field.characteristic
+        if isinstance(D, tuple):
+            return self._push_gaussian(q, *w)
         if p:
             inv = pow(w[q], -1, p)
             w = [a * inv % p for a in w]
@@ -334,12 +335,9 @@ class Echelon:
         self.pivots.append(q)
         self.rows.append(w)
 
-    def _push_gaussian(self, wr, wi):
+    def _push_gaussian(self, q, wr, wi):
         """As `push`, with the division by D made a division by |D|^2:
         (D' r - f w) / D = (D' conj(D) r - f conj(D) w) / |D|^2."""
-        q = next((i for i, (a, b) in enumerate(zip(wr, wi)) if a or b), None)
-        if q is None:
-            return
         (dr, di), nr, ni = self.D, wr[q], wi[q]
         n2 = dr * dr + di * di
         ar, ai = nr * dr + ni * di, ni * dr - nr * di
@@ -362,13 +360,12 @@ def rref(M: Matrix) -> EchelonResult:
     each divided by D.  The result is unique."""
     ech = Echelon(M.field)
     for row in M.entries:
-        ech._reduce(row)
-        ech.push()
+        ech.push(ech.reduce(row)[0])
     order = sorted(range(len(ech.pivots)), key=ech.pivots.__getitem__)
-    rows = [ech._box(ech.rows[i], ech.D) for i in order]
+    rows = [ech.box(ech.rows[i], ech.D) for i in order]
     rows += [[M.field.zero()] * M.cols] * (M.rows - len(rows))
     pivots = tuple(ech.pivots[i] for i in order)
-    return EchelonResult(Matrix(M.field, rows, (M.rows, M.cols)), pivots, len(pivots), ech)
+    return EchelonResult(Matrix(M.field, rows, (M.rows, M.cols)), pivots, len(pivots))
 
 
 def rank(M: Matrix) -> int:
@@ -425,32 +422,34 @@ def kronecker(A: Matrix, B: Matrix) -> Matrix:
     return Matrix(A.field, ((c[r] for c in columns) for r in range(rows)), (rows, len(columns)))
 
 
-def sylvester_operator(A: Matrix, B: Matrix) -> Matrix:
-    """The map t -> (A (x) I - I (x) B) t on the nm coordinate space.
-
-    Its image is the span of all vectors (A x) (x) y - x (x) (B y), hence the
-    relation subspace of the operator-pair tensor quotient.  Entry
-    (i*m + j, k*m + l) is A[i][k] [j = l] - [i = k] B[j][l], filled in
-    directly from the nonzero entries of A and B.
-    """
+def sylvester_columns(A: Matrix, B: Matrix):
+    """The columns of A (x) I - I (x) B in order, each filled in directly from
+    the nonzero entries of A and B: column k*m + l is A[i][k] at i*m + l
+    and -B[j][l] at k*m + j."""
     if A.field != B.field:
         raise TagMismatch("sylvester operator requires a common field")
     if not A.is_square or not B.is_square:
         raise NonSquare("sylvester operator requires square factors")
     n, m = A.rows, B.rows
-    zero = A.field.zero()
-    rows = []
-    for i, a_row in enumerate(A.entries):
-        for j, b_row in enumerate(B.entries):
-            row = [zero] * (n * m)
-            for k, a in enumerate(a_row):
+    zero, b_cols = A.field.zero(), list(zip(*B.entries))
+    for k, a_col in enumerate(zip(*A.entries)):
+        for l, b_col in enumerate(b_cols):
+            col = [zero] * (n * m)
+            for i, a in enumerate(a_col):
                 if not a.is_zero:
-                    row[k * m + j] = a
-            for l, b in enumerate(b_row):
+                    col[i * m + l] = a
+            for j, b in enumerate(b_col):
                 if not b.is_zero:
-                    row[i * m + l] = row[i * m + l] - b
-            rows.append(row)
-    return Matrix(A.field, rows, (n * m, n * m))
+                    col[k * m + j] = col[k * m + j] - b
+            yield col
+
+
+def sylvester_operator(A: Matrix, B: Matrix) -> Matrix:
+    """The map t -> (A (x) I - I (x) B) t on the nm coordinate space.  Its
+    image is the span of all vectors (A x) (x) y - x (x) (B y), hence the
+    relation subspace of the operator-pair tensor quotient."""
+    columns = list(sylvester_columns(A, B))
+    return Matrix(A.field, zip(*columns), (len(columns), len(columns)))
 
 
 def companion_matrix(p: Poly) -> Matrix:

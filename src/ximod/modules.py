@@ -169,17 +169,18 @@ def _krylov_presentation(A: Matrix) -> PolyMatrix:
         start = len(echelon.rows)
         v = unit_vector(field, n, j)
         while True:
-            w = echelon.reduce(v + unit_vector(field, n + 1, len(echelon.rows)))
-            if all(a.is_zero for a in w[:n]):
+            w, den = echelon.reduce(v + unit_vector(field, n + 1, len(echelon.rows)))
+            if echelon.leading(w) >= n:
                 break
-            echelon.push()
+            echelon.push(w)
             v = A.matvec(v)
         if len(echelon.rows) == start:
             continue  # e_j is already in the span
         # w says x^{d_j} g_j + sum_i (c-polynomial of chain i) g_i = 0
         starts.append(start)
         ends = starts[1:] + [len(echelon.rows) + 1]
-        columns.append([Poly(field, w[n + a : n + b]) for a, b in zip(starts, ends)])
+        tail = echelon.box(w, den, range(n, 2 * n + 1))
+        columns.append([Poly(field, tail[a:b]) for a, b in zip(starts, ends)])
     k = len(columns)
     return PolyMatrix(
         field,

@@ -25,23 +25,25 @@ the rewrite module at finite-field scale.
 Cosets are represented canonically by eliminating the pivot coordinates of
 an echelonised basis of W; the surviving coordinates index a basis of the
 quotient.  W's basis and the coset map come from one fraction-free
-Gauss-Jordan elimination on integral rows (`matrix.Echelon`), boxed back
-into K once at the end.
+Gauss-Jordan elimination on integral rows (`matrix.Echelon`): the Sylvester
+columns go in as integral vectors, and a reader boxes back into K only the
+entries it reads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Union
 
 from .errors import DimensionMismatch, TagMismatch, WrongKind
 from .fields import Field, Scalar
 from .matrix import (
-    EchelonResult,
+    Echelon,
     Matrix,
     Vector,
     kronecker_column,
     poly_eval_operator,
     rref,
+    sylvester_columns,
     sylvester_operator,
     unit_vector,
 )
@@ -179,67 +181,66 @@ TensorKind = Union[StandardKind, OperatorPairKind, SubringKind, BranchingKind]
 class RelationSubspace:
     """The subspace W of coordinate space whose quotient is the product.
 
-    `generator_matrix` columns span W; `echelon` is the reduced row echelon
-    form of W, whose pivot columns are the coordinates the coset map
-    eliminates; the coset map runs on the `Echelon` that `echelon` was
-    read from.
+    `basis` holds the Sylvester columns of the kind's pair, echelonised; its
+    pivots are the coordinates the coset map eliminates.
     """
 
     kind: TensorKind
     field: Field
     n: int
     m: int
-    generator_matrix: Matrix
-    echelon: EchelonResult
+    basis: Echelon = dataclass_field(compare=False, repr=False)
+
+    @property
+    def generator_matrix(self) -> Matrix:
+        """The Sylvester operator, whose columns span W; built on demand."""
+        return sylvester_operator(*self.kind.operators(self.n, self.m))
 
     @property
     def rank(self) -> int:
-        return self.echelon.rank
+        return len(self.basis.pivots)
 
     @property
     def canonical_indices(self) -> tuple[int, ...]:
-        pivots = set(self.echelon.pivot_columns)
+        pivots = set(self.basis.pivots)
         return tuple(j for j in range(self.n * self.m) if j not in pivots)
 
     def reduce(self, coords: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
         """Eliminate the pivot coordinates; the result is the canonical
         representative of coords + W."""
-        return tuple(self.echelon.basis.reduce(coords))
+        return tuple(self.basis.box(*self.basis.reduce(coords)))
 
     def contains(self, coords: tuple[Scalar, ...]) -> bool:
-        return all(a.is_zero for a in self.reduce(coords))
+        return self.basis.leading(self.basis.reduce(coords)[0]) is None
 
     def coset_coordinates(self, vectors) -> Matrix:
         """The coset map: column c is the canonical coordinates of
         vectors[c] + W, read on the surviving `canonical_indices`."""
-        reduced = [self.reduce(v) for v in vectors]
         indices = self.canonical_indices
+        reduced = [self.basis.box(*self.basis.reduce(v), indices) for v in vectors]
         return Matrix(
             self.field,
-            ((v[t] for v in reduced) for t in indices),
+            ((v[t] for v in reduced) for t in range(len(indices))),
             (len(indices), len(reduced)),
         )
 
 
 def relation_subspace(kind: TensorKind, n: int, m: int) -> RelationSubspace:
-    """Build the relation subspace of a product flavour on K^n (x) K^m."""
+    """The relation subspace of a product flavour on K^n (x) K^m: the
+    Sylvester columns of its pair, pushed into one `Echelon`."""
     if n < 1 or m < 1:
         raise DimensionMismatch("factor dimensions must be positive")
+    if isinstance(kind, StandardKind):  # (I, I): the Sylvester operator is zero
+        return RelationSubspace(kind, kind.field, n, m, Echelon(kind.field))
     M, N = kind.operators(n, m)
     if M.rows != n or N.rows != m:
         raise DimensionMismatch(
             f"kind operators are {M.rows} and {N.rows}; expected {n} and {m}"
         )
-    generators = sylvester_operator(M, N)
-    ech = rref(generators.transpose())
-    return RelationSubspace(
-        kind=kind,
-        field=M.field,
-        n=n,
-        m=m,
-        generator_matrix=generators,
-        echelon=ech,
-    )
+    basis = Echelon(M.field)
+    for column in sylvester_columns(M, N):
+        basis.push(basis.reduce(column)[0])
+    return RelationSubspace(kind, M.field, n, m, basis)
 
 
 def quotient_dim(W: RelationSubspace) -> int:

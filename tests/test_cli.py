@@ -18,12 +18,12 @@ from ximod import (
     companion_matrix,
     induced_operator,
     relation_subspace,
-    rref,
     solve_linear,
     unit_vector,
 )
-from ximod.cli import _check_smith, _check_tensor, build_parser, main
+from ximod.cli import STANDARD_MAX_COORDINATES, _check_smith, _check_tensor, build_parser, main
 from ximod.jsonio import matrix_to_json, poly_to_json
+from ximod.matrix import Echelon
 
 
 def run_cli(args, stdin_text=""):
@@ -168,7 +168,10 @@ def test_tensor_check_rejects_a_tampered_relation_rank(capsys, tmp_path, monkeyp
     # invariant factors of A and B say the quotient has dimension 1
     def everything(kind, n, m):
         W = relation_subspace(kind, n, m)
-        return dataclasses.replace(W, echelon=rref(Matrix.identity(QQ, n * m)))
+        basis = Echelon(QQ)
+        for row in Matrix.identity(QQ, n * m).entries:
+            basis.push(basis.reduce(row)[0])
+        return dataclasses.replace(W, basis=basis)
 
     monkeypatch.setattr("ximod.cli.relation_subspace", everything)
     payload = {
@@ -180,6 +183,44 @@ def test_tensor_check_rejects_a_tampered_relation_rank(capsys, tmp_path, monkeyp
     code, out, err = run_main(capsys, ["tensor", "--kind", "opair", "--input", str(payload_file)])
     assert (code, out) == (3, "")
     assert "quotient dimension disagrees with the invariant factors" in err
+
+
+def _matrix(rows):
+    return {"field": "q", "rows": len(rows), "cols": len(rows),
+            "entries": [[str(a) for a in row] for row in rows]}
+
+
+def test_tensor_runs_without_the_sylvester_matrix_or_rref(capsys, tmp_path, monkeypatch):
+    # W is read through its `Echelon` only: no command below may build the
+    # Sylvester matrix or call rref
+    A, B = _matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]]), _matrix([[1, 0], [1, 1]])
+    cases = {
+        "opair": {"A": A, "B": B},
+        "subring": {"A": A, "B": B, "p": ["0", "0", "1"]},
+        "branching": {"A": A, "B": B, "phi": ["1", "1"], "psi": ["0", "2", "1"]},
+    }
+
+    def run_all():
+        outputs = {}
+        for kind, payload in cases.items():
+            payload_file = tmp_path / f"{kind}.json"
+            payload_file.write_text(json.dumps(payload))
+            argv = ["tensor", "--kind", kind, "--decompose", "--json"]
+            outputs[kind] = run_main(capsys, [*argv, "--input", str(payload_file)])
+        return outputs
+
+    expected = run_all()
+    assert all(code == 0 for code, _, _ in expected.values())
+
+    def refuse(*_args):
+        raise AssertionError("the tensor command must not reach this")
+
+    for name, module in list(sys.modules.items()):
+        if name == "ximod" or name.startswith("ximod."):
+            for attr in ("sylvester_operator", "rref"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    assert run_all() == expected
 
 
 def test_parser_is_built_once_and_carries_nothing_between_calls(capsys, tmp_path):
@@ -234,8 +275,8 @@ def test_decompose_of_a_generic_20x20_operator_runs_in_polynomial_time(capsys, t
 
 def test_standard_tensor_of_20_by_20_runs_in_polynomial_time(capsys, tmp_path):
     # building two dense 400x400 Kronecker products and their difference
-    # took about 1.9 s of process time on a 2-vCPU VM; the whole command
-    # takes about 0.3 s now
+    # took about 1.9 s of process time on a 2-vCPU VM; W = 0 is now built
+    # without any elimination
     payload_file = tmp_path / "p.json"
     payload_file.write_text(json.dumps({"field": "q", "n": 20, "m": 20}))
     start = time.process_time()
@@ -246,6 +287,44 @@ def test_standard_tensor_of_20_by_20_runs_in_polynomial_time(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert (report["relation_rank"], report["quotient_dim"]) == (0, 400)
+
+
+@pytest.mark.parametrize(
+    "n,m", [(256, 256), (1, STANDARD_MAX_COORDINATES)], ids=["square", "thin"]
+)
+def test_standard_tensor_at_the_size_bound_runs_quickly(capsys, tmp_path, n, m):
+    # about 0.08 s of process time on a 2-vCPU VM, most of it rendering the
+    # n*m canonical indices
+    assert n * m == STANDARD_MAX_COORDINATES
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(json.dumps({"field": "q", "n": n, "m": m}))
+    start = time.process_time()
+    code, out, _ = run_main(
+        capsys, ["tensor", "--kind", "standard", "--json", "--input", str(payload_file)]
+    )
+    assert time.process_time() - start < 1
+    assert code == 0
+    report = json.loads(out)
+    assert (report["relation_rank"], report["quotient_dim"]) == (0, n * m)
+    assert report["canonical_basis"] == list(range(n * m))
+
+
+@pytest.mark.parametrize(
+    "n,m",
+    [(1, STANDARD_MAX_COORDINATES + 1), (STANDARD_MAX_COORDINATES + 1, 1), (10**9, 10**9)],
+    ids=["one-past-thin", "one-past-tall", "huge"],
+)
+def test_standard_tensor_past_the_size_bound_exits_two_at_once(capsys, tmp_path, n, m):
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(json.dumps({"field": "q", "n": n, "m": m}))
+    for flags in ([], ["--json"]):
+        start = time.process_time()
+        code, out, err = run_main(
+            capsys, ["tensor", "--kind", "standard", *flags, "--input", str(payload_file)]
+        )
+        assert time.process_time() - start < 0.05
+        assert (code, out) == (2, "")
+        assert err == f"input error: $: standard kind needs n*m <= {STANDARD_MAX_COORDINATES}\n"
 
 
 # -- determinism ---------------------------------------------------------------------

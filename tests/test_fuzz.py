@@ -1,0 +1,210 @@
+"""Fuzzing `cli.main` in-process: every call ends with exit code 0, 2 or 3.
+
+Payloads are drawn from the JSON grammar of each command (fields q, qi and
+fp, small matrices and polynomials, malformed scalars, booleans where
+integers belong) and from mutations of golden payloads.  No exception may
+leave `main`, and each call stays within a process-time bound.  The
+example counts are fixed and derandomized, so a run is reproducible and
+short.
+"""
+import contextlib
+import io
+import json
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ximod.cli import main
+
+FUZZ = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+CALL_BOUND_S = 2.0  # process time; the slowest drawn call takes about 0.1 s
+
+FIELDS = {"q": {"field": "q"}, "qi": {"field": "qi"},
+          "fp:2": {"field": "fp", "p": 2}, "fp:101": {"field": "fp", "p": 101}}
+# values put where they do not belong: booleans and other non-integers,
+# malformed or oversized scalars, bad field declarations
+BAD_VALUES = [True, False, None, 0, -1, 10**9, 10**30, 2.5, [], {}, [[]], "", " ", "x",
+              "1/0", "1/", "--1", "nan", "0x10", "1e5000", "1e-5i", "9" * 5000,
+              "1e100000000", {"field": "fp", "p": 4}, {"field": []}, {"re": "1"}]
+BAD_FLAGS = ["--field", "fp:4", "z", "--nope", "", "1e5000"]
+
+small = st.integers(-9, 9)
+rational = st.one_of(small, small.map(str), st.builds("{}/{}".format, small, st.integers(1, 9)))
+
+
+def scalar_text(flag):
+    """Scalars as they are written in an expression."""
+    if flag == "qi":
+        return st.one_of(rational.map(str), st.builds("{}{:+d}i".format, small, small))
+    return rational.map(str) if flag == "q" else small.map(str)
+
+
+def scalar_json(flag):
+    if flag == "qi":
+        return st.one_of(scalar_text(flag), st.builds(lambda re, im: {"re": re, "im": im},
+                                                      rational.map(str), rational.map(str)))
+    return st.one_of(scalar_text(flag), small)
+
+
+def poly_json(flag):
+    return st.lists(scalar_json(flag), max_size=3)
+
+
+@st.composite
+def grid(draw, flag, entry, rows, cols):
+    return {**FIELDS[flag], "rows": rows, "cols": cols,
+            "entries": [[draw(entry) for _ in range(cols)] for _ in range(rows)]}
+
+
+@st.composite
+def well_formed_command(draw):
+    """(argv, payload) of one command, valid over a drawn field; payload is
+    None for commands that read no input."""
+    flag = draw(st.sampled_from(sorted(FIELDS)))
+    field_flag = draw(st.sampled_from([[], ["--field", flag]]))
+    s, n, m = scalar_json(flag), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pair = {"A": draw(grid(flag, s, n, n)), "B": draw(grid(flag, s, m, m))}
+
+    def expression():
+        def vector(k):
+            return "[" + ",".join(draw(scalar_text(flag)) for _ in range(k)) + "]"
+        return "; ".join(f"({vector(n)},{vector(m)})" for _ in range(draw(st.integers(1, 3))))
+
+    name = draw(st.sampled_from(["snf", "operator", "presentation", "standard", "opair",
+                                 "subring", "branching", "scalar-a", "equiv", "equiv-opair",
+                                 "schmidt", "demo"]))
+    decompose = draw(st.sampled_from([[], ["--primary"]]))
+    if name == "snf":
+        return ["snf", *field_flag], draw(grid(flag, poly_json(flag), n, m))
+    if name == "operator":
+        return ["decompose", *decompose], {"operator": pair["A"]}
+    if name == "presentation":
+        payload = {"presentation": draw(grid(flag, poly_json(flag), n, m))}
+        if draw(st.booleans()):
+            payload["generators"] = n
+        return ["decompose", *decompose, *field_flag], payload
+    if name == "standard":
+        return ["tensor", "--kind", name, *field_flag], {**FIELDS[flag], "n": n, "m": m}
+    if name in ("opair", "subring", "branching"):
+        polys = {"opair": (), "subring": ("p",), "branching": ("phi", "psi")}[name]
+        pair.update((key, draw(poly_json(flag))) for key in polys)
+        if name == "opair" and decompose:
+            field_flag.append("--decompose")
+        return ["tensor", "--kind", name, *field_flag], pair
+    if name == "scalar-a":
+        a = draw(scalar_text(flag))
+        return ["tensor", "--kind", "branching", "--field", flag, f"--scalar-a={a}"], None
+    if name == "equiv":
+        return ["equiv", "--rules", "standard", "--field", flag,
+                "--lhs", expression(), "--rhs", expression()], None
+    if name == "equiv-opair":
+        return ["equiv", "--rules", "opair", *field_flag,
+                "--lhs", expression(), "--rhs", expression()], pair
+    if name == "schmidt":
+        coords = [draw(s) for _ in range(n * m)]
+        return ["schmidt", *field_flag], {**FIELDS[flag], "n": n, "m": m, "coords": coords}
+    extra = draw(st.sampled_from([[], ["--random"], ["--random", "--seed", "5"]]))
+    return ["demo", draw(st.sampled_from(["example61", "branching", "register"])), *extra], None
+
+
+# payloads of the CLI goldens and README examples, to be mutated
+GOLDENS = [
+    (["snf"], {"field": "q", "rows": 2, "cols": 2,
+               "entries": [[["0", "1"], ["0"]], [["0"], ["0", "0", "1"]]]}),
+    (["decompose", "--primary"], {"operator": {"field": "q", "rows": 2, "cols": 2,
+                                               "entries": [["1", "0"], ["0", "1"]]}}),
+    (["decompose"], {"presentation": {"field": "q", "rows": 2, "cols": 1,
+                                      "entries": [[["0", "1"]], [["0", "1"]]]}}),
+    (["tensor", "--kind", "standard"], {"field": "q", "n": 2, "m": 2}),
+    (["tensor", "--kind", "opair", "--decompose"],
+     {"A": {"field": "q", "rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "2"]]},
+      "B": {"field": "q", "rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "3"]]}}),
+    (["tensor", "--kind", "subring"],
+     {"A": {"field": "fp", "p": 5, "rows": 2, "cols": 2, "entries": [["1", "1"], ["0", "2"]]},
+      "B": {"field": "fp", "p": 5, "rows": 1, "cols": 1, "entries": [["3"]]},
+      "p": ["0", "0", "1"]}),
+    (["tensor", "--kind", "branching"],
+     {"A": {"field": "qi", "rows": 1, "cols": 1, "entries": [[{"re": "1", "im": "1/2"}]]},
+      "B": {"field": "qi", "rows": 2, "cols": 2, "entries": [["0", "i"], ["1", "0"]]},
+      "phi": ["0", "1"], "psi": [{"re": "0", "im": "1"}, "1"]}),
+    (["equiv", "--rules", "opair", "--lhs", "([2,3],[1,1])", "--rhs", "([1,1],[2,5])"],
+     {"A": {"field": "q", "rows": 2, "cols": 2, "entries": [["2", "0"], ["0", "3"]]},
+      "B": {"field": "q", "rows": 2, "cols": 2, "entries": [["2", "0"], ["0", "5"]]}}),
+    (["schmidt"], {"field": "q", "n": 2, "m": 2, "coords": ["1", "0", "0", "1"]}),
+]
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        return
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def faulty(draw, argv, payload):
+    """(argv, payload) with one fault: a payload value replaced or a key
+    dropped, the JSON text cut short or spliced, or an argument replaced."""
+    payload = json.loads(json.dumps(payload))  # a copy to edit
+    how = draw(st.sampled_from(["replace", "replace", "drop", "text", "argv"]))
+    if how == "argv" or payload is None:
+        k = draw(st.integers(1, len(argv) - 1)) if len(argv) > 1 else 0
+        return [*argv[:k], draw(st.sampled_from(BAD_FLAGS)), *argv[k + 1:]], payload
+    if how == "text":
+        text = json.dumps(payload)
+        k = draw(st.integers(0, len(text)))
+        return argv, text[:k] + draw(st.sampled_from(["", "[", "}", ",", "true", '"1e5000"']))
+    path = draw(st.sampled_from(list(_paths(payload))[1:]))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    if how == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(BAD_VALUES))
+    return argv, payload
+
+
+@pytest.fixture(scope="module")
+def payload_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "payload.json"
+
+
+def _call(argv, payload, payload_file) -> int:
+    """Run `main`; check the exit code, the streams and the time bound."""
+    if payload is not None:
+        payload_file.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        argv = [*argv, "--input", str(payload_file)]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.process_time()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    elapsed = time.process_time() - start
+    assert code in (0, 2, 3), (argv, payload, code, err.getvalue())
+    assert elapsed < CALL_BOUND_S, (argv, payload, elapsed)
+    # a report on stdout exactly on success, a message on stderr otherwise
+    assert (bool(out.getvalue()), bool(err.getvalue())) == (code == 0, code != 0), (argv, payload)
+    return code
+
+
+@FUZZ
+@given(data=st.data(), json_flag=st.sampled_from([[], ["--json"]]))
+def test_drawn_commands_exit_cleanly(payload_file, data, json_flag):
+    argv, payload = data.draw(well_formed_command())
+    assert _call([*argv, *json_flag], payload, payload_file) == 0, (argv, payload)
+    argv, payload = data.draw(faulty(argv, payload))
+    _call([*argv, *json_flag], payload, payload_file)
+
+
+@FUZZ
+@given(data=st.data(), json_flag=st.sampled_from([[], ["--json"]]))
+def test_mutated_goldens_exit_cleanly(payload_file, data, json_flag):
+    argv, payload = data.draw(faulty(*data.draw(st.sampled_from(GOLDENS))))
+    _call([*argv, *json_flag], payload, payload_file)

@@ -24,6 +24,7 @@ from ximod import (
     sylvester_operator,
     unit_vector,
 )
+from ximod.matrix import Echelon
 from oracles import (
     naive_charpoly,
     rand_big_scalar,
@@ -114,7 +115,7 @@ def test_rref_and_coset_map_match_sympy(field):
         for _ in range(3):
             v = rand_vector(field, n * m, rng)
             r = W.reduce(v)
-            assert all(r[pivot].is_zero for pivot in W.echelon.pivot_columns)
+            assert all(r[pivot].is_zero for pivot in W.basis.pivots)
             d = to_sympy(Matrix(field, ((a - b,) for a, b in zip(v, r)), (n * m, 1)))
             assert G.hstack(d).rank() == G.rank()
 
@@ -157,15 +158,41 @@ def test_rref_and_coset_map_are_exact_on_large_entries(field):
             assert to_sympy(res.reduced) == reduced
             assert res.pivot_columns == tuple(pivots)
             # the coset map: v - sum_i v[p_i] R_i, R the reduced rows
+            ech = Echelon(field)
+            for row in M.entries:
+                ech.push(ech.reduce(row)[0])
             k = len(pivots)
             for v in (rand_vector(field, M.cols, rng), [rand_big_scalar(field, rng)
                                                        for _ in range(M.cols)]):
-                r = Matrix(field, [res.basis.reduce(v)])
+                r = Matrix(field, [ech.box(*ech.reduce(v))])
                 expected = to_sympy(Matrix(field, [v]))
                 if k:
                     coeffs = to_sympy(Matrix(field, [[v[q] for q in pivots]]))
                     expected = expected - coeffs.matmul(reduced.extract(range(k), range(M.cols)))
                 assert to_sympy(r) == expected
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, QI, PrimeField(2), PrimeField(3), PrimeField(101)],
+    ids=["q", "qi", "fp2", "fp3", "fp101"],
+)
+def test_echelon_push_of_a_zero_vector_adds_no_pivot(field):
+    rng = random.Random(f"zero-push-{field.describe()}")
+    ech = Echelon(field)
+    zero = [field.zero()] * 4
+    w, _ = ech.reduce(zero)
+    assert ech.leading(w) is None
+    ech.push(w)
+    assert (ech.pivots, ech.rows) == ([], [])
+    v = rand_vector(field, 4, rng, nonzero=True)
+    ech.push(ech.reduce(v)[0])
+    state = ([*ech.pivots], repr(ech.rows), ech.D)
+    c = rand_scalar(field, rng, nonzero=True)
+    for u in (zero, v, [c * a for a in v]):  # all reduce to zero
+        w, _ = ech.reduce(u)
+        assert ech.leading(w) is None
+        ech.push(w)
+        assert ([*ech.pivots], repr(ech.rows), ech.D) == state
 
 
 def test_kernel_basis_cases():

@@ -147,6 +147,24 @@ def test_projection_kills_exactly_the_subspace():
             assert not project_to_quotient(t, W).is_zero
 
 
+@pytest.mark.parametrize("field", [QQ, QI, F5], ids=["q", "qi", "fp5"])
+def test_readers_leave_the_relation_basis_unchanged(field):
+    # reduce, contains, the coset map and the projection only read W.basis
+    rng = random.Random(f"readers-{field.describe()}")
+    for _ in range(3):
+        A = rand_matrix(field, 3, 3, rng)
+        W = relation_subspace(OperatorPairKind(A, A), 3, 3)  # quotient dim >= 3
+        state = ([*W.basis.pivots], [repr(r) for r in W.basis.rows], W.basis.D)
+        for _ in range(3):
+            v = rand_vector(field, 9, rng)
+            W.reduce(v)
+            W.contains(v)
+            W.coset_coordinates([v, v])
+            project_to_quotient(TensorElement(field, 3, 3, v), W)
+            induced_operator(W)
+        assert ([*W.basis.pivots], [repr(r) for r in W.basis.rows], W.basis.D) == state
+
+
 def test_projection_is_linear():
     rng = random.Random(73)
     A = rand_matrix(QQ, 2, 2, rng)
