@@ -772,10 +772,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_scalar_a(argv) -> list[str]:
+    """`--scalar-a VALUE` as `--scalar-a=VALUE` when VALUE starts with a
+    single '-': argparse reads "-1/2", "-i" or "-2+3i" as an option, since
+    only plain negative numbers pass as values."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--scalar-a" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_scalar_a(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -229,18 +229,33 @@ class EchelonResult:
     rank: int
 
 
+def lift(field: Field, values) -> tuple[list, int]:
+    """(u, L) with values = u / L for raw values over K: u holds ints over Q,
+    Gaussian-integer pairs over Q(i), residues over F_p (L = 1), and L is
+    the lcm of the denominators.  `Echelon.box` is the way back."""
+    if field.characteristic:
+        return list(values), 1
+    if isinstance(field, GaussianRationals):
+        L = lcm(*(x.denominator for pair in values for x in pair))
+        return [(a.numerator * (L // a.denominator), b.numerator * (L // b.denominator))
+                for a, b in values], L
+    L = lcm(*(x.denominator for x in values))
+    return [x.numerator * (L // x.denominator) for x in values], L
+
+
 class Echelon:
     """The one row elimination over K: fraction-free Gauss–Jordan on integral
     rows (Bareiss, Math. Comp. 22, 1968; Geddes, Czapor & Labahn,
     *Algorithms for Computer Algebra*, ch. 9).
 
-    Over Q a row is a list of ints, each input's denominators cleared once;
-    over Q(i) a Gaussian-integer row is a pair (re, im) of int lists; over
-    F_p a list of residues.  Every row equals D at its own pivot and zero at
-    every other pivot, D being the latest pivot value (over F_p, D = 1), so
-    each entry is a minor of the cleared inputs and every division in `push`
-    is exact.  All vectors given to one `Echelon` have the same length.
-    `reduce` gives (w, den) with w integral; only `box` takes w back to K.
+    Over Q a row is a list of ints; over Q(i) a Gaussian-integer row is a
+    pair (re, im) of int lists; over F_p a list of residues.  Each input
+    comes in through `lift`, its denominators cleared once.  Every row
+    equals D at its own pivot and zero at every other pivot, D being the
+    latest pivot value (over F_p, D = 1), so each entry is a minor of the
+    cleared inputs and every division in `push` is exact.  All vectors
+    given to one `Echelon` have the same length.  `reduce` gives (w, den)
+    with w integral; only `box` takes w back to K.
     """
 
     def __init__(self, field: Field):
@@ -256,15 +271,10 @@ class Echelon:
         field = self.field
         if any(a.field is not field and a.field != field for a in v):
             raise TagMismatch("vector and echelon over different fields")
-        vals = [a.value for a in v]
+        u, L = lift(field, [a.value for a in v])
         D, p = self.D, field.characteristic
         if isinstance(D, tuple):
-            return self._reduce_gaussian(vals)
-        if p:
-            u, L = vals, 1
-        else:
-            L = lcm(*(x.denominator for x in vals))
-            u = [x.numerator * (L // x.denominator) for x in vals]
+            return self._reduce_gaussian(u, L)
         w = [D * a for a in u] if D != 1 else u
         for q, r in zip(self.pivots, self.rows):
             f = u[q]
@@ -272,15 +282,12 @@ class Echelon:
                 w = [a - f * b for a, b in zip(w, r)]
         return ([a % p for a in w] if p else w), D * L
 
-    def _reduce_gaussian(self, vals):
-        L = lcm(*(x.denominator for pair in vals for x in pair))
-        ur = [x.numerator * (L // x.denominator) for x, _ in vals]
-        ui = [y.numerator * (L // y.denominator) for _, y in vals]
+    def _reduce_gaussian(self, u, L):
         dr, di = self.D
-        wr = [dr * a - di * b for a, b in zip(ur, ui)]
-        wi = [dr * b + di * a for a, b in zip(ur, ui)]
+        wr = [dr * a - di * b for a, b in u]
+        wi = [dr * b + di * a for a, b in u]
         for q, (rr, ri) in zip(self.pivots, self.rows):
-            fr, fi = ur[q], ui[q]
+            fr, fi = u[q]
             if fr or fi:
                 wr = [a - fr * c + fi * d for a, c, d in zip(wr, rr, ri)]
                 wi = [b - fr * d - fi * c for b, c, d in zip(wi, rr, ri)]

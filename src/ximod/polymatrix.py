@@ -10,10 +10,11 @@ U @ P @ V = D holds exactly throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import NonSquare
 from .fields import Field, Scalar
-from .matrix import DenseMatrix, Matrix
+from .matrix import DenseMatrix, Matrix, lift
 from .poly import Poly
 
 
@@ -90,69 +91,38 @@ class PolyMatrix(DenseMatrix):
 
 
 def charpoly(A: Matrix) -> Poly:
-    """Characteristic polynomial det(x*I - A), monic, in O(n^3) operations
-    over K and none over K[x].
+    """Characteristic polynomial det(x*I - A), monic, by Berkowitz's
+    division-free algorithm (Inf. Process. Lett. 18, 1984) on the integral
+    lift L*A, in O(n^4) ring operations.
 
-    A is first reduced to upper Hessenberg form H by a similarity over K.
-    Column by column, the subdiagonal entry is the pivot; when it is zero, the
-    first row below it with a nonzero entry in that column is swapped up,
-    together with the matching column.  Multiples of the pivot row clear the
-    entries below it, and the inverse column operations keep H similar to A.
-    Then p_0 = 1 and
-
-        p_m = (x - h_mm) p_{m-1}
-              - sum_{i<m} (h_{m,m-1} ... h_{m-i+1,m-i}) h_{m-i,m} p_{m-i-1}
-
-    give p_n = det(x*I - H) (Cohen, *A Course in Computational Algebraic
-    Number Theory*, Alg. 2.2.9).  The CLI uses it to check invariant factors,
-    so it shares no code with their Krylov computation.
+    With A_k the leading k x k block of A_(k+1) = [[A_k, c], [r, a]],
+    det(x*I - A_(k+1)) is the Toeplitz product of (1, -a, -r c, -r A_k c,
+    ..., -r A_k^(k-1) c) with det(x*I - A_k), coefficients leading first.
+    Only ring operations run, so one path serves ints, Gaussian-integer
+    pairs and residues; the coefficient at x^j of det(x*I - L*A) is then
+    divided by L^(n-j).  The CLI uses it to check invariant factors, so it
+    shares no elimination with their Krylov computation.
     """
     if not A.is_square:
         raise NonSquare("characteristic matrix needs a square operator")
     field, n = A.field, A.rows
-    zero, one = field.zero(), field.one()
-    H = [list(row) for row in A.entries]
-    for m in range(1, n - 1):
-        pivot = next((i for i in range(m, n) if not H[i][m - 1].is_zero), None)
-        if pivot is None:
-            continue
-        if pivot != m:
-            H[m], H[pivot] = H[pivot], H[m]
-            for row in H:
-                row[m], row[pivot] = row[pivot], row[m]
-        inv = H[m][m - 1].inv()
-        for i in range(m + 1, n):
-            u = H[i][m - 1] * inv
-            if u.is_zero:
-                continue
-            # row_i -= u * row_m, then col_m += u * col_i; both rows are zero
-            # left of column m - 1
-            row_i, row_m = H[i], H[m]
-            for j in range(m - 1, n):
-                if not row_m[j].is_zero:
-                    row_i[j] = row_i[j] - u * row_m[j]
-            for row in H:
-                if not row[i].is_zero:
-                    row[m] = row[m] + u * row[i]
-    # p[m] holds the coefficients of p_m, lowest degree first
-    p = [[one]]
-    for m in range(n):
-        h = H[m][m]
-        nxt = [zero] + p[m]
-        if not h.is_zero:
-            for k, c in enumerate(p[m]):
-                nxt[k] = nxt[k] - h * c
-        t = one
-        for i in range(1, m + 1):
-            t = t * H[m - i + 1][m - i]
-            if t.is_zero:
-                break
-            c = t * H[m - i][m]
-            if not c.is_zero:
-                for k, a in enumerate(p[m - i]):
-                    nxt[k] = nxt[k] - c * a
-        p.append(nxt)
-    return Poly(field, p[n])
+    add, mul, neg = field.raw_add, field.raw_mul, field.raw_neg
+    u, L = lift(field, [a.value for row in A.entries for a in row])
+    M = [u[i * n : (i + 1) * n] for i in range(n)]
+    (one,), _ = lift(field, [field.one().value])  # 1 as an int, a pair or a residue
+    p = [one]
+    for k in range(n):  # r = M[k][:k], c = [M[i][k] for i < k], a = M[k][k]
+        t, v = [one, neg(M[k][k])], [M[i][k] for i in range(k)]
+        for _ in range(k):
+            t.append(neg(reduce(add, map(mul, M[k], v))))
+            v = [reduce(add, map(mul, M[i], v)) for i in range(k)]
+        p = [reduce(add, map(mul, t[j::-1], p)) for j in range(k + 2)]
+    coeffs = [field.scalar(c) for c in p]
+    if L != 1:  # coeffs[m] is at x^(n-m) of det(x*I - L*A)
+        inv = field.from_int(L).inv()
+        for m in range(1, n + 1):
+            coeffs[m] = coeffs[m] * inv**m
+    return Poly(field, coeffs[::-1])
 
 
 @dataclass(frozen=True)

@@ -310,7 +310,8 @@ def induced_surjection(source: RelationSubspace, target: RelationSubspace) -> Ma
     """
     if (source.n, source.m, source.field) != (target.n, target.m, target.field):
         raise DimensionMismatch("subspaces live on different coordinate spaces")
-    if not target.coset_coordinates(source.generator_matrix.transpose().entries).is_zero:
+    generators = sylvester_columns(*source.kind.operators(source.n, source.m))
+    if not target.coset_coordinates(generators).is_zero:
         raise DimensionMismatch("source relations are not contained in the target relations")
     return target.coset_coordinates(
         unit_vector(source.field, source.n * source.m, j) for j in source.canonical_indices

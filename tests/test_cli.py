@@ -478,6 +478,23 @@ def test_tensor_scalar_a_shortcut(capsys):
     assert json.loads(out)["quotient_dim"] == 1
 
 
+@pytest.mark.parametrize(
+    "field, value", [("q", "-1/2"), ("qi", "-i"), ("qi", "-2+3i"), ("fp:7", "-3")]
+)
+def test_tensor_scalar_a_takes_values_that_start_with_a_minus(capsys, field, value):
+    argv = ["tensor", "--kind", "branching", "--field", field, "--json"]
+    joined = run_main(capsys, [*argv, f"--scalar-a={value}"])
+    assert joined[0] == 0
+    assert run_main(capsys, [*argv, "--scalar-a", value]) == joined
+
+
+def test_tensor_scalar_a_without_a_value_exits_two(capsys):
+    code, out, err = run_main(capsys, ["tensor", "--kind", "branching", "--scalar-a"])
+    assert code == 2
+    assert out == ""
+    assert "expected one argument" in err
+
+
 @pytest.mark.parametrize("literal", ["x", "1e5000", "1e10000000"])
 def test_tensor_scalar_a_rejects_bad_literals_quickly(capsys, literal):
     start = time.perf_counter()

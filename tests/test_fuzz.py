@@ -95,7 +95,7 @@ def well_formed_command(draw):
         return ["tensor", "--kind", name, *field_flag], pair
     if name == "scalar-a":
         a = draw(scalar_text(flag))
-        return ["tensor", "--kind", "branching", "--field", flag, f"--scalar-a={a}"], None
+        return ["tensor", "--kind", "branching", "--field", flag, "--scalar-a", a], None
     if name == "equiv":
         return ["equiv", "--rules", "standard", "--field", flag,
                 "--lhs", expression(), "--rhs", expression()], None

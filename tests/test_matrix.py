@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -24,7 +26,7 @@ from ximod import (
     sylvester_operator,
     unit_vector,
 )
-from ximod.matrix import Echelon
+from ximod.matrix import Echelon, lift
 from oracles import (
     naive_charpoly,
     rand_big_scalar,
@@ -170,6 +172,25 @@ def test_rref_and_coset_map_are_exact_on_large_entries(field):
                     coeffs = to_sympy(Matrix(field, [[v[q] for q in pivots]]))
                     expected = expected - coeffs.matmul(reduced.extract(range(k), range(M.cols)))
                 assert to_sympy(r) == expected
+
+
+def test_lift_clears_denominators_by_their_lcm():
+    F = Fraction
+    assert lift(QQ, [F(1, 2), F(-3, 4), F(5), F(0)]) == ([2, -3, 20, 0], 4)
+    # the only denominator is in an imaginary part
+    assert lift(QI, [(F(3), F(1, 6)), (F(2), F(0))]) == ([(18, 1), (12, 0)], 6)
+    assert lift(QI, [(F(1, 4), F(-5, 6))]) == ([(3, -10)], 12)
+    assert lift(PrimeField(7), [3, 0, 6]) == ([3, 0, 6], 1)
+    for field in (QQ, QI, PrimeField(7)):
+        assert lift(field, []) == ([], 1)
+    rng = random.Random("lift")
+    for field in (QQ, QI):
+        values = [rand_big_scalar(field, rng).value for _ in range(6)]
+        u, L = lift(field, values)
+        if field is QI:
+            values, u = [x for pair in values for x in pair], [a for pair in u for a in pair]
+        assert L == lcm(*(x.denominator for x in values))
+        assert [F(a, L) for a in u] == values
 
 
 @pytest.mark.parametrize(

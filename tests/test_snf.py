@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from oracles import (
     krylov_minimal_polynomial,
     naive_charpoly,
     naive_poly_det,
+    rand_big_scalar,
     rand_invertible,
     rand_matrix,
     rand_poly,
@@ -200,9 +202,11 @@ def test_charpoly_of_dense_16x16_runs_in_polynomial_time():
 
 
 def _charpoly_cases(field, rng):
-    """Matrices whose subdiagonal vanishes partway through the Hessenberg
-    reduction, one whose first pivot needs a row and column swap, and dense
-    and sparse random ones."""
+    """Matrices with vanishing subdiagonals and singular leading blocks, on
+    which a reduction that divides by pivots must swap or skip, one whose
+    first subdiagonal pivot needs a row and column swap, dense and sparse
+    random ones, and over Q and Q(i) dense ones with 20-30 digit numerators
+    over denominators up to 10^6, so that the integral lift has L > 1."""
     zero, one = field.zero(), field.one()
 
     def grid(n, entry):
@@ -225,7 +229,8 @@ def _charpoly_cases(field, rng):
 
     def permuted(M):
         # P M P^-1 for a random permutation P keeps the spectrum but moves
-        # the zero blocks to where the reduction meets them midway
+        # the zero blocks to where a reduction or a leading block meets them
+        # midway
         order = list(range(M.rows))
         rng.shuffle(order)
         return grid(M.rows, lambda i, j: M.entries[order[i]][order[j]])
@@ -258,6 +263,9 @@ def _charpoly_cases(field, rng):
         cases.append(block_upper(B, C))
         cases.append(permuted(block_upper(B, C)))
         cases.append(permuted(direct_sum(B, C, jordan(2, zero))))
+    if not field.characteristic:
+        for n in range(1, 7):
+            cases.append(grid(n, lambda i, j: rand_big_scalar(field, rng)))
     return cases
 
 
@@ -280,8 +288,7 @@ def test_charpoly_matches_naive_and_sympy(field):
 
 
 def test_charpoly_of_dense_32x32_over_q_runs_in_polynomial_time():
-    # Bareiss over Q[x] took about 39 s of process time on a 2-vCPU VM;
-    # Hessenberg over Q takes about 1.4 s
+    # Bareiss over Q[x] took about 39 s of process time on a 2-vCPU VM
     rng = random.Random(32)
     A = Matrix.from_ints(QQ, [[rng.randint(-9, 9) for _ in range(32)] for _ in range(32)])
     start = time.process_time()
@@ -294,6 +301,32 @@ def test_charpoly_of_dense_32x32_over_q_runs_in_polynomial_time():
         T = Matrix.identity(QQ, 32).scale(t) - A
         det = PolyMatrix(QQ, ((Poly.constant(e) for e in row) for row in T.entries)).determinant()
         assert det == Poly.constant(p.eval(t))
+
+
+@pytest.mark.parametrize("field, n", [(QQ, 40), (QI, 24)], ids=["q", "qi"])
+def test_dense_charpoly_runs_in_polynomial_time(field, n):
+    # entries in [-9, 9] over Q, fractions with denominators up to 9 in both
+    # parts over Q(i); a Hessenberg similarity over boxed Fractions took
+    # about 4.7 s and 10.5 s of process time on a 2-vCPU VM
+    pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(f"dense-charpoly-{field.describe()}")
+
+    def entry():
+        if field is QQ:
+            return QQ.from_int(rng.randint(-9, 9))
+        re, im = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+        return QI.scalar((re, im))
+
+    A = Matrix(field, [[entry() for _ in range(n)] for _ in range(n)])
+    start = time.process_time()
+    p = charpoly(A)
+    assert time.process_time() - start < 1
+    domain, convert = sympy_domain(field)
+    entries = [[convert(a) for a in row] for row in A.entries]
+    expected = DomainMatrix(entries, (n, n), domain).charpoly()
+    assert [convert(a) for a in reversed(p.coeffs)] == expected
 
 
 def test_determinism():
