@@ -3,7 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import (
     ConstantPolynomial,
@@ -232,7 +233,7 @@ class EchelonResult:
 def lift(field: Field, values) -> tuple[list, int]:
     """(u, L) with values = u / L for raw values over K: u holds ints over Q,
     Gaussian-integer pairs over Q(i), residues over F_p (L = 1), and L is
-    the lcm of the denominators.  `Echelon.box` is the way back."""
+    the lcm of the denominators.  `_box` is the way back."""
     if field.characteristic:
         return list(values), 1
     if isinstance(field, GaussianRationals):
@@ -243,6 +244,58 @@ def lift(field: Field, values) -> tuple[list, int]:
     return [x.numerator * (L // x.denominator) for x in values], L
 
 
+def _box(field: Field, u, L: int) -> list[Scalar]:
+    """u / L over K for lifted values u and an integer L, the inverse of
+    `lift`; over F_p, L = 1 and u holds residues."""
+    if field.characteristic:
+        return [Scalar(field, a) for a in u]
+    zero = field.zero()
+    if isinstance(field, GaussianRationals):
+        return [Scalar(field, (Fraction(a, L), Fraction(b, L))) if a or b else zero
+                for a, b in u]
+    return [Scalar(field, Fraction(a, L)) if a else zero for a in u]
+
+
+class _Lifted:
+    """Products on lifted values (see `lift`): ints over Q, Gaussian-integer
+    pairs over Q(i), residues over F_p.  Every product is built from `dot`,
+    and over F_p each inner product is reduced mod p once, not term by term.
+    Sums and negations need no helper: the field's `raw_add` and `raw_neg`
+    take lifted values as they are."""
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.p = field.characteristic
+        self.gaussian = isinstance(field, GaussianRationals)
+        self.zero, self.one = self.of_int(0), self.of_int(1)
+
+    def of_int(self, k: int):
+        """The integer k as a lifted value."""
+        if self.gaussian:
+            return k, 0
+        return k % self.p if self.p else k
+
+    def rows(self, A: "Matrix") -> tuple[list[list], int]:
+        """(M, d) with A = M / d, M a list of lifted rows."""
+        u, d = lift(self.field, [a.value for row in A.entries for a in row])
+        return [u[i * A.cols : (i + 1) * A.cols] for i in range(A.rows)], d
+
+    def dot(self, x, y):
+        """sum_i x[i] y[i] over the shorter of x and y."""
+        if self.gaussian:
+            re = im = 0
+            for (a, b), (c, d) in zip(x, y):
+                re += a * c - b * d
+                im += a * d + b * c
+            return re, im
+        s = sum(map(mul, x, y))
+        return s % self.p if self.p else s
+
+    def matmul(self, X, Y) -> list[list]:
+        cols = list(zip(*Y))
+        return [[self.dot(row, col) for col in cols] for row in X]
+
+
 class Echelon:
     """The one row elimination over K: fraction-free Gauss–Jordan on integral
     rows (Bareiss, Math. Comp. 22, 1968; Geddes, Czapor & Labahn,
@@ -250,12 +303,13 @@ class Echelon:
 
     Over Q a row is a list of ints; over Q(i) a Gaussian-integer row is a
     pair (re, im) of int lists; over F_p a list of residues.  Each input
-    comes in through `lift`, its denominators cleared once.  Every row
-    equals D at its own pivot and zero at every other pivot, D being the
-    latest pivot value (over F_p, D = 1), so each entry is a minor of the
-    cleared inputs and every division in `push` is exact.  All vectors
-    given to one `Echelon` have the same length.  `reduce` gives (w, den)
-    with w integral; only `box` takes w back to K.
+    comes in as a lift (u, L), its denominators cleared once: `reduce`
+    lifts a vector over K, `reduce_lifted` takes one lifted already.
+    Every row equals D at its own pivot and zero at every other pivot, D
+    being the latest pivot value (over F_p, D = 1), so each entry is a
+    minor of the cleared inputs and every division in `push` is exact.
+    All vectors given to one `Echelon` have the same length.  `reduce`
+    gives (w, den) with w integral; only `box` takes w back to K.
     """
 
     def __init__(self, field: Field):
@@ -265,14 +319,26 @@ class Echelon:
         self.D = (1, 0) if isinstance(field, GaussianRationals) else 1
 
     def reduce(self, v):
-        """(w, D L) with w = D u - sum_i u[p_i] r_i for u = L v integral, so
-        that w / (D L) is the vector of v + (row space) that is zero at every
-        pivot.  The coefficients are read from u, not from the partly reduced w."""
+        """`reduce_lifted` of the lift of v."""
         field = self.field
         if any(a.field is not field and a.field != field for a in v):
             raise TagMismatch("vector and echelon over different fields")
-        u, L = lift(field, [a.value for a in v])
-        D, p = self.D, field.characteristic
+        return self.reduce_lifted(*lift(field, [a.value for a in v]))
+
+    def reduce_lifted(self, u, L: int):
+        """(w, D L) with w = D u - sum_i u[p_i] r_i for the lift (u, L) of a
+        vector v = u / L, so that w / (D L) is the vector of v + (row space)
+        that is zero at every pivot.  The coefficients are read from u, not
+        from the partly reduced w.  A lift whose L shares a factor with all
+        of u is first put in lowest terms, as `lift` would give it: a
+        scaled lift would carry that factor into every later pivot."""
+        D, p = self.D, self.field.characteristic
+        if L != 1:
+            pairs = isinstance(D, tuple)
+            g = gcd(L, *(x for a in u for x in a)) if pairs else gcd(L, *u)
+            if g != 1:
+                L //= g
+                u = [(a // g, b // g) for a, b in u] if pairs else [a // g for a in u]
         if isinstance(D, tuple):
             return self._reduce_gaussian(u, L)
         w = [D * a for a in u] if D != 1 else u
@@ -300,24 +366,17 @@ class Echelon:
         return next((i for i, a in enumerate(w) if a), None)
 
     def box(self, w, den, indices=None) -> list[Scalar]:
-        """w / den over K, at `indices` if given; den is (re, im) over Q(i)."""
-        field = self.field
-        zero = field.zero()
+        """w / den over K, at `indices` if given; den is (re, im) over Q(i),
+        where (a + bi) / den = (a + bi) conj(den) / |den|^2."""
         if isinstance(den, tuple):
             w = list(zip(*w))
         if indices is not None:
             w = [w[t] for t in indices]
-        if field.characteristic:  # den = 1
-            return [Scalar(field, a) for a in w]
-        if isinstance(den, int):
-            return [Scalar(field, Fraction(a, den)) if a else zero for a in w]
-        dr, di = den
-        n2 = dr * dr + di * di
-        return [
-            Scalar(field, (Fraction(a * dr + b * di, n2), Fraction(b * dr - a * di, n2)))
-            if a or b else zero
-            for a, b in w
-        ]
+        if isinstance(den, tuple):
+            dr, di = den
+            w = [(a * dr + b * di, b * dr - a * di) for a, b in w]
+            den = dr * dr + di * di
+        return _box(self.field, w, den)
 
     def push(self, w) -> None:
         """Append w from the latest `reduce`; zero adds nothing.  With D' = w[q],
@@ -478,33 +537,39 @@ def companion_matrix(p: Poly) -> Matrix:
 
 
 def poly_eval_operator(pi: Poly, A: Matrix) -> Matrix:
-    """Evaluate a polynomial at a square matrix by Paterson–Stockmeyer.
+    """Evaluate a polynomial at a square matrix by Paterson–Stockmeyer on
+    the integral lift, boxing only the result.
 
-    For deg pi = d, s = floor(sqrt(d + 1)): the powers I, A, ..., A^s are
-    formed once, the coefficients are cut into blocks of s, and Horner's
-    rule runs in A^s over the blocks, each block being sum_j c_(ks+j) A^j.
-    That is about 2 sqrt(d) n x n products instead of d (Paterson &
-    Stockmeyer, SIAM J. Comput. 2, 1973).
+    With A = M / d and the coefficients of pi lifted to c_k / L (`lift`),
+    pi(A) = g(M) / (L d^m) for m = deg pi and g = sum_k c_k d^(m-k) x^k,
+    whose coefficients are integral.  For s = floor(sqrt(m + 1)) the powers
+    I, M, ..., M^s are formed once, the coefficients of g are cut into
+    blocks of s, and Horner's rule runs in M^s over the blocks, each block
+    being sum_j g_(ks+j) M^j.  That is about 2 sqrt(m) n x n products
+    instead of m (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973).
     """
     if not A.is_square:
         raise NonSquare("polynomial evaluation needs a square matrix")
     if pi.field != A.field:
         raise TagMismatch("polynomial and matrix fields differ")
-    field, n = A.field, A.rows
-    s = max(1, isqrt(len(pi.coeffs)))
-    powers = [Matrix.identity(field, n), A]
+    field, n, m = A.field, A.rows, pi.degree
+    if pi.is_zero:
+        return Matrix.zeros(field, n, n)
+    ring = _Lifted(field)
+    M, d = ring.rows(A)
+    c, L = lift(field, [a.value for a in pi.coeffs])
+    g = [field.raw_mul(a, ring.of_int(d ** (m - k))) for k, a in enumerate(c)]
+    s = max(1, isqrt(m + 1))
+    powers = [[[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)], M]
     while len(powers) <= s:
-        powers.append(powers[-1] @ A)
-    zero = field.zero()
-    acc = Matrix.zeros(field, n, n)
-    for k in reversed(range(0, len(pi.coeffs), s)):
-        terms = [(c, P.entries) for c, P in zip(pi.coeffs[k : k + s], powers) if not c.is_zero]
-        block = [[zero] * n for _ in range(n)]
-        for c, entries in terms:
-            for out, row in zip(block, entries):
-                for j, a in enumerate(row):
-                    if not a.is_zero:
-                        out[j] = out[j] + c * a
-        block = Matrix(field, block, (n, n))
-        acc = block if k + s >= len(pi.coeffs) else acc @ powers[s] + block
-    return acc
+        powers.append(ring.matmul(powers[-1], M))
+    # stacks[i][j] = (I[i][j], M[i][j], ..., M^s[i][j]); a block entry is one dot
+    stacks = [list(zip(*(P[i] for P in powers))) for i in range(n)]
+    add = field.raw_add
+    acc = None
+    for k in reversed(range(0, m + 1, s)):
+        block = [[ring.dot(g[k : k + s], e) for e in row] for row in stacks]
+        if acc is not None:
+            block = [list(map(add, r, b)) for r, b in zip(ring.matmul(acc, powers[s]), block)]
+        acc = block
+    return Matrix(field, (_box(field, row, L * d**m) for row in acc), (n, n))

@@ -5,8 +5,10 @@ a polynomial acts through evaluation at A.  Such a module is torsion.  Its
 invariant factors are those of x*I - A, but they are read off a smaller
 presentation: Krylov chains e, Ae, A^2 e, ... over K present the module by
 a k x k polynomial matrix, k the number of chains, and only that matrix
-goes through the Smith form.  Finitely presented modules go through the
-Smith form of their presentation matrix directly.
+goes through the Smith form.  The chains are formed on the integral lift
+A = M / d, each vector scaled by d^t, and only the relations are boxed
+back into K.  Finitely presented modules go through the Smith form of
+their presentation matrix directly.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Callable
 from .errors import DimensionMismatch, InconsistentAction, NonSquare, ZeroVector
 from .factor import factor_irreducible
 from .fields import Field
-from .matrix import Echelon, Matrix, Vector, poly_eval_operator, unit_vector
+from .matrix import Echelon, Matrix, Vector, _Lifted, poly_eval_operator, unit_vector
 from .poly import Poly
 from .polymatrix import PolyMatrix, smith_normal_form
 
@@ -147,9 +149,10 @@ def decompose_operator_module(module: OperatorModule) -> ModuleDecomposition:
 
 def _krylov_presentation(A: Matrix) -> PolyMatrix:
     """Present the module of A by Krylov chains, one `Echelon` over K in
-    O(n^3) field operations.  Krylov vector i enters it followed by e_i in
-    K^{n+1}, so a reduced vector that vanishes on its first n entries is a
-    relation, with its coefficients in the last n + 1.
+    O(n^3) ring operations on the integral lift A = M / d.  Krylov vector i
+    enters it followed by e_i in K^{n+1}, so a reduced vector that vanishes
+    on its first n entries is a relation, with its coefficients in the last
+    n + 1.
 
     Chain j runs g_j, A g_j, A^2 g_j, ... from the first unit vector g_j
     outside the span so far, until A^{d_j} g_j = sum_{i <= j} a_i(A) g_i
@@ -158,8 +161,16 @@ def _krylov_presentation(A: Matrix) -> PolyMatrix:
     K[x]^k -> K^n, e_j -> g_j is onto and kills every column, and the
     quotient by the columns has dimension deg det = sum d_j = n, so the
     columns generate all relations.
+
+    Nothing is boxed on the way: the t-th vector of a chain is d^t A^t g_j
+    = M (d^(t-1) A^(t-1) g_j), an integral matvec, and it enters the
+    `Echelon` with its whole K^(2n+1) vector scaled by d^t as the lift
+    (u, d^t).  The relation is boxed with the d^t of the vector that closes
+    its chain in its denominator, which unscales it and keeps x^{d_j} monic.
     """
     field, n = A.field, A.rows
+    ring = _Lifted(field)
+    M, d = ring.rows(A)
     echelon = Echelon(field)
     starts: list[int] = []  # index of each chain's first Krylov vector
     columns: list[list[Poly]] = []
@@ -167,13 +178,16 @@ def _krylov_presentation(A: Matrix) -> PolyMatrix:
         if len(echelon.rows) == n:
             break
         start = len(echelon.rows)
-        v = unit_vector(field, n, j)
+        v, scale = [ring.zero] * n, 1  # v = d^t A^t g_j, scale = d^t
+        v[j] = ring.one
         while True:
-            w, den = echelon.reduce(v + unit_vector(field, n + 1, len(echelon.rows)))
+            tail = [ring.zero] * (n + 1)
+            tail[len(echelon.rows)] = ring.of_int(scale)
+            w, den = echelon.reduce_lifted(v + tail, scale)
             if echelon.leading(w) >= n:
                 break
             echelon.push(w)
-            v = A.matvec(v)
+            v, scale = [ring.dot(row, v) for row in M], scale * d
         if len(echelon.rows) == start:
             continue  # e_j is already in the span
         # w says x^{d_j} g_j + sum_i (c-polynomial of chain i) g_i = 0

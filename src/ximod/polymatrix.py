@@ -10,11 +10,10 @@ U @ P @ V = D holds exactly throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import NonSquare
 from .fields import Field, Scalar
-from .matrix import DenseMatrix, Matrix, lift
+from .matrix import DenseMatrix, Matrix, _Lifted
 from .poly import Poly
 
 
@@ -98,25 +97,25 @@ def charpoly(A: Matrix) -> Poly:
     With A_k the leading k x k block of A_(k+1) = [[A_k, c], [r, a]],
     det(x*I - A_(k+1)) is the Toeplitz product of (1, -a, -r c, -r A_k c,
     ..., -r A_k^(k-1) c) with det(x*I - A_k), coefficients leading first.
-    Only ring operations run, so one path serves ints, Gaussian-integer
-    pairs and residues; the coefficient at x^j of det(x*I - L*A) is then
-    divided by L^(n-j).  The CLI uses it to check invariant factors, so it
-    shares no elimination with their Krylov computation.
+    Only ring operations run, all inner products through `matrix._Lifted`,
+    so one path serves ints, Gaussian-integer pairs and residues, and over
+    F_p each inner product is reduced once; the coefficient at x^j of
+    det(x*I - L*A) is then divided by L^(n-j).  The CLI uses it to check
+    invariant factors, so it shares no elimination with their Krylov
+    computation.
     """
     if not A.is_square:
         raise NonSquare("characteristic matrix needs a square operator")
     field, n = A.field, A.rows
-    add, mul, neg = field.raw_add, field.raw_mul, field.raw_neg
-    u, L = lift(field, [a.value for row in A.entries for a in row])
-    M = [u[i * n : (i + 1) * n] for i in range(n)]
-    (one,), _ = lift(field, [field.one().value])  # 1 as an int, a pair or a residue
-    p = [one]
+    ring, neg = _Lifted(field), field.raw_neg
+    M, L = ring.rows(A)
+    p = [ring.one]
     for k in range(n):  # r = M[k][:k], c = [M[i][k] for i < k], a = M[k][k]
-        t, v = [one, neg(M[k][k])], [M[i][k] for i in range(k)]
+        t, v = [ring.one, neg(M[k][k])], [M[i][k] for i in range(k)]
         for _ in range(k):
-            t.append(neg(reduce(add, map(mul, M[k], v))))
-            v = [reduce(add, map(mul, M[i], v)) for i in range(k)]
-        p = [reduce(add, map(mul, t[j::-1], p)) for j in range(k + 2)]
+            t.append(neg(ring.dot(M[k], v)))
+            v = [ring.dot(M[i], v) for i in range(k)]
+        p = [ring.dot(t[j::-1], p) for j in range(k + 2)]
     coeffs = [field.scalar(c) for c in p]
     if L != 1:  # coeffs[m] is at x^(n-m) of det(x*I - L*A)
         inv = field.from_int(L).inv()

@@ -13,7 +13,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ximod.cli import main
@@ -201,6 +201,20 @@ def test_drawn_commands_exit_cleanly(payload_file, data, json_flag):
     assert _call([*argv, *json_flag], payload, payload_file) == 0, (argv, payload)
     argv, payload = data.draw(faulty(argv, payload))
     _call([*argv, *json_flag], payload, payload_file)
+
+
+@FUZZ
+@given(case=st.sampled_from(sorted(FIELDS)).flatmap(
+    lambda flag: st.tuples(st.just(flag), scalar_text(flag))))
+@example(case=("q", "-1/2"))
+@example(case=("qi", "-i"))
+@example(case=("qi", "-2+3i"))
+def test_branching_shortcut_takes_any_scalar_a(payload_file, case):
+    # a value that starts with '-' and is not a plain integer is the one that
+    # argparse would read as an option; the examples make sure it is drawn
+    flag, a = case
+    argv = ["tensor", "--kind", "branching", "--field", flag, "--scalar-a", a]
+    assert _call(argv, None, payload_file) == 0, argv
 
 
 @FUZZ

@@ -167,6 +167,11 @@ def test_rref_and_coset_map_are_exact_on_large_entries(field):
             for v in (rand_vector(field, M.cols, rng), [rand_big_scalar(field, rng)
                                                        for _ in range(M.cols)]):
                 r = Matrix(field, [ech.box(*ech.reduce(v))])
+                # a lift scaled by c reduces as the fresh lift does
+                u, L = lift(field, [a.value for a in v])
+                c = rng.randint(2, 10**6)
+                scaled = [(a * c, b * c) for a, b in u] if field is QI else [a * c for a in u]
+                assert ech.reduce_lifted(scaled, L * c) == ech.reduce(v)
                 expected = to_sympy(Matrix(field, [v]))
                 if k:
                     coeffs = to_sympy(Matrix(field, [[v[q] for q in pivots]]))

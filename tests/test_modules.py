@@ -315,6 +315,51 @@ def test_krylov_smith_diagonal_over_qi_matches_determinantal_divisors():
             assert tuple(snf.nonconstant_diagonal()) == naive_invariant_factors(A), (name, n)
 
 
+def _chain_generators(A, P):
+    """The unit vectors the Krylov chains of the presentation P start from:
+    each the first e_j outside the span of the chains before it, its chain
+    as long as the degree of P's diagonal entry."""
+    from ximod import rank
+
+    n, span, generators = A.rows, [], []
+    for d in P.diagonal_entries():
+        j = next(j for j in range(n)
+                 if rank(Matrix(A.field, span + [unit_vector(A.field, n, j)])) > len(span))
+        v = unit_vector(A.field, n, j)
+        generators.append(v)
+        for _ in range(d.degree):
+            span.append(v)
+            v = A.matvec(v)
+    return generators
+
+
+@pytest.mark.parametrize("field", [QQ, QI], ids=["q", "qi"])
+def test_decompose_of_fractional_derogatory_operators_matches_determinantal_divisors(field):
+    # S C S^-1 with fractional S and C: the lift A = M / d has d > 1, and
+    # the Krylov vectors of each chain are scaled by d^t from t = 0 again
+    from ximod.matrix import lift
+    from ximod.modules import _krylov_presentation
+
+    rng = random.Random(f"fractional-derogatory-{field.describe()}")
+    for degrees in ([1, 2], [2, 2], [2, 3], [1, 1, 2], [1, 3], [1, 1, 1, 2]):
+        n = sum(degrees)
+        A = _conjugate(_chain_operator(field, degrees, rng), rng)
+        assert lift(field, [a.value for row in A.entries for a in row])[1] > 1
+        P = _krylov_presentation(A)
+        assert P.rows == P.cols >= len(degrees)
+        assert all(d.is_monic for d in P.diagonal_entries())
+        # each column is a relation among the chains' own unit vectors,
+        # unscaled: sum_i P[i][k](A) g_i = 0
+        generators = _chain_generators(A, P)
+        for k in range(P.cols):
+            images = [poly_eval_operator(P.entries[i][k], A).matvec(g)
+                      for i, g in enumerate(generators)]
+            assert all(sum(c, field.zero()).is_zero for c in zip(*images)), (degrees, k)
+        dec = decompose_operator_module(OperatorModule(field, n, A))
+        assert len(dec.invariant_factors) == len(degrees)
+        assert dec.invariant_factors == naive_invariant_factors(A), degrees
+
+
 @pytest.mark.parametrize("p", [0, 2, 3, 101], ids=["q", "fp2", "fp3", "fp101"])
 def test_invariant_factors_match_sympy(p):
     sympy = pytest.importorskip("sympy")
