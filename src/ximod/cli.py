@@ -50,7 +50,7 @@ from .modules import (
     torsion_info,
 )
 from .poly import Poly, poly_gcd
-from .polymatrix import PolyMatrix, charpoly, smith_normal_form
+from .polymatrix import PolyMatrix, charpoly, smith_diagonal, smith_normal_form
 from .rewrite import RuleSet, decide_equiv, format_sequence, linearize, parse_expression
 from .tensor import (
     BranchingKind,
@@ -96,11 +96,15 @@ def _ambient_field(args) -> Field | None:
 
 
 def _emit(args, report: dict, human_lines: list[str]) -> None:
+    """Print the report, or its human lines, with the self-check verdict
+    last: every caller has run its checks by now."""
     if args.json:
+        report["self_check"] = "ok"
         print(json.dumps(report, indent=2))
     else:
         for line in human_lines:
             print(line)
+        print("self-check: ok")
 
 
 def _poly_list(polys) -> str:
@@ -142,7 +146,6 @@ def cmd_snf(args) -> int:
         "V": polymatrix_to_json(snf.V),
         "diagonal": [poly_to_json(d) for d in snf.diagonal()],
         "invariant_factors": [poly_to_json(d) for d in snf.nonconstant_diagonal()],
-        "self_check": "ok",
     }
     human = [
         f"smith normal form over {P.field.describe()} ({P.rows}x{P.cols})",
@@ -152,7 +155,6 @@ def cmd_snf(args) -> int:
         str(snf.U),
         "V =",
         str(snf.V),
-        "self-check: ok",
     ]
     _emit(args, report, human)
     return 0
@@ -205,6 +207,25 @@ def _module_summary(dec: ModuleDecomposition) -> str:
     return "M ~= " + (" (+) ".join(parts) if parts else "0")
 
 
+def _product(polys, field: Field) -> Poly:
+    return functools.reduce(Poly.__mul__, polys, Poly.one(field))
+
+
+def _decompose_operator(A: Matrix) -> ModuleDecomposition:
+    return decompose_operator_module(OperatorModule(A.field, A.rows, A))
+
+
+def _check_presentation(P: PolyMatrix, dec: ModuleDecomposition) -> None:
+    """Check a square presentation against its Bareiss determinant: det P
+    vanishes exactly when the free rank is positive, and otherwise det P,
+    made monic, is the product of the invariant factors."""
+    det = P.determinant()
+    if det.is_zero != (dec.free_rank > 0):
+        raise SelfCheckFailed("free rank disagrees with the determinant of the presentation")
+    if not det.is_zero and det.monic() != _product(dec.invariant_factors, P.field):
+        raise SelfCheckFailed("invariant factors do not multiply to the determinant")
+
+
 def cmd_decompose(args) -> int:
     payload = _load_payload(args)
     ambient = _ambient_field(args)
@@ -216,12 +237,8 @@ def cmd_decompose(args) -> int:
         A = parse_matrix_json(payload["operator"], "$.operator", ambient)
         if not A.is_square or A.rows < 1:
             raise InputValidationError("$.operator", "operator must be square, size >= 1")
-        module = OperatorModule(A.field, A.rows, A)
-        dec = decompose_operator_module(module)
-        product = Poly.one(A.field)
-        for f in dec.invariant_factors:
-            product = product * f
-        if product != charpoly(A):
+        dec = _decompose_operator(A)
+        if _product(dec.invariant_factors, A.field) != charpoly(A):
             raise SelfCheckFailed("invariant factors do not multiply to the charpoly")
         if dec.invariant_factors and not poly_eval_operator(
             dec.invariant_factors[-1], A
@@ -237,13 +254,13 @@ def cmd_decompose(args) -> int:
             message = "generators must equal the presentation row count"
             if json_int(payload, "generators", "$", message) != P.rows:
                 raise InputValidationError("$.generators", message)
-        module = PresentedModule(P.field, P.rows, P)
-        dec = decompose_presented_module(module)
+        dec = decompose_presented_module(PresentedModule(P.field, P.rows, P))
+        if P.is_square:
+            _check_presentation(P, dec)
         field = P.field
         source = {"kind": "presentation", "generators": P.rows, "relations": P.cols}
     body, flags, warning, primary = _decomposition_report(dec, field, args.primary)
-    report = {"command": "decompose", **field_to_json(field), **source, **body,
-              "self_check": "ok"}
+    report = {"command": "decompose", **field_to_json(field), **source, **body}
     human = [
         f"module decomposition over {field.describe()}",
         _module_summary(dec),
@@ -261,7 +278,6 @@ def cmd_decompose(args) -> int:
         human.append(
             "warning: factorization incomplete on " + warning["factorization_incomplete"]
         )
-    human.append("self-check: ok")
     _emit(args, report, human)
     return 0
 
@@ -310,10 +326,6 @@ def _build_kind(kind_name, payload, ambient):
     return cls(A, B, *polys), A.rows, B.rows
 
 
-def _decompose_operator(A: Matrix) -> ModuleDecomposition:
-    return decompose_operator_module(OperatorModule(A.field, A.rows, A))
-
-
 def _check_tensor(W, induced) -> ModuleDecomposition | None:
     """Check W against independent routes; for the operator-pair kind,
     return the decomposition of a nonempty induced operator."""
@@ -336,8 +348,8 @@ def _check_tensor(W, induced) -> ModuleDecomposition | None:
         return None
     dec = _decompose_operator(induced)
     nonconstant = [g for g in gcds if g.degree >= 1]
-    snf = smith_normal_form(PolyMatrix.diagonal(W.field, nonconstant))
-    if tuple(snf.nonconstant_diagonal()) != dec.invariant_factors:
+    diagonal = smith_diagonal(PolyMatrix.diagonal(W.field, nonconstant))
+    if tuple(d for d in diagonal if d.degree >= 1) != dec.invariant_factors:
         raise SelfCheckFailed("induced invariant factors disagree with those of A and B")
     return dec
 
@@ -362,7 +374,6 @@ def cmd_tensor(args) -> int:
             "relation_rank": rep.relation_rank,
             "quotient_dim": rep.quotient_dim,
             "caveat": rep.homomorphism_caveat,
-            "self_check": "ok",
         }
         human = [
             f"branching tensor product of K (x) K over {field.describe()}, "
@@ -372,7 +383,6 @@ def cmd_tensor(args) -> int:
         ]
         if rep.homomorphism_caveat:
             human.append("caveat: " + rep.homomorphism_caveat)
-        human.append("self-check: ok")
         _emit(args, report, human)
         return 0
     payload = _load_payload(args)
@@ -395,7 +405,6 @@ def cmd_tensor(args) -> int:
         "canonical_basis": list(W.canonical_indices),
         "induced_operator": matrix_to_json(induced) if induced is not None else None,
         "induced_decomposition": induced_body,
-        "self_check": "ok",
     }
     human = [
         f"{kind.name} tensor product of K^{n} (x) K^{m} over {W.field.describe()}",
@@ -409,7 +418,6 @@ def cmd_tensor(args) -> int:
         human.append(str(induced) if induced.rows else "(zero-dimensional)")
     if induced_dec is not None:
         human.append("induced invariant factors: " + _poly_list(induced_dec.invariant_factors))
-    human.append("self-check: ok")
     _emit(args, report, human)
     return 0
 
@@ -457,7 +465,6 @@ def cmd_equiv(args) -> int:
         "standard_equivalent": standard_equivalent,
         "difference": vector_to_json(diff.coords),
         "note": note,
-        "self_check": "ok",
     }
     human = [
         f"equivalence under {args.rules} rules over {field.describe()}",
@@ -468,7 +475,6 @@ def cmd_equiv(args) -> int:
     ]
     if note:
         human.append("note: " + note)
-    human.append("self-check: ok")
     _emit(args, report, human)
     return 0
 
@@ -501,12 +507,8 @@ def cmd_schmidt(args) -> int:
         "m": m,
         "schmidt_rank": r,
         "classification": classification,
-        "self_check": "ok",
     }
-    human = [
-        f"schmidt rank over {field.describe()}: {r} ({classification})",
-        "self-check: ok",
-    ]
+    human = [f"schmidt rank over {field.describe()}: {r} ({classification})"]
     _emit(args, report, human)
     return 0
 
@@ -562,7 +564,6 @@ def _demo_example61(args) -> int:
             }
             for a, b, c, d, pi, u, v, w, z, rep in reports
         ],
-        "self_check": "ok",
     }
     human = ["two-qubit diagonal operator-pair simplification demo"]
     for a, b, c, d, pi, u, v, w, z, rep in reports:
@@ -581,7 +582,6 @@ def _demo_example61(args) -> int:
             f"difference in relations = {rep.difference_in_relations}, "
             f"already equal as plain tensors = {rep.standard_equal}"
         )
-    human.append("self-check: ok")
     _emit(args, json_out, human)
     return 0
 
@@ -614,7 +614,6 @@ def _demo_branching(args) -> int:
             }
             for rep in rows
         ],
-        "self_check": "ok",
     }
     human = ["one-dimensional branching tensor products with twisted scalar moves"]
     for rep in rows:
@@ -623,7 +622,6 @@ def _demo_branching(args) -> int:
         "caveat: the scalar map c -> a*c is not multiplicative unless a is 0 or 1; "
         "the quotient is computed from the literal relation span"
     )
-    human.append("self-check: ok")
     _emit(args, json_out, human)
     return 0
 
@@ -639,11 +637,7 @@ def _demo_register(args) -> int:
     bell_state = TensorElement(field, 2, 2, (one, zero, zero, one))
     samples = [("product e1 (x) (f1 + f2)", product_state), ("bell (1,0,0,1)", bell_state)]
     induced = induced_operator(W)
-    if induced.rows >= 1:
-        dec = decompose_operator_module(OperatorModule(field, induced.rows, induced))
-        factors = dec.invariant_factors
-    else:
-        factors = ()
+    factors = _decompose_operator(induced).invariant_factors if induced.rows else ()
     json_out = {
         "command": "demo",
         "name": "register",
@@ -668,7 +662,6 @@ def _demo_register(args) -> int:
             "induced_operator": matrix_to_json(induced),
             "induced_invariant_factors": [poly_to_json(f) for f in factors],
         },
-        "self_check": "ok",
     }
     human = [
         "two-qubit register: plain product K^2 (x) K^2 has dimension 4",
@@ -680,7 +673,6 @@ def _demo_register(args) -> int:
         f"dimension {quotient_dim(W)}"
     )
     human.append("induced invariant factors: " + _poly_list(factors))
-    human.append("self-check: ok")
     _emit(args, json_out, human)
     return 0
 

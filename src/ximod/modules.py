@@ -20,7 +20,7 @@ from .factor import factor_irreducible
 from .fields import Field
 from .matrix import Echelon, Matrix, Vector, _Lifted, poly_eval_operator, unit_vector
 from .poly import Poly
-from .polymatrix import PolyMatrix, smith_normal_form
+from .polymatrix import PolyMatrix, smith_diagonal
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,9 @@ def decompose_operator_module(module: OperatorModule) -> ModuleDecomposition:
     diagonal of the Smith form of its k x k Krylov presentation, where k
     is the number of chains (1 for a generic operator).  Always torsion
     (free rank 0)."""
-    snf = smith_normal_form(_krylov_presentation(module.operator))
+    diagonal = smith_diagonal(_krylov_presentation(module.operator))
     return ModuleDecomposition(
-        free_rank=0, invariant_factors=tuple(snf.nonconstant_diagonal())
+        free_rank=0, invariant_factors=tuple(d for d in diagonal if d.degree >= 1)
     )
 
 
@@ -204,8 +204,7 @@ def _krylov_presentation(A: Matrix) -> PolyMatrix:
 
 def decompose_presented_module(module: PresentedModule) -> ModuleDecomposition:
     """Decompose R^g / (column span of the presentation)."""
-    snf = smith_normal_form(module.presentation)
-    nonzero = snf.nonzero_diagonal()
+    nonzero = [d for d in smith_diagonal(module.presentation) if not d.is_zero]
     return ModuleDecomposition(
         free_rank=module.generators - len(nonzero),
         invariant_factors=tuple(d for d in nonzero if d.degree >= 1),

@@ -3,9 +3,12 @@
 The Smith form is computed by classical pivoting: pick a nonzero entry of
 minimal degree, clear its row and column by Euclidean division (restarting
 whenever a nonzero remainder produces a smaller pivot), then repair the
-divisibility chain with column additions.  Every step is an elementary row
-or column operation, so the recorded transforms stay unimodular and
-U @ P @ V = D holds exactly throughout.
+divisibility chain with column additions.  One worker does it, on one
+matrix, pivoting inside its leading block.  `smith_diagonal` hands it P
+alone.  `smith_normal_form` hands it P bordered by identities,
+[[P, I_r], [I_c, 0]]; every step is an elementary operation on whole rows
+or columns, so the border becomes unimodular U and V with U @ P @ V = D
+exactly.
 """
 from __future__ import annotations
 
@@ -63,8 +66,9 @@ class PolyMatrix(DenseMatrix):
 
         Each division by the previous pivot is exact (Sylvester's identity);
         a zero pivot is replaced by a row swap, which flips the sign.  The
-        CLI uses it to test that Smith transforms are unimodular; `charpoly`
-        does not go through it.
+        CLI uses it to test that Smith transforms are unimodular and to
+        check the decomposition of a square presentation; `charpoly` does
+        not go through it.
         """
         if not self.is_square:
             raise NonSquare("determinant needs a square matrix")
@@ -143,145 +147,117 @@ class SmithForm:
 
 
 class _SmithWorker:
-    """Mutable row/column reduction state; every mutation is an elementary
-    operation mirrored into the transforms."""
+    """Row and column reduction of one matrix d that pivots only inside its
+    leading rows x cols block.  Each elementary operation runs across whole
+    rows or whole columns of d, so whatever d carries outside that block
+    (the border of `smith_normal_form`) records the operations."""
 
-    def __init__(self, P: PolyMatrix):
-        self.field = P.field
-        self.rows = P.rows
-        self.cols = P.cols
-        self.d = [list(row) for row in P.entries]
-        self.u = [list(row) for row in PolyMatrix.identity(P.field, P.rows).entries]
-        self.v = [list(row) for row in PolyMatrix.identity(P.field, P.cols).entries]
+    def __init__(self, field: Field, d: list[list[Poly]], rows: int, cols: int):
+        self.field, self.d, self.rows, self.cols = field, d, rows, cols
 
     # elementary operations ------------------------------------------------
     def swap_rows(self, i, j):
-        if i != j:
-            self.d[i], self.d[j] = self.d[j], self.d[i]
-            self.u[i], self.u[j] = self.u[j], self.u[i]
+        self.d[i], self.d[j] = self.d[j], self.d[i]
 
     def swap_cols(self, i, j):
         if i != j:
             for row in self.d:
                 row[i], row[j] = row[j], row[i]
-            for row in self.v:
-                row[i], row[j] = row[j], row[i]
 
     def submul_row(self, dst, src, q: Poly):
         """row_dst -= q * row_src"""
-        if q.is_zero:
-            return
-        for k in range(self.cols):
-            self.d[dst][k] = self.d[dst][k] - q * self.d[src][k]
-        for k in range(self.rows):
-            self.u[dst][k] = self.u[dst][k] - q * self.u[src][k]
+        if not q.is_zero:
+            self.d[dst] = [a - q * b for a, b in zip(self.d[dst], self.d[src])]
 
     def submul_col(self, dst, src, q: Poly):
         """col_dst -= q * col_src"""
-        if q.is_zero:
-            return
-        for row in self.d:
-            row[dst] = row[dst] - q * row[src]
-        for row in self.v:
-            row[dst] = row[dst] - q * row[src]
+        if not q.is_zero:
+            for row in self.d:
+                row[dst] = row[dst] - q * row[src]
 
     def scale_row(self, i, c: Scalar):
         cp = Poly.constant(c)
         self.d[i] = [cp * e for e in self.d[i]]
-        self.u[i] = [cp * e for e in self.u[i]]
 
     # pivoting --------------------------------------------------------------
-    def find_pivot(self, t):
-        """Nonzero entry of minimal degree in the trailing submatrix; ties
-        broken by smallest (row, col)."""
-        best = None
-        best_key = None
-        for i in range(t, self.rows):
-            for j in range(t, self.cols):
-                e = self.d[i][j]
-                if e.is_zero:
-                    continue
-                key = (e.degree, i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-        return best
+    def diagonal(self) -> list[Poly]:
+        return [self.d[t][t] for t in range(min(self.rows, self.cols))]
 
-    def diagonalize_from(self, t0):
-        t = t0
-        limit = min(self.rows, self.cols)
-        while t < limit:
-            pos = self.find_pivot(t)
-            if pos is None:
-                break
-            self.swap_rows(t, pos[0])
-            self.swap_cols(t, pos[1])
+    def diagonalize_from(self, t):
+        """Pivot on a nonzero entry of minimal degree in the trailing block,
+        ties broken by smallest (row, col), and clear its column, then its
+        row, by Euclidean division; a nonzero remainder has smaller degree
+        and is promoted to pivot."""
+        d = self.d
+        while t < min(self.rows, self.cols):
+            pivot = min(((d[i][j].degree, i, j) for i in range(t, self.rows)
+                         for j in range(t, self.cols) if not d[i][j].is_zero), default=None)
+            if pivot is None:
+                return
+            self.swap_rows(t, pivot[1])
+            self.swap_cols(t, pivot[2])
             while True:
-                offender = None
-                for i in range(t + 1, self.rows):
-                    if not self.d[i][t].is_zero:
-                        offender = ("row", i)
-                        break
-                if offender is None:
-                    for j in range(t + 1, self.cols):
-                        if not self.d[t][j].is_zero:
-                            offender = ("col", j)
-                            break
-                if offender is None:
+                i = next((i for i in range(t + 1, self.rows) if not d[i][t].is_zero), None)
+                if i is not None:
+                    q, r = divmod(d[i][t], d[t][t])
+                    self.submul_row(i, t, q)
+                    if not r.is_zero:
+                        self.swap_rows(t, i)
+                    continue
+                j = next((j for j in range(t + 1, self.cols) if not d[t][j].is_zero), None)
+                if j is None:
                     break
-                which, k = offender
-                if which == "row":
-                    q, r = divmod(self.d[k][t], self.d[t][t])
-                    self.submul_row(k, t, q)
-                    if not r.is_zero:
-                        # the remainder has strictly smaller degree: promote it
-                        self.swap_rows(t, k)
-                else:
-                    q, r = divmod(self.d[t][k], self.d[t][t])
-                    self.submul_col(k, t, q)
-                    if not r.is_zero:
-                        self.swap_cols(t, k)
+                q, r = divmod(d[t][j], d[t][t])
+                self.submul_col(j, t, q)
+                if not r.is_zero:
+                    self.swap_cols(t, j)
             t += 1
 
     def normalize_monic(self):
-        for t in range(min(self.rows, self.cols)):
-            e = self.d[t][t]
+        for t, e in enumerate(self.diagonal()):
             if not e.is_zero and not e.is_monic:
                 self.scale_row(t, e.leading_coefficient.inv())
 
-    def first_chain_violation(self):
-        diag = [self.d[t][t] for t in range(min(self.rows, self.cols))]
-        for t in range(len(diag) - 1):
-            a, b = diag[t], diag[t + 1]
-            if a.is_zero or b.is_zero:
-                continue
-            if not (b % a).is_zero:
-                return t
-        return None
+    def reduce(self) -> list[Poly]:
+        """Bring the block to Smith form and return its diagonal: monic,
+        each entry dividing the next, zero entries trailing.  Deterministic:
+        pivots are chosen by (degree, row, col)."""
+        self.diagonalize_from(0)
+        self.normalize_monic()
+        while True:
+            diag = self.diagonal()
+            t = next((t for t, (a, b) in enumerate(zip(diag, diag[1:]))
+                      if not (a.is_zero or b.is_zero or (b % a).is_zero)), None)
+            if t is None:
+                return diag
+            # merge the offending pair: pulling column t+1 into column t puts
+            # both entries in one column, and re-reduction leaves their gcd
+            self.submul_col(t, t + 1, Poly.constant(self.field.from_int(-1)))
+            self.diagonalize_from(t)
+            self.normalize_monic()
+
+
+def smith_diagonal(P: PolyMatrix) -> list[Poly]:
+    """The min(rows, cols) diagonal entries of the Smith form of P, with no
+    transforms: the worker reduces a copy of P alone."""
+    return _SmithWorker(P.field, [list(row) for row in P.entries], P.rows, P.cols).reduce()
 
 
 def smith_normal_form(P: PolyMatrix) -> SmithForm:
     """Diagonalise P over K[x] with unimodular transforms.
 
-    The diagonal is monic with each entry dividing the next; zero entries
-    trail.  Deterministic: pivots are chosen by (degree, row, col).
+    The worker reduces the bordered matrix [[P, I_r], [I_c, 0]]: row
+    operations carry I_r into U and column operations carry I_c into V, so
+    the result is [[D, U], [V, 0]].  The diagonal is that of
+    `smith_diagonal`.
     """
-    w = _SmithWorker(P)
-    w.diagonalize_from(0)
-    w.normalize_monic()
-    while True:
-        t = w.first_chain_violation()
-        if t is None:
-            break
-        # merge the offending pair: pulling column t+1 into column t puts
-        # both entries in one column, and re-reduction leaves their gcd
-        minus_one = Poly.constant(w.field.from_int(-1))
-        w.submul_col(t, t + 1, minus_one)
-        w.diagonalize_from(t)
-        w.normalize_monic()
-    field = P.field
+    field, r, c = P.field, P.rows, P.cols
+    zero = Poly.zero(field)
+    d = [list(p) + list(u) for p, u in zip(P.entries, PolyMatrix.identity(field, r).entries)]
+    d += [list(v) + [zero] * r for v in PolyMatrix.identity(field, c).entries]
+    _SmithWorker(field, d, r, c).reduce()
     return SmithForm(
-        U=PolyMatrix(field, w.u),
-        D=PolyMatrix(field, w.d, (P.rows, P.cols)),
-        V=PolyMatrix(field, w.v),
+        U=PolyMatrix(field, (row[c:] for row in d[:r]), (r, r)),
+        D=PolyMatrix(field, (row[:c] for row in d[:r]), (r, c)),
+        V=PolyMatrix(field, (row[:c] for row in d[r:]), (c, c)),
     )

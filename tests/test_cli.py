@@ -637,6 +637,90 @@ def test_snf_keeps_declared_shape_without_rows(capsys, tmp_path):
     ]
 
 
+# diag(x - 1, x - 2) needs the divisibility repair; the 2x3 matrix is
+# [[x, 1, x^2], [x + 1, 0, x^2 + 2]]
+SNF_REPAIR = {"rows": 2, "cols": 2, "entries": [[["-1", "1"], ["0"]], [["0"], ["-2", "1"]]]}
+SNF_WIDE = {"rows": 2, "cols": 3, "entries": [[["0", "1"], ["1"], ["0", "0", "1"]],
+                                              [["1", "1"], ["0"], ["2", "0", "1"]]]}
+
+
+def _q(rows, cols, entries):
+    return {"field": "q", "rows": rows, "cols": cols, "entries": entries}
+
+
+def _fp7(rows, cols, entries):
+    return {"field": "fp", "p": 7, "rows": rows, "cols": cols, "entries": entries}
+
+
+@pytest.mark.parametrize(
+    "flags,payload,expected",
+    [
+        ([], {"field": "q", **SNF_REPAIR}, {
+            "command": "snf", "field": "q", "rows": 2, "cols": 2,
+            "U": _q(2, 2, [[["1"], ["-1"]], [["2", "-1"], ["-1", "1"]]]),
+            "D": _q(2, 2, [[["1"], []], [[], ["2", "-3", "1"]]]),
+            "V": _q(2, 2, [[["1"], ["-2", "1"]], [["1"], ["-1", "1"]]]),
+            "diagonal": [["1"], ["2", "-3", "1"]],
+            "invariant_factors": [["2", "-3", "1"]], "self_check": "ok"}),
+        ([], {"field": "q", **SNF_WIDE}, {
+            "command": "snf", "field": "q", "rows": 2, "cols": 3,
+            "U": _q(2, 2, [[["1"], []], [[], ["1/3"]]]),
+            "D": _q(2, 3, [[["1"], [], []], [[], ["1"], []]]),
+            "V": _q(3, 3, [[[], ["1", "-1"], ["2/3", "0", "1/3"]],
+                           [["1"], ["0", "-1"], ["0", "-2/3", "1/3"]],
+                           [[], ["1"], ["-1/3", "-1/3"]]]),
+            "diagonal": [["1"], ["1"]], "invariant_factors": [], "self_check": "ok"}),
+        (["--field", "fp:7"], SNF_REPAIR, {
+            "command": "snf", "field": "fp", "p": 7, "rows": 2, "cols": 2,
+            "U": _fp7(2, 2, [[["1"], ["6"]], [["2", "6"], ["6", "1"]]]),
+            "D": _fp7(2, 2, [[["1"], []], [[], ["2", "4", "1"]]]),
+            "V": _fp7(2, 2, [[["1"], ["5", "1"]], [["1"], ["6", "1"]]]),
+            "diagonal": [["1"], ["2", "4", "1"]],
+            "invariant_factors": [["2", "4", "1"]], "self_check": "ok"}),
+    ],
+    ids=["repair", "2x3", "repair-fp7"],
+)
+def test_snf_transforms_are_pinned(capsys, tmp_path, flags, payload, expected):
+    # the exact stdout, transforms included, of the reduction without a border
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(json.dumps(payload))
+    code, out, _ = run_main(capsys, ["snf", "--json", *flags, "--input", str(payload_file)])
+    assert code == 0
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_decompose_singular_square_presentation_has_free_rank(capsys, tmp_path):
+    x = ["0", "1"]
+    payload = {"presentation": _q(2, 2, [[x, x], [x, x]])}
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(json.dumps(payload))
+    code, out, _ = run_main(capsys, ["decompose", "--json", "--input", str(payload_file)])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["free_rank"], report["invariant_factors"]) == (1, [x])
+
+
+@pytest.mark.parametrize(
+    "diagonal,message",
+    [("one", "do not multiply to the determinant"), ("zero", "free rank disagrees")],
+)
+def test_decompose_presentation_check_catches_a_tampered_diagonal(
+    capsys, tmp_path, monkeypatch, diagonal, message
+):
+    import ximod.modules as modules
+
+    def tampered(P):
+        entry = Poly.one(P.field) if diagonal == "one" else Poly.zero(P.field)
+        return [entry] * min(P.rows, P.cols)
+
+    monkeypatch.setattr(modules, "smith_diagonal", tampered)
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(json.dumps({"presentation": {"field": "q", **SNF_REPAIR}}))
+    code, _, err = run_main(capsys, ["decompose", "--input", str(payload_file)])
+    assert code == 3
+    assert message in err
+
+
 def test_field_flag_conflicts_with_payload(capsys, tmp_path):
     payload_file = tmp_path / "p.json"
     payload_file.write_text(SNF_PAYLOAD)

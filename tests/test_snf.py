@@ -17,6 +17,7 @@ from ximod import (
     solve_linear,
     unit_vector,
 )
+from ximod.polymatrix import smith_diagonal
 from oracles import (
     krylov_minimal_polynomial,
     naive_charpoly,
@@ -129,6 +130,25 @@ def test_random_property_suite_small():
             P = rand_polymatrix(field, rows, cols, 2, rng)
             snf = smith_normal_form(P)
             assert_valid_smith(P, snf)
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, QI, PrimeField(2), PrimeField(101)], ids=["q", "qi", "fp2", "fp101"]
+)
+def test_smith_diagonal_matches_the_bordered_smith_form(field):
+    # the worker without a border must pivot exactly as with one
+    rng = random.Random(56)
+    shapes = [(3, 3), (2, 3), (3, 2)]
+    matrices = [rand_polymatrix(field, r, c, 2, rng) for r, c in shapes for _ in range(4)]
+    for _ in range(3):  # rank 1 in 3x3: a column times a row
+        column = rand_polymatrix(field, 3, 1, 2, rng)
+        matrices.append(column @ rand_polymatrix(field, 1, 3, 1, rng))
+    matrices += [PolyMatrix.zeros(field, 2, 3), PolyMatrix.zeros(field, 0, 2)]
+    for P in matrices:
+        snf = smith_normal_form(P)
+        assert smith_diagonal(P) == snf.diagonal()
+        assert_valid_smith(P, snf)
+    assert all(smith_diagonal(P)[-1].is_zero for P in matrices[12:15])
 
 
 def test_rank_agrees_with_evaluation_at_generic_point():
