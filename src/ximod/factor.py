@@ -1,9 +1,10 @@
 """Squarefree and irreducible factorisation of univariate polynomials.
 
 Factorisation is complete over prime fields (distinct-degree plus
-equal-degree splitting).  The splitting runs on plain lists of residues in
-[0, p), index = degree, and boxes only the irreducible factors it returns
-as Poly.  Over the rational and gaussian-rational fields it is deliberately
+equal-degree splitting).  Everything here computes with `Poly`'s one
+arithmetic on raw coefficients (`divmod`, `poly_gcd` and `_pow_mod`
+below); over F_p that reduces each coefficient mod p once, when it is
+final.  Over the rational and gaussian-rational fields it is deliberately
 partial: squarefree decomposition, then exhaustive root extraction by
 p-adic lifting of the roots mod a small prime p, found by the same
 prime-field splitting.  A rootless factor of degree <= 3 is irreducible,
@@ -43,8 +44,7 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 def _pth_root(f: Poly) -> Poly:
     # over F_p the Frobenius is the identity on coefficients, so the p-th
     # root of f(x) = g(x^p) just reads off every p-th coefficient
-    p = f.field.characteristic
-    return Poly(f.field, (f.coefficient(k) for k in range(0, len(f.coeffs), p)))
+    return Poly.from_ints(f.field, f.values[::f.field.characteristic])
 
 
 def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
@@ -173,7 +173,7 @@ def _roots(g: Poly) -> list[Scalar]:
     field = g.field
     gaussian = isinstance(field, GaussianRationals)
     n = g.degree
-    parts = [c.value if gaussian else (c.value, Fraction(0)) for c in g.coeffs]
+    parts = g.values if gaussian else [(c, 0) for c in g.values]
     lcm = math.lcm(*(x.denominator for part in parts for x in part))
     h = [(int(re * lcm ** (n - k)), int(im * lcm ** (n - k))) for k, (re, im) in enumerate(parts)]
     bound = 1 + max(abs(re) + abs(im) for re, im in h[:-1])
@@ -190,7 +190,8 @@ def _roots(g: Poly) -> list[Scalar]:
             continue
         if gaussian:
             s = _sqrt_minus_one(p)
-        mod_roots = [_roots_mod_p(image(e * s, p), p) for e in signs]
+        fp = PrimeField(p)
+        mod_roots = [_roots_mod_p(Poly.from_ints(fp, image(e * s, p))) for e in signs]
         if None not in mod_roots:
             break
     modulus = p
@@ -225,17 +226,16 @@ def _sqrt_minus_one(p: int) -> int:
     return min(s, p - s)
 
 
-def _roots_mod_p(f: list[int], p: int) -> list[int] | None:
-    """The roots of the monic f mod p, or None if f mod p is not squarefree."""
-    f = _trim([c % p for c in f])
-    if len(_gcd(f, _derivative(f, p), p)) > 1:
+def _roots_mod_p(f: Poly) -> list[int] | None:
+    """The roots of the monic f over F_p, or None if f is not squarefree."""
+    p, x = f.field.characteristic, Poly.x(f.field)
+    if poly_gcd(f, f.derivative()).degree > 0:
         return None
-    x = [0, 1]
-    w = _gcd(f, _sub(_pow_mod(x, p, f, p), x, p), p)  # the product of f's linear factors
-    if len(w) < 2:
+    w = poly_gcd(f, _pow_mod(x, p, f) - x)  # the product of f's linear factors
+    if w.degree < 1:
         return []
-    linear = _equal_degree_split(w, 1, random.Random(_SPLIT_SEED), p)
-    return [-q[0] % p for q in linear]
+    linear = _equal_degree_split(w, 1, random.Random(_SPLIT_SEED))
+    return [-q.values[0] % p for q in linear]
 
 
 def _lift(f: list[int], a: int, p: int, modulus: int) -> int:
@@ -256,117 +256,59 @@ def _lift(f: list[int], a: int, p: int, modulus: int) -> int:
 
 
 # -- prime fields: distinct-degree + equal-degree splitting ------------------
-#
-# The splitter runs on residue lists: ints in [0, p), index = degree, no
-# trailing zeros, so [] is the zero polynomial.  Products and remainders
-# reduce each coefficient mod p once, when it is final.
 
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _sub(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b))
-    return _trim([(s - t) % p for s, t in zip(a, b)])
-
-
-def _mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            out[i:i + len(b)] = [s + c * t for s, t in zip(out[i:i + len(b)], b)]
-    return _trim([c % p for c in out])
-
-
-def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by a nonzero b."""
-    db = len(b) - 1
-    if len(a) <= db:
-        return [], a
-    inv = pow(b[-1], -1, p)
-    rem = list(a)
-    quot = [0] * (len(a) - db)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = rem[k] % p
-        if c:
-            q = quot[k - db] = c * inv % p
-            # b's leading term cancels rem[k], which is not read again
-            rem[k - db:k] = [s - q * t for s, t in zip(rem[k - db:k], b)]
-    return quot, _trim([c % p for c in rem[:db]])
-
-
-def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd of a and b, not both zero."""
-    while b:
-        a, b = b, _divmod(a, b, p)[1]
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _pow_mod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _divmod(base, mod, p)[1]
+def _pow_mod(base: Poly, exp: int, mod: Poly) -> Poly:
+    """base^exp mod mod, by repeated squaring."""
+    result, base = Poly.one(base.field), base % mod
     while exp:
         if exp & 1:
-            result = _divmod(_mul(result, base, p), mod, p)[1]
-        base = _divmod(_mul(base, base, p), mod, p)[1]
+            result = result * base % mod
+        base = base * base % mod
         exp >>= 1
     return result
 
 
-def _derivative(a: list[int], p: int) -> list[int]:
-    return _trim([k * c % p for k, c in enumerate(a)][1:])
-
-
 def _factor_squarefree_fp(g: Poly) -> list[Poly]:
-    field = g.field
-    p = field.characteristic
+    p = g.field.characteristic
     rng = random.Random(_SPLIT_SEED)
-    out: list[list[int]] = []
-    x = [0, 1]
-    h = x
-    v = [c.value for c in g.coeffs]
+    out: list[Poly] = []
+    x = h = Poly.x(g.field)
     d = 0
-    while len(v) > 1:
+    while g.degree >= 1:
         d += 1
-        if len(v) - 1 < 2 * d:
-            out.append(v)  # what is left is irreducible
+        if g.degree < 2 * d:
+            out.append(g)  # what is left is irreducible
             break
-        h = _pow_mod(h, p, v, p)
-        w = _gcd(v, _sub(h, x, p), p)
-        if len(w) > 1:
-            out.extend(_equal_degree_split(w, d, rng, p))
-            v = _divmod(v, w, p)[0]
-            h = _divmod(h, v, p)[1] if len(v) > 1 else h
-    return [Poly.from_ints(field, q) for q in out]
+        h = _pow_mod(h, p, g)
+        w = poly_gcd(g, h - x)
+        if w.degree >= 1:
+            out.extend(_equal_degree_split(w, d, rng))
+            g = g // w
+            h = h % g if g.degree >= 1 else h
+    return out
 
 
-def _equal_degree_split(g: list[int], d: int, rng: random.Random, p: int) -> list[list[int]]:
+def _equal_degree_split(g: Poly, d: int, rng: random.Random) -> list[Poly]:
     """Cantor-Zassenhaus: g is a monic product of irreducibles all of degree d."""
-    if len(g) - 1 == d:
+    if g.degree == d:
         return [g]
+    p = g.field.characteristic
     while True:
-        h = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
-        if not h:
+        h = Poly.from_ints(g.field, [rng.randrange(p) for _ in range(g.degree)])
+        if h.is_zero:
             continue
         if p == 2:
             # trace map works where the odd-characteristic exponent trick
             # fails; in characteristic 2 subtraction is addition
-            t = acc = h
+            t = w = h
             for _ in range(d - 1):
-                t = _divmod(_mul(t, t, p), g, p)[1]
-                acc = _sub(acc, t, p)
-            w = acc
+                t = t * t % g
+                w = w - t
         else:
-            w = _sub(_pow_mod(h, (p**d - 1) // 2, g, p), [1], p)
-        if not w:
+            w = _pow_mod(h, (p**d - 1) // 2, g) - Poly.one(g.field)
+        if w.is_zero:
             continue
-        split = _gcd(g, w, p)
-        if 1 < len(split) < len(g):
-            left = _equal_degree_split(split, d, rng, p)
-            right = _equal_degree_split(_divmod(g, split, p)[0], d, rng, p)
-            return left + right
+        split = poly_gcd(g, w)
+        if 0 < split.degree < g.degree:
+            left = _equal_degree_split(split, d, rng)
+            return left + _equal_degree_split(g // split, d, rng)

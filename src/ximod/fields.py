@@ -2,8 +2,8 @@
 
 A :class:`Field` instance doubles as the value tag: two scalars interoperate
 only when they carry the same field object.  Values are kept canonical at all
-times (reduced fractions with positive denominator, residues in ``[0, p)``),
-so equality of scalars is equality of representations.
+times (reduced fractions with positive denominator, `Gaussian` pairs of them,
+residues in ``[0, p)``), so equality of scalars is equality of representations.
 """
 from __future__ import annotations
 
@@ -160,9 +160,33 @@ class Rationals(Field):
         return "rationals"
 
 
+class Gaussian(tuple):
+    """A gaussian rational re + im*i as the pair (re, im), with the ring
+    operations of a raw value: ``+``, ``-``, ``*``, unary ``-`` and truth.
+    There is no ``__radd__``, so ``sum()`` does not take Gaussian values."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return Gaussian((self[0] + other[0], self[1] + other[1]))
+
+    def __sub__(self, other):
+        return Gaussian((self[0] - other[0], self[1] - other[1]))
+
+    def __mul__(self, other):
+        (a, b), (c, d) = self, other
+        return Gaussian((a * c - b * d, a * d + b * c))
+
+    def __neg__(self):
+        return Gaussian((-self[0], -self[1]))
+
+    def __bool__(self):
+        return bool(self[0] or self[1])
+
+
 @dataclass(frozen=True)
 class GaussianRationals(Field):
-    """Rationals adjoined a square root of -1; values are (re, im) pairs."""
+    """Rationals adjoined a square root of -1; values are `Gaussian` pairs."""
 
     kind = "qi"
 
@@ -173,27 +197,29 @@ class GaussianRationals(Field):
                 re = _parse_fraction(re)
             if isinstance(im, str):
                 im = _parse_fraction(im)
-            return (Fraction(re), Fraction(im))
+            return Gaussian((Fraction(re), Fraction(im)))
         if isinstance(value, (int, Fraction)):
-            return (Fraction(value), Fraction(0))
+            return Gaussian((Fraction(value), Fraction(0)))
         if isinstance(value, str):
             return _parse_gaussian_text(value)
         raise TypeError(f"cannot build a gaussian rational from {value!r}")
 
+    # plain (re, im) pairs work as well: `charpoly` and `poly_eval_operator`
+    # pass lifted Gaussian-integer pairs
     def raw_add(self, a, b):
-        return (a[0] + b[0], a[1] + b[1])
+        return Gaussian(a) + b
 
     def raw_mul(self, a, b):
-        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+        return Gaussian(a) * b
 
     def raw_neg(self, a):
-        return (-a[0], -a[1])
+        return -Gaussian(a)
 
     def raw_inv(self, a):
         n = a[0] * a[0] + a[1] * a[1]
         if n == 0:
             raise DivisionByZero("inverse of zero")
-        return (a[0] / n, -a[1] / n)
+        return Gaussian((a[0] / n, -a[1] / n))
 
     def raw_is_zero(self, a):
         return a[0] == 0 and a[1] == 0
@@ -223,13 +249,13 @@ class GaussianRationals(Field):
         return "gaussian rationals"
 
 
-def _parse_gaussian_text(text: str):
+def _parse_gaussian_text(text: str) -> Gaussian:
     """Parse compact gaussian literals: "3/4", "i", "-2i", "1/2-3i"."""
     s = text.strip().replace("−", "-").replace(" ", "")
     if not s:
         raise ValueError("empty scalar")
     if not s.endswith(("i", "I")):
-        return (_parse_fraction(s), Fraction(0))
+        return Gaussian((_parse_fraction(s), Fraction(0)))
     body = s[:-1]
     # find a top-level sign separating the real and imaginary parts
     split = -1
@@ -249,7 +275,7 @@ def _parse_gaussian_text(text: str):
     else:
         im = _parse_fraction(im_text)
     re = _parse_fraction(re_text) if re_text else Fraction(0)
-    return (re, im)
+    return Gaussian((re, im))
 
 
 @dataclass(frozen=True)
@@ -321,7 +347,8 @@ class Scalar:
     __slots__ = ("field", "value")
 
     def __init__(self, field: Field, value):
-        # value is trusted to be canonical; use Field.scalar() to canonicalize
+        # value is trusted to be canonical (over Q(i) a `Gaussian`, never a
+        # plain tuple); use Field.scalar() to canonicalize
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "value", value)
 

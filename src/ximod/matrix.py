@@ -14,7 +14,7 @@ from .errors import (
     NotMonic,
     TagMismatch,
 )
-from .fields import Field, GaussianRationals, Scalar
+from .fields import Field, Gaussian, GaussianRationals, Scalar
 from .poly import Poly
 
 Vector = tuple[Scalar, ...]
@@ -251,7 +251,7 @@ def _box(field: Field, u, L: int) -> list[Scalar]:
         return [Scalar(field, a) for a in u]
     zero = field.zero()
     if isinstance(field, GaussianRationals):
-        return [Scalar(field, (Fraction(a, L), Fraction(b, L))) if a or b else zero
+        return [Scalar(field, Gaussian((Fraction(a, L), Fraction(b, L)))) if a or b else zero
                 for a, b in u]
     return [Scalar(field, Fraction(a, L)) if a else zero for a in u]
 
@@ -557,7 +557,7 @@ def poly_eval_operator(pi: Poly, A: Matrix) -> Matrix:
         return Matrix.zeros(field, n, n)
     ring = _Lifted(field)
     M, d = ring.rows(A)
-    c, L = lift(field, [a.value for a in pi.coeffs])
+    c, L = lift(field, pi.values)
     g = [field.raw_mul(a, ring.of_int(d ** (m - k))) for k, a in enumerate(c)]
     s = max(1, isqrt(m + 1))
     powers = [[[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)], M]

@@ -1,28 +1,50 @@
-"""Dense univariate polynomials over an exact coefficient field."""
+"""Dense univariate polynomials over an exact coefficient field.
+
+A `Poly` holds the raw values of its coefficients (`Scalar.value`):
+Fractions over Q, `Gaussian` pairs over Q(i), residues over F_p.  Its ring
+operations run Python's operators on them in one code path for the three
+fields, and over F_p reduce each coefficient mod p once, when it is final.
+Coefficients are boxed as Scalars only when read.
+"""
 from __future__ import annotations
+
+from itertools import zip_longest
 
 from .errors import BothZero, DivisionByZero, TagMismatch
 from .fields import Field, Scalar
 
 
+def _value(field: Field, c):
+    """The raw value of the Scalar c, which must belong to field."""
+    if not isinstance(c, Scalar) or (c.field is not field and c.field != field):
+        raise TagMismatch("coefficient does not belong to the declared field")
+    return c.value
+
+
+def _poly(field: Field, values) -> "Poly":
+    """The Poly with raw coefficients `values`, reduced mod p over F_p."""
+    p = field.characteristic
+    values = [v % p for v in values] if p else list(values)
+    while values and not values[-1]:
+        values.pop()
+    f = object.__new__(Poly)
+    object.__setattr__(f, "field", field)
+    object.__setattr__(f, "values", tuple(values))
+    return f
+
+
 class Poly:
-    """A polynomial stored as a coefficient tuple, index = degree.
+    """A polynomial stored as a tuple of raw coefficient values, index =
+    degree; ``Poly(field, scalars)`` checks and unboxes the Scalars.
 
     The representation is canonical: no trailing zero coefficients, so the
     zero polynomial is the empty tuple and equality is structural.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "values")
 
-    def __init__(self, field: Field, coeffs):
-        coeffs = list(coeffs)
-        for c in coeffs:
-            if not isinstance(c, Scalar) or (c.field is not field and c.field != field):
-                raise TagMismatch("coefficient does not belong to the declared field")
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+    def __new__(cls, field: Field, coeffs):
+        return _poly(field, [_value(field, c) for c in coeffs])
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"Poly is immutable; cannot set {name!r}")
@@ -30,15 +52,15 @@ class Poly:
     # construction ------------------------------------------------------
     @classmethod
     def zero(cls, field: Field) -> "Poly":
-        return cls(field, ())
+        return _poly(field, ())
 
     @classmethod
     def one(cls, field: Field) -> "Poly":
-        return cls(field, (field.one(),))
+        return cls.from_ints(field, (1,))
 
     @classmethod
     def x(cls, field: Field) -> "Poly":
-        return cls(field, (field.zero(), field.one()))
+        return cls.from_ints(field, (0, 1))
 
     @classmethod
     def constant(cls, c: Scalar) -> "Poly":
@@ -46,30 +68,36 @@ class Poly:
 
     @classmethod
     def from_ints(cls, field: Field, ints) -> "Poly":
-        return cls(field, tuple(field.from_int(n) for n in ints))
+        return _poly(field, [field.canon(n) for n in ints])
 
     # predicates --------------------------------------------------------
     @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        """The coefficients as Scalars, index = degree."""
+        return tuple(Scalar(self.field, v) for v in self.values)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.values) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.values
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
+        return bool(self.values) and self.values[-1] == self.field.canon(1)
 
     @property
     def leading_coefficient(self) -> Scalar:
-        if not self.coeffs:
+        if not self.values:
             raise ZeroDivisionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Scalar(self.field, self.values[-1])
 
     def coefficient(self, k: int) -> Scalar:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.field.zero()
+        v = self.values
+        return Scalar(self.field, v[k]) if 0 <= k < len(v) else self.field.zero()
 
     # arithmetic ---------------------------------------------------------
     def _check(self, other: "Poly"):
@@ -78,42 +106,35 @@ class Poly:
         if other.field is not self.field and other.field != self.field:
             raise TagMismatch("polynomials over different fields")
 
-    def __add__(self, other):
+    def _pairs(self, other: "Poly"):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.field,
-            (self.coefficient(k) + other.coefficient(k) for k in range(n)),
-        )
+        return zip_longest(self.values, other.values, fillvalue=self.field.canon(0))
+
+    def __add__(self, other):
+        return _poly(self.field, [a + b for a, b in self._pairs(other)])
 
     def __sub__(self, other):
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.field,
-            (self.coefficient(k) - other.coefficient(k) for k in range(n)),
-        )
+        return _poly(self.field, [a - b for a, b in self._pairs(other)])
 
     def __neg__(self):
-        return Poly(self.field, (-c for c in self.coeffs))
+        return _poly(self.field, [-c for c in self.values])
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
             return self.scale(other)
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.field)
-        zero = self.field.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        a, b = self.values, other.values
+        if not a or not b:
+            return _poly(self.field, ())
+        out = [self.field.canon(0)] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                out[i:i + len(b)] = [s + c * t for s, t in zip(out[i:i + len(b)], b)]
+        return _poly(self.field, out)
 
     def scale(self, c: Scalar) -> "Poly":
-        return Poly(self.field, (a * c for a in self.coeffs))
+        v = _value(self.field, c)
+        return _poly(self.field, [a * v for a in self.values])
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -129,23 +150,22 @@ class Poly:
 
     def __divmod__(self, other):
         self._check(other)
-        if other.is_zero:
+        b, field = other.values, self.field
+        if not b:
             raise DivisionByZero("polynomial division by zero")
-        if self.degree < other.degree:
-            return Poly.zero(self.field), self
-        rem = list(self.coeffs)
-        lead_inv = other.leading_coefficient.inv()
-        dg = other.degree
-        quot = [self.field.zero()] * (len(rem) - dg)
-        for k in range(len(rem) - 1, dg - 1, -1):
-            c = rem[k]
-            if c.is_zero:
-                continue
-            q = c * lead_inv
-            quot[k - dg] = q
-            for j, b in enumerate(other.coeffs):
-                rem[k - dg + j] = rem[k - dg + j] - q * b
-        return Poly(self.field, quot), Poly(self.field, rem)
+        db = len(b) - 1
+        if self.degree < db:
+            return _poly(field, ()), self
+        p, inv = field.characteristic, field.raw_inv(b[-1])
+        rem = list(self.values)
+        quot = [field.canon(0)] * (len(rem) - db)
+        for k in range(len(rem) - 1, db - 1, -1):
+            c = rem[k] % p if p else rem[k]
+            if c:
+                q = quot[k - db] = c * inv % p if p else c * inv
+                # b's leading term cancels rem[k], which is not read again
+                rem[k - db:k] = [s - q * t for s, t in zip(rem[k - db:k], b)]
+        return _poly(field, quot), _poly(field, rem[:db])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -163,44 +183,45 @@ class Poly:
             raise DivisionByZero("cannot rescale the zero polynomial")
         if self.is_monic:
             return self
-        return self.scale(self.leading_coefficient.inv())
+        inv = self.field.raw_inv(self.values[-1])
+        return _poly(self.field, [a * inv for a in self.values])
 
     def derivative(self) -> "Poly":
-        return Poly(
-            self.field,
-            (self.coeffs[k] * self.field.from_int(k) for k in range(1, len(self.coeffs))),
-        )
+        canon = self.field.canon
+        return _poly(self.field, [c * canon(k) for k, c in enumerate(self.values)][1:])
 
     def eval(self, s: Scalar) -> Scalar:
-        # Horner
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
+        # Horner, reduced mod p at every step over F_p
+        x, p = _value(self.field, s), self.field.characteristic
+        acc = self.field.canon(0)
+        for c in reversed(self.values):
+            acc = (acc * x + c) % p if p else acc * x + c
+        return Scalar(self.field, acc)
 
     # comparison / rendering ----------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        return self.coeffs == other.coeffs
+        return self.values == other.values
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.values))
 
     def sort_key(self):
-        return (self.degree, tuple(c.sort_key() for c in self.coeffs))
+        return (self.degree, tuple(map(self.field.raw_sort_key, self.values)))
 
     def __str__(self):
         if self.is_zero:
             return "0"
         parts = []
-        one = self.field.one()
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero:
+        field = self.field
+        one = field.canon(1)
+        for k in range(len(self.values) - 1, -1, -1):
+            c = self.values[k]
+            if not c:
                 continue
-            text = str(c)
+            text = field.raw_format(c)
             composite = any(ch in text[1:] for ch in "+-")
             if k == 0:
                 term = f"({text})" if composite else text
@@ -237,10 +258,11 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     f._check(g)
     if f.is_zero and g.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
-    a, b = f, g
+    a, b, p = f, g, f.field.characteristic
     while not b.is_zero:
-        # keeping remainders monic tames coefficient growth over the rationals
+        # keeping remainders monic tames coefficient growth over the
+        # rationals; residues cannot grow
         a, b = b, (a % b)
-        if not b.is_zero:
+        if not (p or b.is_zero):
             b = b.monic()
     return a.monic()

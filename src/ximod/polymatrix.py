@@ -176,8 +176,7 @@ class _SmithWorker:
                 row[dst] = row[dst] - q * row[src]
 
     def scale_row(self, i, c: Scalar):
-        cp = Poly.constant(c)
-        self.d[i] = [cp * e for e in self.d[i]]
+        self.d[i] = [e.scale(c) for e in self.d[i]]
 
     # pivoting --------------------------------------------------------------
     def diagonal(self) -> list[Poly]:

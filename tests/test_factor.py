@@ -54,14 +54,15 @@ def test_squarefree_char_p_cube():
     assert parts == [(x + Poly.one(F3), 3)]
 
 
-@pytest.mark.parametrize("p", [0, 2, 3, 5])
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 10007])
 def test_squarefree_matches_sympy(p):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     field = QQ if p == 0 else PrimeField(p)
     domain = {"domain": "QQ"} if p == 0 else {"modulus": p}
-    # >= 3 takes several peeling rounds; a multiple of p needs the p-th root step
-    high = 3 if p == 0 else p
+    # >= 3 takes several peeling rounds; a multiple of a small p needs the
+    # p-th root step
+    high = p if 0 < p < 10 else 3
     rng = random.Random(61 + p)
     for _ in range(8):
         f = Poly.one(field)
@@ -79,6 +80,27 @@ def test_squarefree_matches_sympy(p):
             expected.append((g.monic(), m))
         expected.sort(key=lambda gm: gm[0].sort_key())
         assert squarefree_decomposition(f) == expected
+
+
+def test_squarefree_decomposition_runs_in_polynomial_time():
+    # degree 720 over F_10007; squarefree decomposition on boxed scalars took 1.9 s
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    p = 10007
+    field = PrimeField(p)
+    rng = random.Random("sqf-time-10007")
+    f, g = Poly.one(field), sympy.Poly(1, x, modulus=p)
+    while f.degree < 720:
+        coeffs = [rng.randrange(p) for _ in range(12)] + [1]
+        m = min(rng.randint(1, 4), (720 - f.degree) // 12)
+        f = f * Poly.from_ints(field, coeffs) ** m
+        g = g * sympy.Poly(coeffs[::-1], x, modulus=p) ** m
+    start = time.process_time()
+    parts = squarefree_decomposition(f)
+    assert time.process_time() - start < 0.75
+    expected = [(Poly.from_ints(field, [int(c) for c in h.all_coeffs()[::-1]]).monic(), m)
+                for h, m in g.sqf_list()[1]]
+    assert parts == sorted(expected, key=lambda gm: gm[0].sort_key())
 
 
 def test_squarefree_zero_rejected():
@@ -169,14 +191,19 @@ def test_factor_fp_runs_in_polynomial_time(p, degrees):
 
 
 @pytest.mark.parametrize("p", [2, 3, 101, 10007])
-def test_residue_kernel_matches_boxed_poly(p):
-    from ximod.factor import _divmod, _gcd, _pow_mod
+def test_prime_field_arithmetic_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    from ximod.factor import _pow_mod
 
+    x = sympy.Symbol("x")
     field = PrimeField(p)
     rng = random.Random(f"residue-kernel-{p}")
 
-    def residues(f):
-        return [c.value for c in f.coeffs]
+    def to_sympy(f):
+        return sympy.Poly([c.value for c in reversed(f.coeffs)] or [0], x, modulus=p)
+
+    def from_sympy(g):
+        return Poly.from_ints(field, [int(c) for c in reversed(g.all_coeffs())])
 
     def rand(degree, lead=None):
         coeffs = [rng.randrange(p) for _ in range(degree)] + [lead or rng.randrange(1, p)]
@@ -187,20 +214,17 @@ def test_residue_kernel_matches_boxed_poly(p):
     cases = [(Poly.zero(field), rand(3)), (rand(2), rand(5)), (rand(8), rand(3, lead=p - 1))]
     cases += [(rand(rng.randint(0, 12)), rand(rng.randint(0, 6))) for _ in range(40)]
     for a, b in cases:
-        q, r = divmod(a, b)
-        assert _divmod(residues(a), residues(b), p) == (residues(q), residues(r))
-        assert _gcd(residues(a), residues(b), p) == residues(poly_gcd(a, b))
+        sa, sb = to_sympy(a), to_sympy(b)
+        assert divmod(a, b) == tuple(map(from_sympy, sa.div(sb)))
+        assert poly_gcd(a, b) == from_sympy(sa.gcd(sb)).monic()
         if b.degree >= 1:
             e = rng.randrange(40)
-            power = Poly.one(field) % b
-            for _ in range(e):
-                power = (power * a) % b
-            assert _pow_mod(residues(a), e, residues(b), p) == residues(power)
+            assert _pow_mod(a, e, b) == from_sympy((sa**e).rem(sb))
     # a common factor, so the gcd is not 1
     c = rand(3, lead=1)
     a, b = c * rand(4), c * rand(4)
-    assert len(_gcd(residues(a), residues(b), p)) >= 4
-    assert _gcd(residues(a), residues(b), p) == residues(poly_gcd(a, b))
+    assert poly_gcd(a, b).degree >= 3
+    assert poly_gcd(a, b) == from_sympy(to_sympy(a).gcd(to_sympy(b))).monic()
 
 
 def test_factor_rational_remultiplies():
@@ -323,4 +347,5 @@ def test_square_root_of_minus_one_matches_the_prime_field_splitter():
     primes = [p for p in range(5, 2000, 4) if _is_prime(p)]
     assert len(primes) > 100
     for p in primes:
-        assert _sqrt_minus_one(p) == min(_roots_mod_p([1, 0, 1], p)), p
+        x2_plus_1 = Poly.from_ints(PrimeField(p), [1, 0, 1])
+        assert _sqrt_minus_one(p) == min(_roots_mod_p(x2_plus_1)), p

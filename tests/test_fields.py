@@ -157,6 +157,29 @@ def test_gaussian_text_forms():
     assert parse_scalar_text(QI, "1E+2-3i") == QI.scalar((100, -3))
 
 
+def test_every_route_to_a_gaussian_scalar_gives_a_gaussian_value():
+    # a plain (re, im) tuple inside a Poly would concatenate under +
+    from ximod import charpoly, rref
+    from ximod.fields import Gaussian
+    from ximod.jsonio import parse_scalar_json
+    from ximod.matrix import Echelon
+
+    a = parse_scalar_text(QI, "1/2-3i")
+    b = parse_scalar_json(QI, {"re": "2", "im": "-1/3"}, "$")
+    scalars = [a, b, parse_scalar_text(QI, "5"), QI.from_int(3), QI.zero()]
+    scalars += [a + b, a - b, a * b, a / b, a.inv(), -a]
+    M = Matrix(QI, [[a, b], [b * b, a]])
+    scalars += [c for row in rref(M).reduced.entries for c in row]
+    echelon = Echelon(QI)
+    scalars += echelon.box(*echelon.reduce([a, b]))
+    for A in (M, Matrix.from_ints(QI, [[1, 2], [3, 4]])):  # with and without denominators
+        scalars += charpoly(A).coeffs
+    scalars += (Poly(QI, [a, b]) * Poly(QI, [b, a]) - Poly.x(QI)).coeffs
+    assert all(type(s.value) is Gaussian for s in scalars)
+    g, h = a.value, b.value
+    assert g + h == (a + b).value and not g - g and (g * h, -g) == ((a * b).value, (-a).value)
+
+
 def test_prime_field_parse_canonicalizes():
     assert parse_scalar_text(F5, "7") == F5.from_int(2)
     assert parse_scalar_text(F5, "-1") == F5.from_int(4)

@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -90,6 +91,42 @@ def test_gcd_properties(field):
         assert d.is_monic
         assert (f % d).is_zero and (g % d).is_zero
         assert common.divides(d)
+
+
+def test_gaussian_arithmetic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from oracles import sympy_domain
+
+    domain, convert = sympy_domain(QI)
+    x = sympy.Symbol("x")
+    rng = random.Random("qi-poly-sympy")
+
+    def scalar():
+        re, im = (Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(2))
+        return QI.scalar((re, im))
+
+    def rand(degree):
+        return Poly(QI, [scalar() for _ in range(degree + 1)])
+
+    def to_sympy(f):
+        return sympy.Poly.from_list([convert(c) for c in reversed(f.coeffs)], x, domain=domain)
+
+    def same(f, g):
+        return [convert(c) for c in reversed(f.coeffs)] == g.rep.to_list()
+
+    for _ in range(30):
+        a, b = rand(rng.randint(0, 7)), rand(rng.randint(0, 4))
+        common = Poly(QI, [scalar() for _ in range(rng.randint(1, 3))] + [QI.one()])
+        sa, sb, sc = to_sympy(a), to_sympy(b), to_sympy(common)
+        assert same(a * b, sa * sb)
+        if not b.is_zero:
+            q, r = divmod(a, b)
+            sq, sr = sa.div(sb)
+            assert same(q, sq) and same(r, sr)
+        if not (a.is_zero and b.is_zero):
+            assert same(poly_gcd(a, b), sa.gcd(sb).monic())
+        if not (a.is_zero or b.is_zero):
+            assert same(poly_gcd(common * a, common * b), (sc * sa).gcd(sc * sb).monic())
 
 
 def test_gcd_with_shared_constructed_factor():
