@@ -1,13 +1,17 @@
 """Exact scalars over the three supported coefficient fields.
 
-A :class:`Field` instance doubles as the value tag: two scalars interoperate
-only when they carry the same field object.  Values are kept canonical at all
-times (reduced fractions with positive denominator, `Gaussian` pairs of them,
-residues in ``[0, p)``), so equality of scalars is equality of representations.
+A :class:`Field` is the value tag, `canon` and the inverse: two scalars
+interoperate only when they carry the same field object.  Arithmetic, truth,
+order and printing belong to the raw values themselves (`Fraction` over Q,
+`Gaussian` over Q(i), int over F_p); a `Scalar` runs Python's operators on
+its value and reduces mod p once per result, as `Poly` does.  Values are
+kept canonical at all times (reduced fractions with positive denominator,
+`Gaussian` pairs of them, residues in ``[0, p)``), so equality of scalars is
+equality of representations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .errors import DivisionByZero, TagMismatch
@@ -61,38 +65,25 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+@dataclass(frozen=True)
 class Field:
-    """Abstract coefficient field; concrete fields implement the raw-value ops."""
+    """A coefficient field: the tag of its values, `canon` and the inverse."""
 
-    kind: str = "?"
+    kind = "?"
+    # p over F_p, else 0; stored on each instance (hence the factory), since
+    # CPython reads an instance attribute faster than a class attribute
+    characteristic: int = dataclass_field(
+        default_factory=int, init=False, repr=False, compare=False
+    )
 
-    # raw-value protocol -------------------------------------------------
     def canon(self, value):
-        raise NotImplementedError
-
-    def raw_add(self, a, b):
-        raise NotImplementedError
-
-    def raw_mul(self, a, b):
-        raise NotImplementedError
-
-    def raw_neg(self, a):
         raise NotImplementedError
 
     def raw_inv(self, a):
         raise NotImplementedError
 
-    def raw_is_zero(self, a) -> bool:
-        raise NotImplementedError
-
-    def raw_format(self, a) -> str:
-        raise NotImplementedError
-
-    def raw_sort_key(self, a):
-        raise NotImplementedError
-
     def parse(self, text: str) -> "Scalar":
-        raise NotImplementedError
+        return self.scalar(text)
 
     # scalar construction -------------------------------------------------
     def scalar(self, value) -> "Scalar":
@@ -106,10 +97,6 @@ class Field:
 
     def from_int(self, n: int) -> "Scalar":
         return self.scalar(n)
-
-    @property
-    def characteristic(self) -> int:
-        return 0
 
     def describe(self) -> str:
         return self.kind
@@ -130,31 +117,10 @@ class Rationals(Field):
             return _parse_fraction(value)
         raise TypeError(f"cannot build a rational from {value!r}")
 
-    def raw_add(self, a, b):
-        return a + b
-
-    def raw_mul(self, a, b):
-        return a * b
-
-    def raw_neg(self, a):
-        return -a
-
     def raw_inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
         return 1 / a
-
-    def raw_is_zero(self, a):
-        return a == 0
-
-    def raw_format(self, a):
-        return str(a)
-
-    def raw_sort_key(self, a):
-        return a
-
-    def parse(self, text):
-        return self.scalar(_parse_fraction(text))
 
     def describe(self):
         return "rationals"
@@ -162,7 +128,8 @@ class Rationals(Field):
 
 class Gaussian(tuple):
     """A gaussian rational re + im*i as the pair (re, im), with the ring
-    operations of a raw value: ``+``, ``-``, ``*``, unary ``-`` and truth.
+    operations of a raw value: ``+``, ``-``, ``*``, unary ``-``, truth, and
+    ``str`` in the text form that `parse` reads ("i", "-2i", "1/2-3/4i").
     There is no ``__radd__``, so ``sum()`` does not take Gaussian values."""
 
     __slots__ = ()
@@ -181,7 +148,18 @@ class Gaussian(tuple):
         return Gaussian((-self[0], -self[1]))
 
     def __bool__(self):
-        return bool(self[0] or self[1])
+        # calling __bool__ directly skips CPython's slower truth-slot dispatch
+        return self[0].__bool__() or self[1].__bool__()
+
+    def __str__(self):
+        re, im = self
+        if not im:
+            return str(re)
+        im_part = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+        if not re:
+            return im_part
+        sep = "" if im_part.startswith("-") else "+"
+        return f"{re}{sep}{im_part}"
 
 
 @dataclass(frozen=True)
@@ -204,46 +182,11 @@ class GaussianRationals(Field):
             return _parse_gaussian_text(value)
         raise TypeError(f"cannot build a gaussian rational from {value!r}")
 
-    # plain (re, im) pairs work as well: `charpoly` and `poly_eval_operator`
-    # pass lifted Gaussian-integer pairs
-    def raw_add(self, a, b):
-        return Gaussian(a) + b
-
-    def raw_mul(self, a, b):
-        return Gaussian(a) * b
-
-    def raw_neg(self, a):
-        return -Gaussian(a)
-
     def raw_inv(self, a):
         n = a[0] * a[0] + a[1] * a[1]
         if n == 0:
             raise DivisionByZero("inverse of zero")
         return Gaussian((a[0] / n, -a[1] / n))
-
-    def raw_is_zero(self, a):
-        return a[0] == 0 and a[1] == 0
-
-    def raw_format(self, a):
-        re, im = a
-        if im == 0:
-            return str(re)
-        if im == 1:
-            im_part = "i"
-        elif im == -1:
-            im_part = "-i"
-        else:
-            im_part = f"{im}i"
-        if re == 0:
-            return im_part
-        sep = "+" if not im_part.startswith("-") else ""
-        return f"{re}{sep}{im_part}"
-
-    def raw_sort_key(self, a):
-        return a
-
-    def parse(self, text):
-        return self.scalar(_parse_gaussian_text(text))
 
     def describe(self):
         return "gaussian rationals"
@@ -291,6 +234,7 @@ class PrimeField(Field):
             raise ValueError(f"modulus {self.p} is too large (must be below {_MAX_MODULUS})")
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
+        object.__setattr__(self, "characteristic", self.p)
 
     def canon(self, value):
         if isinstance(value, str):
@@ -299,35 +243,10 @@ class PrimeField(Field):
             return value % self.p
         raise TypeError(f"cannot build a mod-{self.p} residue from {value!r}")
 
-    def raw_add(self, a, b):
-        return (a + b) % self.p
-
-    def raw_mul(self, a, b):
-        return (a * b) % self.p
-
-    def raw_neg(self, a):
-        return (-a) % self.p
-
     def raw_inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def raw_is_zero(self, a):
-        return a == 0
-
-    def raw_format(self, a):
-        return str(a)
-
-    def raw_sort_key(self, a):
-        return a
-
-    def parse(self, text):
-        return self.scalar(text)
-
-    @property
-    def characteristic(self):
-        return self.p
 
     def elements(self):
         """All field elements, in residue order."""
@@ -349,8 +268,8 @@ class Scalar:
     def __init__(self, field: Field, value):
         # value is trusted to be canonical (over Q(i) a `Gaussian`, never a
         # plain tuple); use Field.scalar() to canonicalize
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
+        _set_field(self, field)
+        _set_value(self, value)
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"Scalar is immutable; cannot set {name!r}")
@@ -364,41 +283,25 @@ class Scalar:
 
     def __add__(self, other):
         self._check(other)
-        return Scalar(self.field, self.field.raw_add(self.value, other.value))
+        return _scalar(self.field, self.value + other.value)
 
     def __sub__(self, other):
         self._check(other)
-        return Scalar(
-            self.field, self.field.raw_add(self.value, self.field.raw_neg(other.value))
-        )
+        return _scalar(self.field, self.value - other.value)
 
     def __mul__(self, other):
         self._check(other)
-        return Scalar(self.field, self.field.raw_mul(self.value, other.value))
+        return _scalar(self.field, self.value * other.value)
 
     def __truediv__(self, other):
         self._check(other)
-        return Scalar(
-            self.field, self.field.raw_mul(self.value, self.field.raw_inv(other.value))
-        )
+        return _scalar(self.field, self.value * self.field.raw_inv(other.value))
 
     def __neg__(self):
-        return Scalar(self.field, self.field.raw_neg(self.value))
+        return _scalar(self.field, -self.value)
 
     def inv(self) -> "Scalar":
         return Scalar(self.field, self.field.raw_inv(self.value))
-
-    def __pow__(self, n: int) -> "Scalar":
-        if n < 0:
-            return self.inv() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -411,20 +314,35 @@ class Scalar:
         return hash((self.field, self.value))
 
     def __bool__(self):
-        return not self.field.raw_is_zero(self.value)
+        return bool(self.value)
 
     @property
     def is_zero(self) -> bool:
-        return self.field.raw_is_zero(self.value)
+        return not self.value
 
     def sort_key(self):
-        return self.field.raw_sort_key(self.value)
+        return self.value
 
     def __str__(self):
-        return self.field.raw_format(self.value)
+        return str(self.value)
 
     def __repr__(self):
         return f"Scalar({self.field.kind}, {self})"
+
+
+# Scalar's slot descriptors set its attributes past the refusing
+# Scalar.__setattr__, and faster than object.__setattr__
+_set_field, _set_value = Scalar.field.__set__, Scalar.value.__set__
+
+
+def _scalar(field: Field, value) -> Scalar:
+    """The Scalar with raw value `value`, reduced mod p over F_p; built
+    without a call to `__init__`, as `poly._poly` builds a Poly."""
+    p = field.characteristic
+    s = object.__new__(Scalar)
+    _set_field(s, field)
+    _set_value(s, value % p if p else value)
+    return s
 
 
 def field_arithmetic(a: Scalar, b: Scalar | None, op: str):

@@ -232,8 +232,9 @@ class EchelonResult:
 
 def lift(field: Field, values) -> tuple[list, int]:
     """(u, L) with values = u / L for raw values over K: u holds ints over Q,
-    Gaussian-integer pairs over Q(i), residues over F_p (L = 1), and L is
-    the lcm of the denominators.  `_box` is the way back."""
+    plain (re, im) pairs of ints over Q(i), residues over F_p (L = 1), and
+    L is the lcm of the denominators.  `_Lifted` computes on u, and `_box`
+    is the way back."""
     if field.characteristic:
         return list(values), 1
     if isinstance(field, GaussianRationals):
@@ -246,9 +247,10 @@ def lift(field: Field, values) -> tuple[list, int]:
 
 def _box(field: Field, u, L: int) -> list[Scalar]:
     """u / L over K for lifted values u and an integer L, the inverse of
-    `lift`; over F_p, L = 1 and u holds residues."""
-    if field.characteristic:
-        return [Scalar(field, a) for a in u]
+    `lift`; over F_p, L = 1 and u is reduced mod p here."""
+    p = field.characteristic
+    if p:
+        return [Scalar(field, a % p) for a in u]
     zero = field.zero()
     if isinstance(field, GaussianRationals):
         return [Scalar(field, Gaussian((Fraction(a, L), Fraction(b, L)))) if a or b else zero
@@ -257,11 +259,11 @@ def _box(field: Field, u, L: int) -> list[Scalar]:
 
 
 class _Lifted:
-    """Products on lifted values (see `lift`): ints over Q, Gaussian-integer
-    pairs over Q(i), residues over F_p.  Every product is built from `dot`,
-    and over F_p each inner product is reduced mod p once, not term by term.
-    Sums and negations need no helper: the field's `raw_add` and `raw_neg`
-    take lifted values as they are."""
+    """Ring operations on lifted values (see `lift`): ints over Q, plain
+    (re, im) pairs of ints over Q(i), ints standing for residues over F_p.
+    Every product is built from `dot`, and over F_p each inner product is
+    reduced mod p once, not term by term; `add` and `neg` do not reduce,
+    which `_box` does on the way back."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -279,6 +281,16 @@ class _Lifted:
         """(M, d) with A = M / d, M a list of lifted rows."""
         u, d = lift(self.field, [a.value for row in A.entries for a in row])
         return [u[i * A.cols : (i + 1) * A.cols] for i in range(A.rows)], d
+
+    def add(self, x, y):
+        if self.gaussian:
+            return x[0] + y[0], x[1] + y[1]
+        return x + y
+
+    def neg(self, x):
+        if self.gaussian:
+            return -x[0], -x[1]
+        return -x
 
     def dot(self, x, y):
         """sum_i x[i] y[i] over the shorter of x and y."""
@@ -558,18 +570,18 @@ def poly_eval_operator(pi: Poly, A: Matrix) -> Matrix:
     ring = _Lifted(field)
     M, d = ring.rows(A)
     c, L = lift(field, pi.values)
-    g = [field.raw_mul(a, ring.of_int(d ** (m - k))) for k, a in enumerate(c)]
+    # g_k = c_k d^(m-k), each a one-term dot
+    g = [ring.dot((a,), (ring.of_int(d ** (m - k)),)) for k, a in enumerate(c)]
     s = max(1, isqrt(m + 1))
     powers = [[[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)], M]
     while len(powers) <= s:
         powers.append(ring.matmul(powers[-1], M))
     # stacks[i][j] = (I[i][j], M[i][j], ..., M^s[i][j]); a block entry is one dot
     stacks = [list(zip(*(P[i] for P in powers))) for i in range(n)]
-    add = field.raw_add
     acc = None
     for k in reversed(range(0, m + 1, s)):
         block = [[ring.dot(g[k : k + s], e) for e in row] for row in stacks]
         if acc is not None:
-            block = [list(map(add, r, b)) for r, b in zip(ring.matmul(acc, powers[s]), block)]
+            block = [list(map(ring.add, r, b)) for r, b in zip(ring.matmul(acc, powers[s]), block)]
         acc = block
     return Matrix(field, (_box(field, row, L * d**m) for row in acc), (n, n))

@@ -3,8 +3,10 @@
 A `Poly` holds the raw values of its coefficients (`Scalar.value`):
 Fractions over Q, `Gaussian` pairs over Q(i), residues over F_p.  Its ring
 operations run Python's operators on them in one code path for the three
-fields, and over F_p reduce each coefficient mod p once, when it is final.
-Coefficients are boxed as Scalars only when read.
+fields, the same arithmetic a `Scalar` runs, and over F_p reduce each
+coefficient mod p once, when it is final.  Order and printing are the
+values' own; only the inverse comes from the field.  Coefficients are boxed
+as Scalars only when read.
 """
 from __future__ import annotations
 
@@ -209,19 +211,18 @@ class Poly:
         return hash((self.field, self.values))
 
     def sort_key(self):
-        return (self.degree, tuple(map(self.field.raw_sort_key, self.values)))
+        return (self.degree, self.values)
 
     def __str__(self):
         if self.is_zero:
             return "0"
         parts = []
-        field = self.field
-        one = field.canon(1)
+        one = self.field.canon(1)
         for k in range(len(self.values) - 1, -1, -1):
             c = self.values[k]
             if not c:
                 continue
-            text = field.raw_format(c)
+            text = str(c)
             composite = any(ch in text[1:] for ch in "+-")
             if k == 0:
                 term = f"({text})" if composite else text

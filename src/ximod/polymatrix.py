@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import NonSquare
 from .fields import Field, Scalar
-from .matrix import DenseMatrix, Matrix, _Lifted
+from .matrix import DenseMatrix, Matrix, _box, _Lifted
 from .poly import Poly
 
 
@@ -101,31 +101,27 @@ def charpoly(A: Matrix) -> Poly:
     With A_k the leading k x k block of A_(k+1) = [[A_k, c], [r, a]],
     det(x*I - A_(k+1)) is the Toeplitz product of (1, -a, -r c, -r A_k c,
     ..., -r A_k^(k-1) c) with det(x*I - A_k), coefficients leading first.
-    Only ring operations run, all inner products through `matrix._Lifted`,
-    so one path serves ints, Gaussian-integer pairs and residues, and over
-    F_p each inner product is reduced once; the coefficient at x^j of
-    det(x*I - L*A) is then divided by L^(n-j).  The CLI uses it to check
-    invariant factors, so it shares no elimination with their Krylov
-    computation.
+    Only ring operations run, all through `matrix._Lifted`, so one path
+    serves ints, Gaussian-integer pairs and residues, and over F_p each
+    inner product is reduced once.  The coefficient at x^j of
+    det(x*I - L*A) is divided by L^(n-j) as `matrix._box` boxes it, once.
+    The CLI uses it to check invariant factors, so it shares no
+    elimination with their Krylov computation.
     """
     if not A.is_square:
         raise NonSquare("characteristic matrix needs a square operator")
     field, n = A.field, A.rows
-    ring, neg = _Lifted(field), field.raw_neg
+    ring = _Lifted(field)
     M, L = ring.rows(A)
     p = [ring.one]
     for k in range(n):  # r = M[k][:k], c = [M[i][k] for i < k], a = M[k][k]
-        t, v = [ring.one, neg(M[k][k])], [M[i][k] for i in range(k)]
+        t, v = [ring.one, ring.neg(M[k][k])], [M[i][k] for i in range(k)]
         for _ in range(k):
-            t.append(neg(ring.dot(M[k], v)))
+            t.append(ring.neg(ring.dot(M[k], v)))
             v = [ring.dot(M[i], v) for i in range(k)]
         p = [ring.dot(t[j::-1], p) for j in range(k + 2)]
-    coeffs = [field.scalar(c) for c in p]
-    if L != 1:  # coeffs[m] is at x^(n-m) of det(x*I - L*A)
-        inv = field.from_int(L).inv()
-        for m in range(1, n + 1):
-            coeffs[m] = coeffs[m] * inv**m
-    return Poly(field, coeffs[::-1])
+    # p[m] is at x^(n-m) of det(x*I - L*A)
+    return Poly(field, [_box(field, [c], L**m)[0] for m, c in enumerate(p)][::-1])
 
 
 @dataclass(frozen=True)

@@ -413,9 +413,6 @@ class _ExpressionParser:
         except (ValueError, TypeError, KeyError):
             self._fail(f"not a valid gaussian scalar object: {blob!r}", start)
 
-    # note: Field.scalar for gaussian accepts (Fraction, Fraction); strings are
-    # routed through Fraction by the tuple canonicaliser
-
 
 def parse_expression(text: str, field: Field) -> FormalSequence:
     """Parse a pair-sequence expression; errors carry line and column."""

@@ -150,6 +150,9 @@ def test_gaussian_text_forms():
     assert parse_scalar_text(QI, "1/2-3/4i") == QI.scalar((Fraction(1, 2), Fraction(-3, 4)))
     assert parse_scalar_text(QI, "-2") == QI.scalar((-2, 0))
     assert str(QI.scalar((Fraction(1, 2), Fraction(-3, 4)))) == "1/2-3/4i"
+    # these forms are printed by Gaussian.__str__
+    for text in ("i", "-i", "3i", "-1/2+i", "2"):
+        assert str(parse_scalar_text(QI, text)) == text
     # a sign after e/E belongs to the decimal exponent, not to the imaginary part
     assert parse_scalar_text(QI, "1e-5i") == QI.scalar((0, Fraction(1, 10**5)))
     assert parse_scalar_text(QI, "2+1e-5i") == QI.scalar((2, Fraction(1, 10**5)))
@@ -159,7 +162,7 @@ def test_gaussian_text_forms():
 
 def test_every_route_to_a_gaussian_scalar_gives_a_gaussian_value():
     # a plain (re, im) tuple inside a Poly would concatenate under +
-    from ximod import charpoly, rref
+    from ximod import charpoly, poly_eval_operator, rref
     from ximod.fields import Gaussian
     from ximod.jsonio import parse_scalar_json
     from ximod.matrix import Echelon
@@ -172,12 +175,40 @@ def test_every_route_to_a_gaussian_scalar_gives_a_gaussian_value():
     scalars += [c for row in rref(M).reduced.entries for c in row]
     echelon = Echelon(QI)
     scalars += echelon.box(*echelon.reduce([a, b]))
+    pi = Poly(QI, [a, b, a, b])
     for A in (M, Matrix.from_ints(QI, [[1, 2], [3, 4]])):  # with and without denominators
         scalars += charpoly(A).coeffs
+        scalars += [c for row in poly_eval_operator(pi, A).entries for c in row]
+        scalars += [c for row in poly_eval_operator(Poly.from_ints(QI, [2, 0, -1, 3]), A).entries
+                    for c in row]
     scalars += (Poly(QI, [a, b]) * Poly(QI, [b, a]) - Poly.x(QI)).coeffs
     assert all(type(s.value) is Gaussian for s in scalars)
     g, h = a.value, b.value
     assert g + h == (a + b).value and not g - g and (g * h, -g) == ((a * b).value, (-a).value)
+
+
+def test_every_route_to_a_residue_gives_a_reduced_int():
+    # over F_p a value outside [0, p) would break equality and printing;
+    # p is large so that unreduced sums and products would show
+    from ximod import charpoly, poly_eval_operator, rref
+    from ximod.matrix import Echelon
+
+    F = PrimeField(10**18 + 3)
+    p = F.p
+    rng = random.Random(15)
+    entries = [[F.from_int(rng.randrange(p // 2, p)) for _ in range(3)] for _ in range(3)]
+    a, b = entries[0][0], entries[1][1]
+    scalars = [a + b, a - b, b - a, a * b, a / b, a.inv(), -F.zero(), -F.from_int(p - 1)]
+    M = Matrix(F, entries)
+    scalars += [c for row in rref(M).reduced.entries for c in row]
+    echelon = Echelon(F)
+    scalars += echelon.box(*echelon.reduce(entries[0]))
+    scalars += charpoly(M).coeffs
+    pi = Poly(F, [F.from_int(rng.randrange(p // 2, p)) for _ in range(6)])
+    scalars += [c for row in poly_eval_operator(pi, M).entries for c in row]
+    scalars += (pi * pi - Poly(F, [a, b]) * pi).coeffs
+    assert all(type(s.value) is int and 0 <= s.value < p for s in scalars)
+    assert (-F.from_int(p - 1)).value == 1 and (-F.zero()).value == 0
 
 
 def test_prime_field_parse_canonicalizes():
