@@ -4,23 +4,28 @@ Factorisation is complete over prime fields (distinct-degree plus
 equal-degree splitting).  Everything here computes with `Poly`'s one
 arithmetic on raw coefficients (`divmod`, `poly_gcd` and `_pow_mod`
 below); over F_p that reduces each coefficient mod p once, when it is
-final.  Over the rational and gaussian-rational fields it is deliberately
-partial: squarefree decomposition, then exhaustive root extraction by
-p-adic lifting of the roots mod a small prime p, found by the same
-prime-field splitting.  A rootless factor of degree <= 3 is irreducible,
-since any splitting of it has a linear part.  A rootless factor of
-degree >= 4 cannot be decided by these means and raises
-FactorizationIncomplete; callers fall back to invariant factors.
+final.  Powers mod a fixed modulus (`_pow_mod`, the characteristic-2
+trace map) run through `_Modulus`, which reduces packed products with a
+precomputed inverse where `Poly`'s packed lanes fit, and takes Poly's
+schoolbook a * b % m for larger primes.  Over the rational and
+gaussian-rational fields it is deliberately partial: squarefree
+decomposition, then exhaustive root extraction by p-adic lifting of the
+roots mod a small prime p, found by the same prime-field splitting.  A
+rootless factor of degree <= 3 is irreducible, since any splitting of it
+has a linear part.  A rootless factor of degree >= 4 cannot be decided by
+these means and raises FactorizationIncomplete; callers fall back to
+invariant factors.
 """
 from __future__ import annotations
 
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import FactorizationIncomplete, ZeroPolynomial
 from .fields import GaussianRationals, PrimeField, Rationals, Scalar, _is_prime
-from .poly import Poly, poly_gcd
+from .poly import Poly, _kron, _packs, _poly, poly_gcd
 
 # fixed seed: equal-degree splitting must be reproducible run to run
 _SPLIT_SEED = 0x5EED
@@ -231,7 +236,7 @@ def _roots_mod_p(f: Poly) -> list[int] | None:
     p, x = f.field.characteristic, Poly.x(f.field)
     if poly_gcd(f, f.derivative()).degree > 0:
         return None
-    w = poly_gcd(f, _pow_mod(x, p, f) - x)  # the product of f's linear factors
+    w = poly_gcd(f, _pow_mod(x, p, _Modulus(f)) - x)  # the product of f's linear factors
     if w.degree < 1:
         return []
     linear = _equal_degree_split(w, 1, random.Random(_SPLIT_SEED))
@@ -257,14 +262,60 @@ def _lift(f: list[int], a: int, p: int, modulus: int) -> int:
 
 # -- prime fields: distinct-degree + equal-degree splitting ------------------
 
-def _pow_mod(base: Poly, exp: int, mod: Poly) -> Poly:
-    """base^exp mod mod, by repeated squaring."""
-    result, base = Poly.one(base.field), base % mod
-    while exp:
-        if exp & 1:
-            result = result * base % mod
-        base = base * base % mod
-        exp >>= 1
+class _Modulus:
+    """Products mod a fixed polynomial m of degree n over F_p.
+
+    Where `_kron`'s lanes fit, the product of two residues mod m costs
+    three packed products: c = a*b, the quotient q from the top n - 1
+    coefficients of c times the inverse of the reversal of m, and q*m
+    (von zur Gathen & Gerhard, *Modern Computer Algebra*, 9.1).  The
+    inverse is computed once per modulus, when first needed.  Otherwise
+    the product is Poly's a * b % m.
+    """
+
+    def __init__(self, m: Poly):
+        self.poly = m
+        self.packed = m.degree > 1 and _packs(m.field.characteristic, m.degree)
+
+    @cached_property
+    def inverse(self) -> list[int]:
+        """The inverse of the reversal R of m mod x^(n - 1), reversed; that
+        is the quotient of x^(2n - 2) by m.  Newton iteration doubles the
+        precision k to t with I <- I - I*(R*I - 1), since R*I = 1 mod x^k."""
+        m = self.poly
+        p, r = m.field.characteristic, m.values[::-1]
+        inv = [m.field.raw_inv(r[0])]
+        while len(inv) < m.degree - 1:
+            k, t = len(inv), min(2 * len(inv), m.degree - 1)
+            e = [v % p for v in _kron(r[:t], inv)[k:t]]
+            inv += [-v % p for v in _kron(inv, e)[:t - k]]
+        return inv[::-1]
+
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        """a * b mod m, for a and b of degree below n."""
+        m = self.poly
+        if not (self.packed and a.values and b.values):
+            return a * b % m
+        field, p, n = m.field, m.field.characteristic, m.degree
+        c = _kron(a.values, b.values)
+        if len(c) <= n:
+            return _poly(field, c)
+        # c = q*m + r with deg q <= n - 2: q is the top n - 1 coefficients
+        # of (c div x^n) times the reversed inverse
+        q = [v % p for v in _kron([v % p for v in c[n:]], self.inverse)[n - 2:]]
+        return _poly(field, [u - v for u, v in zip(c[:n], _kron(q, m.values))])
+
+
+def _pow_mod(base: Poly, exp: int, mod: _Modulus) -> Poly:
+    """base^exp mod mod.poly, by left-to-right repeated squaring."""
+    base = base % mod.poly
+    if not exp:
+        return Poly.one(base.field) % mod.poly
+    result = base
+    for bit in bin(exp)[3:]:
+        result = mod.mul(result, result)
+        if bit == "1":
+            result = mod.mul(result, base)
     return result
 
 
@@ -273,18 +324,19 @@ def _factor_squarefree_fp(g: Poly) -> list[Poly]:
     rng = random.Random(_SPLIT_SEED)
     out: list[Poly] = []
     x = h = Poly.x(g.field)
-    d = 0
+    mod, d = _Modulus(g), 0
     while g.degree >= 1:
         d += 1
         if g.degree < 2 * d:
             out.append(g)  # what is left is irreducible
             break
-        h = _pow_mod(h, p, g)
+        h = _pow_mod(h, p, mod)
         w = poly_gcd(g, h - x)
         if w.degree >= 1:
             out.extend(_equal_degree_split(w, d, rng))
             g = g // w
-            h = h % g if g.degree >= 1 else h
+            if g.degree >= 1:
+                h, mod = h % g, _Modulus(g)
     return out
 
 
@@ -292,7 +344,7 @@ def _equal_degree_split(g: Poly, d: int, rng: random.Random) -> list[Poly]:
     """Cantor-Zassenhaus: g is a monic product of irreducibles all of degree d."""
     if g.degree == d:
         return [g]
-    p = g.field.characteristic
+    p, mod = g.field.characteristic, _Modulus(g)
     while True:
         h = Poly.from_ints(g.field, [rng.randrange(p) for _ in range(g.degree)])
         if h.is_zero:
@@ -302,10 +354,10 @@ def _equal_degree_split(g: Poly, d: int, rng: random.Random) -> list[Poly]:
             # fails; in characteristic 2 subtraction is addition
             t = w = h
             for _ in range(d - 1):
-                t = t * t % g
+                t = mod.mul(t, t)
                 w = w - t
         else:
-            w = _pow_mod(h, (p**d - 1) // 2, g) - Poly.one(g.field)
+            w = _pow_mod(h, (p**d - 1) // 2, mod) - Poly.one(g.field)
         if w.is_zero:
             continue
         split = poly_gcd(g, w)

@@ -7,9 +7,17 @@ fields, the same arithmetic a `Scalar` runs, and over F_p reduce each
 coefficient mod p once, when it is final.  Order and printing are the
 values' own; only the inverse comes from the field.  Coefficients are boxed
 as Scalars only when read.
+
+Over F_p, a product whose shorter factor has `_KRON_MIN` coefficients or
+more is one integer product (Kronecker substitution, `_kron`), where every
+coefficient of the product fits a 64-bit lane (`_packs`): at p = 10007 for
+any length, never from p = 2^31 up.  Where they do not fit, shorter
+factors and the other fields run the schoolbook loop.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import zip_longest
 
 from .errors import BothZero, DivisionByZero, TagMismatch
@@ -21,6 +29,38 @@ def _value(field: Field, c):
     if not isinstance(c, Scalar) or (c.field is not field and c.field != field):
         raise TagMismatch("coefficient does not belong to the declared field")
     return c.value
+
+
+# Kronecker substitution packs residues into the 64-bit lanes of one int;
+# lanes are native words, so products fall back to schoolbook where they
+# are not 64 bits wide
+_LANE_BITS = 64 if array("Q").itemsize == 8 else 0
+# a packed product beats schoolbook from a shorter factor of length 2 to 4
+# on CPython 3.11, x86-64; at 2 and 3 by about 1 us, at 12 by 2-3x
+_KRON_MIN = 4
+
+
+def _packs(p: int, n: int) -> bool:
+    """Whether `_kron`'s lanes hold every coefficient of a product of
+    residues mod p whose shorter factor has length n: a sum of at most n
+    terms below (p - 1)^2."""
+    return 2 * (p - 1).bit_length() + n.bit_length() <= _LANE_BITS
+
+
+def _kron(a, b) -> list[int]:
+    """The unreduced coefficients of the product of the nonempty residue
+    lists a and b, where `_packs` holds: each list is packed into one int,
+    one lane per coefficient, and the two ints are multiplied once.
+
+    Lanes are read in native byte order.  On a big-endian host that packs
+    the reversed lists, whose product is the reversed product, and the
+    unpacking restores the order.
+    """
+    order = sys.byteorder
+    x = int.from_bytes(array("Q", a).tobytes(), order)
+    y = x if b is a else int.from_bytes(array("Q", b).tobytes(), order)
+    size = 8 * (len(a) + len(b) - 1)
+    return memoryview((x * y).to_bytes(size, order)).cast("Q").tolist()
 
 
 def _poly(field: Field, values) -> "Poly":
@@ -128,6 +168,11 @@ class Poly:
         a, b = self.values, other.values
         if not a or not b:
             return _poly(self.field, ())
+        if len(a) > len(b):
+            a, b = b, a
+        p = self.field.characteristic
+        if p and len(a) >= _KRON_MIN and _packs(p, len(a)):
+            return _poly(self.field, _kron(a, b))
         out = [self.field.canon(0)] * (len(a) + len(b) - 1)
         for i, c in enumerate(a):
             if c:

@@ -175,9 +175,11 @@ def test_factor_fp_matches_sympy(p):
 @pytest.mark.parametrize("p, degrees", [
     (10007, (1, 1, 2, 3, 4, 4, 5, 6, 7, 8, 9, 10)),
     (10**18 + 3, (1, 2, 3, 4, 5, 9)),
+    (10007, (1, 2, 3, 5, 8, 13, 21, 34, 57)),
 ])
 def test_factor_fp_runs_in_polynomial_time(p, degrees):
-    # 60 and 24 in all; splitting on boxed scalars took several times the bound
+    # 60, 24 and 144 in all; splitting on boxed scalars took several times the
+    # bound, and schoolbook products mod g took 0.85 s at degree 144
     field = PrimeField(p)
     rng = random.Random(f"fp-time-{p}")
     f = Poly.one(field)
@@ -190,10 +192,14 @@ def test_factor_fp_runs_in_polynomial_time(p, degrees):
     assert sum(q.degree * m for q, m in parts) == sum(degrees)
 
 
-@pytest.mark.parametrize("p", [2, 3, 101, 10007])
+@pytest.mark.parametrize("p", [2, 3, 101, 10007, 2**31 - 1, 2**61 - 1])
 def test_prime_field_arithmetic_matches_sympy(p):
+    # 2^31 - 1 reduces packed products mod moduli of degree <= 3 and takes
+    # Poly's a * b % m above that; 2^61 - 1 always takes the fallback
     sympy = pytest.importorskip("sympy")
-    from ximod.factor import _pow_mod
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+    from ximod.factor import _Modulus, _pow_mod
 
     x = sympy.Symbol("x")
     field = PrimeField(p)
@@ -219,12 +225,26 @@ def test_prime_field_arithmetic_matches_sympy(p):
         assert poly_gcd(a, b) == from_sympy(sa.gcd(sb)).monic()
         if b.degree >= 1:
             e = rng.randrange(40)
-            assert _pow_mod(a, e, b) == from_sympy((sa**e).rem(sb))
+            assert _pow_mod(a, e, _Modulus(b)) == from_sympy((sa**e).rem(sb))
     # a common factor, so the gcd is not 1
     c = rand(3, lead=1)
     a, b = c * rand(4), c * rand(4)
     assert poly_gcd(a, b).degree >= 3
     assert poly_gcd(a, b) == from_sympy(to_sympy(a).gcd(to_sympy(b))).monic()
+    # moduli of degree 1 to 40, monic and not, each with exponents 0, 1 and
+    # two larger ones, and bases of degree up to twice the modulus'
+    for degree in [*range(1, 13), 20, 27, 33, 40]:
+        for lead in (1, p - 1):
+            m = rand(degree, lead)
+            mod = _Modulus(m)
+            if mod.packed:  # the reversed inverse is the quotient of x^(2n - 2) by m
+                assert mod.inverse == list((Poly.from_ints(field, [0] * (2 * degree - 2) + [1]) // m).values)
+            for base, e in [(rand(degree + 3), 0), (rand(degree - 1), 1),
+                            (rand(degree - 1), rng.randrange(2, 200)),
+                            (rand(2 * degree), rng.randrange(2, min(p**3, 2**40)))]:
+                expected = gf_pow_mod([c.value for c in reversed(base.coeffs)], e,
+                                      [c.value for c in reversed(m.coeffs)], p, ZZ)
+                assert _pow_mod(base, e, mod) == from_sympy(sympy.Poly(expected or [0], x, modulus=p))
 
 
 def test_factor_rational_remultiplies():

@@ -129,6 +129,52 @@ def test_gaussian_arithmetic_matches_sympy():
             assert same(poly_gcd(common * a, common * b), (sc * sa).gcd(sc * sb).monic())
 
 
+def schoolbook_mod_p(a, b, p):
+    """The product of two residue lists mod p, trailing zeros stripped."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    out = [c % p for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 10007, 2**30 - 35, 2**31 - 1, 2**61 - 1, 10**18 + 3])
+def test_fp_products_match_schoolbook(p):
+    # packed products above the crossover, schoolbook below it and for
+    # primes whose lanes do not fit; all-(p - 1) lists give the largest sums
+    field = PrimeField(p)
+    rng = random.Random(f"fp-products-{p}")
+    for n in range(65):
+        for m in (n, rng.randrange(65)):
+            for a, b in (([p - 1] * n, [p - 1] * m),
+                         ([rng.randrange(p) for _ in range(n)], [rng.randrange(p) for _ in range(m)])):
+                product = Poly.from_ints(field, a) * Poly.from_ints(field, b)
+                assert list(product.values) == schoolbook_mod_p(a, b, p), (n, m)
+
+
+@pytest.mark.parametrize("p, n, bits", [
+    (2**31 - 1, 3, 64), (2**31 - 1, 7, 65), (2**30 - 35, 15, 64), (2**30 - 35, 16, 65),
+])
+def test_fp_products_on_both_sides_of_the_lane_bound(p, n, bits):
+    # 2*bitlen(p - 1) + bitlen(n) is the width a product's coefficients need
+    # when the shorter factor has length n; at 65 bits a lane of (2^31 - 2)^2 * 7
+    # overflows, so a packed product there would be wrong
+    from ximod.poly import _kron, _packs
+
+    assert 2 * (p - 1).bit_length() + n.bit_length() == bits
+    assert _packs(p, n) == (bits <= 64)
+    field = PrimeField(p)
+    a, b = [p - 1] * n, [p - 1] * (n + 5)
+    expected = schoolbook_mod_p(a, b, p)
+    assert list((Poly.from_ints(field, a) * Poly.from_ints(field, b)).values) == expected
+    assert list((Poly.from_ints(field, b) * Poly.from_ints(field, a)).values) == expected
+    if bits <= 64:
+        assert [c % p for c in _kron(a, b)] == expected
+
+
 def test_gcd_with_shared_constructed_factor():
     rng = random.Random(23)
     shared = Poly.from_ints(QQ, [2, 1])  # x + 2

@@ -1,0 +1,56 @@
+"""Time ximod's F_p polynomial layer over a degree ladder.
+
+    python3 tools/poly_ladder.py --root <checkout> [--degrees 12 24 36 72 144]
+
+For p in {2, 101, 10007} and each degree d, prints the median process time
+in ms of a `Poly` product of two degree-d polynomials, of `_pow_mod(a, p, m)`
+for a monic m of degree d (one Frobenius step of distinct-degree factoring
+on a general residue), and of `factor_irreducible` on a random monic
+polynomial of degree d.  Inputs depend only on p and d, so two checkouts'
+tables compare line by line.
+"""
+from __future__ import annotations
+
+import argparse
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+
+def median_ms(fn, budget: float = 0.2) -> float:
+    times: list[float] = []
+    while len(times) < 3 or (sum(times) < budget and len(times) < 200):
+        start = time.process_time()
+        fn()
+        times.append(time.process_time() - start)
+    return 1e3 * statistics.median(times)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", required=True, type=Path, help="ximod checkout to time")
+    parser.add_argument("--degrees", nargs="+", type=int, default=[12, 24, 36, 72, 144])
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.root.resolve() / "src"))
+    from ximod import Poly, PrimeField, factor
+
+    # checkouts with a fixed-modulus reducer take it in place of the Poly
+    modulus = getattr(factor, "_Modulus", lambda m: m)
+    print(f"ximod from {Path(factor.__file__).parent}; median process ms")
+    print(f"{'p':>6} {'deg':>4} {'mul':>9} {'pow_mod':>9} {'factor':>9}")
+    for p in (2, 101, 10007):
+        field = PrimeField(p)
+        for d in args.degrees:
+            rng = random.Random(f"ladder-{p}-{d}")
+            a, b, m, f = (Poly.from_ints(field, [rng.randrange(p) for _ in range(d)] + [1])
+                          for _ in range(4))
+            mod = modulus(m)
+            cells = (median_ms(lambda: a * b), median_ms(lambda: factor._pow_mod(a, p, mod)),
+                     median_ms(lambda: factor.factor_irreducible(f)))
+            print(f"{p:>6} {d:>4} " + " ".join(f"{c:>9.3f}" for c in cells))
+
+
+if __name__ == "__main__":
+    main()
