@@ -7,14 +7,21 @@ below); over F_p that reduces each coefficient mod p once, when it is
 final.  Powers mod a fixed modulus (`_pow_mod`, the characteristic-2
 trace map) run through `_Modulus`, which reduces packed products with a
 precomputed inverse where `Poly`'s packed lanes fit, and takes Poly's
-schoolbook a * b % m for larger primes.  Over the rational and
-gaussian-rational fields it is deliberately partial: squarefree
-decomposition, then exhaustive root extraction by p-adic lifting of the
-roots mod a small prime p, found by the same prime-field splitting.  A
-rootless factor of degree <= 3 is irreducible, since any splitting of it
-has a linear part.  A rootless factor of degree >= 4 cannot be decided by
-these means and raises FactorizationIncomplete; callers fall back to
-invariant factors.
+schoolbook a * b % m for larger primes.
+
+Over the rational and gaussian-rational fields it is deliberately partial,
+and works on the integral form h = L^n g(x/L) of a monic g and on its
+images over F_p at the primes p in increasing order (p = 1 mod 4 over Q(i),
+where i maps to either square root of -1).  Squarefree decomposition first:
+a squarefree image at one of the first three primes proves g squarefree;
+otherwise Musser's gcd peeling runs on the field's values.  Then exhaustive
+root extraction: the smallest prime at which every image is squarefree
+(one gcd per image) is the one prime where the prime-field splitting finds
+the roots mod p, which are lifted p-adically and checked, and divided out
+of h, by Horner in gaussian integers.  A rootless factor of degree <= 3 is
+irreducible, since any splitting of it has a linear part.  A rootless
+factor of degree >= 4 cannot be decided by these means and raises
+FactorizationIncomplete; callers fall back to invariant factors.
 """
 from __future__ import annotations
 
@@ -22,6 +29,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
 from .errors import FactorizationIncomplete, ZeroPolynomial
 from .fields import GaussianRationals, PrimeField, Rationals, Scalar, _is_prime
@@ -43,7 +51,28 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     f = f.monic()
     if f.degree == 0:
         return []
+    if f.field.characteristic == 0 and _certified_squarefree(f):
+        return [(f, 1)]
     return sorted(_squarefree_parts(f), key=lambda gm: gm[0].sort_key())
+
+
+# how many of the first primes of `_IntegralForm.images`, those that root
+# extraction tries first, may certify squarefreeness over Q and Q(i); where
+# none does, Musser's peeling runs on the field's values
+_CERTIFICATE_PRIMES = 3
+
+
+def _certified_squarefree(f: Poly) -> bool:
+    """Whether an image of f's integral form at one of the first
+    `_CERTIFICATE_PRIMES` primes is squarefree, which proves f squarefree.
+
+    The integral form h is monic over Z or Z[i], both UFDs.  By Gauss's
+    lemma a square factor a^2 b of h has a monic integral a, and reduction
+    at p is a ring map, so every image of h would keep the square of a's
+    image, of positive degree.
+    """
+    images = islice(_IntegralForm(f).images(), _CERTIFICATE_PRIMES)
+    return any(_is_squarefree(image) for _, _, per_prime in images for image in per_prime)
 
 
 def _pth_root(f: Poly) -> Poly:
@@ -106,23 +135,6 @@ def factor_irreducible(f: Poly) -> list[tuple[Poly, int]]:
     return sorted(out.items(), key=lambda qm: qm[0].sort_key())
 
 
-def _factor_squarefree_roots(g: Poly) -> list[Poly]:
-    """Split a squarefree monic g over Q or Q(i) by exhaustive root
-    extraction.  A rootless factor of degree <= 3 is irreducible: any
-    splitting of it has a linear part."""
-    field = g.field
-    factors: list[Poly] = []
-    for r in _roots(g):
-        linear = Poly(field, (-r, field.one()))
-        factors.append(linear)
-        g = g // linear
-    if g.degree > 3:
-        raise FactorizationIncomplete(g)
-    if g.degree >= 1:
-        factors.append(g)
-    return factors
-
-
 # -- exact square roots ------------------------------------------------------
 
 def _sqrt_fraction(a: Fraction) -> Fraction | None:
@@ -165,60 +177,113 @@ def exact_square_root(s: Scalar) -> Scalar | None:
 
 # -- roots over Q and Q(i): p-adic lifting ------------------------------------
 
-def _roots(g: Poly) -> list[Scalar]:
-    """All roots of a squarefree monic g in Q or Q(i).
+class _IntegralForm:
+    """h(x) = L^n g(x/L) for a monic g of degree n over Q or Q(i), with L the
+    lcm of g's coefficient denominators: monic with gaussian-integer
+    coefficients, stored as (re, im) pairs of ints, index = degree.  Over Q
+    every im is 0.  g and h have the same roots up to the factor L and the
+    same squarefree factorisation up to that scaling."""
 
-    With L the lcm of the coefficient denominators, h(x) = L^n g(x/L) is
-    monic with gaussian-integer coefficients, so its roots are gaussian
-    integers u + vi with |u|, |v| at most the Cauchy bound.
-    Their images mod p (with i -> +-s over Q(i)) are simple roots of the
-    images of h; Newton lifting to p^k > 2 * bound recovers u and v as
-    symmetric residues, and every candidate is checked exactly.
+    def __init__(self, g: Poly):
+        self.field = g.field
+        self.gaussian = isinstance(g.field, GaussianRationals)
+        self.signs = (1, -1) if self.gaussian else (1,)
+        n = g.degree
+        parts = g.values if self.gaussian else [(c, 0) for c in g.values]
+        self.lcm = lcm = math.lcm(*(x.denominator for part in parts for x in part))
+        # c * L^(n-k) in integers: each denominator divides L
+        scales = [lcm ** (n - k) for k in range(n + 1)]
+        self.h = [(re.numerator * (m // re.denominator), im.numerator * (m // im.denominator))
+                  for m, (re, im) in zip(scales, parts)]
+
+    def image(self, t: int, m: int) -> list[int]:
+        """h mod m with i -> t."""
+        return [(re + im * t) % m for re, im in self.h]
+
+    def images(self):
+        """Yield p, s and the images of h over F_p for the primes p in
+        increasing order: with i -> s and i -> -s over Q(i), where p = 1
+        (mod 4) and s is the smaller square root of -1 mod p (each a ring
+        map Z[i] -> F_p); over Q, s = 0 and the one image is h mod p."""
+        p, s = 1, 0
+        while True:
+            p += 4 if self.gaussian else 1
+            if not _is_prime(p):
+                continue
+            if self.gaussian:
+                s = _sqrt_minus_one(p)
+            fp = PrimeField(p)
+            yield p, s, [_poly(fp, self.image(e * s, p)) for e in self.signs]
+
+    def descale(self, q: list[tuple[int, int]]) -> Poly:
+        """The monic polynomial over K whose integral form, with this L, is
+        the monic q of degree m: coefficient k is q_k / L^(m-k)."""
+        m, canon = len(q) - 1, self.field.canon
+        values = [(Fraction(re, self.lcm ** (m - k)), Fraction(im, self.lcm ** (m - k)))
+                  for k, (re, im) in enumerate(q)]
+        return _poly(self.field, [canon(v if self.gaussian else v[0]) for v in values])
+
+
+def _deflate(h: list[tuple[int, int]], u: int, v: int) -> list[tuple[int, int]] | None:
+    """h / (x - (u + vi)) if u + vi is a root of h, else None.  Horner's
+    running values in gaussian integers are the quotient's coefficients
+    from the top, and the last is h(u + vi)."""
+    re = im = 0
+    running = []
+    for a, b in reversed(h):
+        re, im = re * u - im * v + a, re * v + im * u + b
+        running.append((re, im))
+    return None if re or im else running[-2::-1]
+
+
+def _is_squarefree(f: Poly) -> bool:
+    return poly_gcd(f, f.derivative()).degree == 0
+
+
+def _factor_squarefree_roots(g: Poly) -> list[Poly]:
+    """Split a squarefree monic g over Q or Q(i) by exhaustive root
+    extraction.  A rootless factor of degree <= 3 is irreducible: any
+    splitting of it has a linear part.
+
+    The integral form h = L^n g(x/L) (`_IntegralForm`) is monic with
+    gaussian-integer coefficients, so its roots are gaussian integers
+    u + vi with |u|, |v| at most the Cauchy bound.  The prime p is the
+    smallest (= 1 mod 4 over Q(i)) at which every image of h is squarefree,
+    found with one gcd per image; the prime-field splitter runs at that p
+    only.  The images' roots are then simple, and Newton lifting to
+    p^k > 2 * bound recovers u and v as symmetric residues.  Every candidate
+    is checked exactly, by Horner on h in gaussian integers, which also
+    divides the root's linear factor out of h.
     """
-    field = g.field
-    gaussian = isinstance(field, GaussianRationals)
-    n = g.degree
-    parts = g.values if gaussian else [(c, 0) for c in g.values]
-    lcm = math.lcm(*(x.denominator for part in parts for x in part))
-    h = [(int(re * lcm ** (n - k)), int(im * lcm ** (n - k))) for k, (re, im) in enumerate(parts)]
-    bound = 1 + max(abs(re) + abs(im) for re, im in h[:-1])
-    signs = (1, -1) if gaussian else (1,)
-
-    def image(t: int, m: int) -> list[int]:  # h mod m with i -> t
-        return [(re + im * t) % m for re, im in h]
-
-    # the smallest prime (= 1 mod 4 over Q(i)) at which every image is squarefree
-    p, s = 1, 0
-    while True:
-        p += 4 if gaussian else 1
-        if not _is_prime(p):
-            continue
-        if gaussian:
-            s = _sqrt_minus_one(p)
-        fp = PrimeField(p)
-        mod_roots = [_roots_mod_p(Poly.from_ints(fp, image(e * s, p))) for e in signs]
-        if None not in mod_roots:
+    form = _IntegralForm(g)
+    bound = 1 + max(abs(re) + abs(im) for re, im in form.h[:-1])
+    for p, s, images in form.images():
+        if all(_is_squarefree(f) for f in images):
             break
+    mod_roots = [_roots_mod_p(f) for f in images]
     modulus = p
     while modulus <= 2 * bound:
         modulus *= modulus
-    s = _lift([1, 0, 1], s, p, modulus) if gaussian else 0
-    lifted = [[_lift(image(e * s, modulus), a, p, modulus) for a in roots]
-              for e, roots in zip(signs, mod_roots)]
-    if gaussian:
+    s = _lift([1, 0, 1], s, p, modulus) if form.gaussian else 0
+    lifted = [[_lift(form.image(e * s, modulus), a, p, modulus) for a in roots]
+              for e, roots in zip(form.signs, mod_roots)]
+    if form.gaussian:
         half, half_s = pow(2, -1, modulus), pow(2 * s, -1, modulus)
         pairs = [((a + b) * half, (a - b) * half_s) for a in lifted[0] for b in lifted[1]]
     else:
         pairs = [(a, 0) for a in lifted[0]]
-    out = []
+    out, h = [], form.h
     for pair in pairs:
         u, v = ((w + modulus // 2) % modulus - modulus // 2 for w in pair)
         if abs(u) <= bound and abs(v) <= bound:
-            value = (Fraction(u, lcm), Fraction(v, lcm))
-            z = field.scalar(value if gaussian else value[0])
-            if g.eval(z).is_zero:
-                out.append(z)
-    return out
+            quotient = _deflate(h, u, v)
+            if quotient is not None:
+                h = quotient
+                out.append(form.descale([(-u, -v), (1, 0)]))
+    rest = form.descale(h)
+    if rest.degree > 3:
+        raise FactorizationIncomplete(rest)
+    return out + [rest] if rest.degree >= 1 else out
 
 
 def _sqrt_minus_one(p: int) -> int:
@@ -231,11 +296,9 @@ def _sqrt_minus_one(p: int) -> int:
     return min(s, p - s)
 
 
-def _roots_mod_p(f: Poly) -> list[int] | None:
-    """The roots of the monic f over F_p, or None if f is not squarefree."""
+def _roots_mod_p(f: Poly) -> list[int]:
+    """The roots of the squarefree monic f over F_p."""
     p, x = f.field.characteristic, Poly.x(f.field)
-    if poly_gcd(f, f.derivative()).degree > 0:
-        return None
     w = poly_gcd(f, _pow_mod(x, p, _Modulus(f)) - x)  # the product of f's linear factors
     if w.degree < 1:
         return []

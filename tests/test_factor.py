@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ximod import (
     QI,
@@ -15,6 +17,7 @@ from ximod import (
     factor_irreducible,
     squarefree_decomposition,
 )
+from ximod import factor
 from ximod.poly import poly_gcd
 from oracles import exhaustive_irreducible_fp, rand_poly
 
@@ -101,6 +104,47 @@ def test_squarefree_decomposition_runs_in_polynomial_time():
     expected = [(Poly.from_ints(field, [int(c) for c in h.all_coeffs()[::-1]]).monic(), m)
                 for h, m in g.sqf_list()[1]]
     assert parts == sorted(expected, key=lambda gm: gm[0].sort_key())
+
+
+@pytest.mark.parametrize("field, root", [(QI, 1105), (QQ, 30)], ids=["qi", "q"])
+def test_squarefree_certificate_falls_back_to_musser(field, root):
+    # x (x - root) (x^2 - 3): root = 5 * 13 * 17 over Q(i) and 2 * 3 * 5 over Q,
+    # so the images at every certificate prime have the double root 0
+    x = Poly.x(field)
+    factors = [x, x - Poly.from_ints(field, [root]), Poly.from_ints(field, [-3, 0, 1])]
+    f = factors[0] * factors[1] * factors[2]
+    assert not factor._certified_squarefree(f)
+    assert squarefree_decomposition(f) == [(f, 1)]
+    assert factor_irreducible(f) == [(q, 1) for q in sorted(factors, key=Poly.sort_key)]
+
+
+def _coefficient(field):
+    rational = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    if field is QQ:
+        return rational.map(field.scalar)
+    return st.tuples(rational, rational).map(field.scalar)
+
+
+@st.composite
+def _products_with_repeats(draw, field):
+    """Monic products of 1 to 4 random factors of degree 1 to 3, each to a
+    power of 1 to 3; the factors need not be coprime or irreducible."""
+    f = Poly.one(field)
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = [draw(_coefficient(field)) for _ in range(draw(st.integers(1, 3)))]
+        f = f * Poly(field, coeffs + [field.one()]) ** draw(st.integers(1, 3))
+    return f
+
+
+@pytest.mark.parametrize("field", [QQ, QI], ids=["q", "qi"])
+def test_squarefree_decomposition_matches_musser(field):
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(_products_with_repeats(field))
+    def check(f):
+        musser = sorted(factor._squarefree_parts(f), key=lambda gm: gm[0].sort_key())
+        assert squarefree_decomposition(f) == musser
+
+    check()
 
 
 def test_squarefree_zero_rejected():
@@ -357,6 +401,27 @@ def test_root_extraction_runs_in_polynomial_time(field):
     start = time.process_time()
     assert factor_irreducible(f) == [(f, 1)]
     assert time.process_time() - start < 1
+
+
+def test_gaussian_root_extraction_splits_at_one_prime(monkeypatch):
+    # six gaussian-integer roots of norms 2 to 25 next to x^2 - 3: at 5 and 13
+    # an image is not squarefree, so the splitter runs only at 17
+    primes = []
+    roots_mod_p = factor._roots_mod_p
+    monkeypatch.setattr(factor, "_roots_mod_p",
+                        lambda f: primes.append(f.field.characteristic) or roots_mod_p(f))
+    x = Poly.x(QI)
+    quadratic = Poly.from_ints(QI, [-3, 0, 1])
+    linears = [x - Poly.constant(QI.scalar(r))
+               for r in ((1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 3))]
+    f = quadratic
+    for linear in linears:
+        f = f * linear
+    start = time.process_time()
+    parts = factor_irreducible(f)
+    assert time.process_time() - start < 0.1
+    assert parts == [(q, 1) for q in sorted(linears + [quadratic], key=Poly.sort_key)]
+    assert primes == [17, 17]
 
 
 def test_square_root_of_minus_one_matches_the_prime_field_splitter():

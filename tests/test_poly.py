@@ -68,6 +68,19 @@ def test_divmod_property(field):
         assert r.degree < g.degree
 
 
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=["q", "qi", "fp5"])
+def test_power_matches_repeated_products(field):
+    rng = random.Random(23)
+    for _ in range(10):
+        f = rand_poly(field, 3, rng)
+        expected = Poly.one(field)
+        for n in range(10):
+            assert f**n == expected, n
+            expected = expected * f
+    with pytest.raises(ValueError):
+        f ** -1
+
+
 def test_gcd_examples():
     f = Poly.from_ints(QQ, [-1, 0, 1])  # x^2 - 1
     g = Poly.from_ints(QQ, [-1, 1])  # x - 1

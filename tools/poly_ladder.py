@@ -1,13 +1,16 @@
-"""Time ximod's F_p polynomial layer over a degree ladder.
+"""Time ximod's polynomial layer over degree ladders.
 
     python3 tools/poly_ladder.py --root <checkout> [--degrees 12 24 36 72 144]
 
-For p in {2, 101, 10007} and each degree d, prints the median process time
-in ms of a `Poly` product of two degree-d polynomials, of `_pow_mod(a, p, m)`
-for a monic m of degree d (one Frobenius step of distinct-degree factoring
-on a general residue), and of `factor_irreducible` on a random monic
-polynomial of degree d.  Inputs depend only on p and d, so two checkouts'
-tables compare line by line.
+For p in {2, 101, 10007} and each degree d of --degrees, prints the median
+process time in ms of a `Poly` product of two degree-d polynomials, of
+`_pow_mod(a, p, m)` for a monic m of degree d (one Frobenius step of
+distinct-degree factoring on a general residue), and of `factor_irreducible`
+on a random monic polynomial of degree d.  Then, over q and qi at the
+degrees of ROOT_DEGREES, the same for `squarefree_decomposition` and
+`factor_irreducible` on a product of d distinct integral linear factors
+(gaussian integers over qi).  Inputs depend only on the field and d, so two
+checkouts' tables compare line by line.
 """
 from __future__ import annotations
 
@@ -17,6 +20,8 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+ROOT_DEGREES = (8, 16, 24, 32)
 
 
 def median_ms(fn, budget: float = 0.2) -> float:
@@ -34,7 +39,7 @@ def main() -> None:
     parser.add_argument("--degrees", nargs="+", type=int, default=[12, 24, 36, 72, 144])
     args = parser.parse_args()
     sys.path.insert(0, str(args.root.resolve() / "src"))
-    from ximod import Poly, PrimeField, factor
+    from ximod import QI, QQ, Poly, PrimeField, factor
 
     # checkouts with a fixed-modulus reducer take it in place of the Poly
     modulus = getattr(factor, "_Modulus", lambda m: m)
@@ -50,6 +55,20 @@ def main() -> None:
             cells = (median_ms(lambda: a * b), median_ms(lambda: factor._pow_mod(a, p, mod)),
                      median_ms(lambda: factor.factor_irreducible(f)))
             print(f"{p:>6} {d:>4} " + " ".join(f"{c:>9.3f}" for c in cells))
+    print(f"{'field':>6} {'deg':>4} {'sqfree':>9} {'factor':>9}")
+    for field in (QQ, QI):
+        for d in ROOT_DEGREES:
+            rng = random.Random(f"ladder-{field.kind}-{d}")
+            if field is QQ:
+                roots = rng.sample(range(-4 * d, 4 * d + 1), d)
+            else:
+                roots = rng.sample([(u, v) for u in range(-d, d + 1) for v in range(-d, d + 1)], d)
+            f = Poly.one(field)
+            for r in roots:
+                f = f * Poly(field, (-field.scalar(r), field.one()))
+            cells = (median_ms(lambda: factor.squarefree_decomposition(f)),
+                     median_ms(lambda: factor.factor_irreducible(f)))
+            print(f"{field.kind:>6} {d:>4} " + " ".join(f"{c:>9.3f}" for c in cells))
 
 
 if __name__ == "__main__":
