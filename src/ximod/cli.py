@@ -628,8 +628,8 @@ def _demo_branching(args) -> int:
 def _demo_register(args) -> int:
     field = QQ
     one, zero = field.one(), field.zero()
-    A = Matrix.diagonal(field, (field.from_int(1), field.from_int(2)))
-    B = Matrix.diagonal(field, (field.from_int(1), field.from_int(3)))
+    A = Matrix.from_ints(field, [[1, 0], [0, 2]])
+    B = Matrix.from_ints(field, [[1, 0], [0, 3]])
     kind = OperatorPairKind(A, B)
     W = relation_subspace(kind, 2, 2)
     product_state = tensor_coordinates((one, zero), (one, one))

@@ -1,10 +1,18 @@
-"""Exact dense matrices and vectors over a coefficient field."""
+"""Exact dense matrices and vectors over a coefficient field.
+
+A `Matrix` stores the raw values of its entries, as a `Poly` stores its
+coefficients: ``Matrix(field, scalars)`` checks and unboxes each entry
+once, every matrix built inside the library goes through the unchecked
+`_make`, which reduces mod p once, and `entries` boxes on read.  The
+eliminations and evaluations run on the integral lift of the values
+(`lift`, `_Lifted`, `Echelon`); `_box` is the way back to raw values.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import (
     ConstantPolynomial,
@@ -14,8 +22,8 @@ from .errors import (
     NotMonic,
     TagMismatch,
 )
-from .fields import Field, Gaussian, GaussianRationals, Scalar
-from .poly import Poly
+from .fields import Field, Gaussian, GaussianRationals, Scalar, _scalar
+from .poly import Poly, _value
 
 Vector = tuple[Scalar, ...]
 
@@ -38,37 +46,49 @@ def vec_sub(x: Vector, y: Vector) -> Vector:
     return tuple(a - b for a, b in zip(x, y))
 
 
-class DenseMatrix:
-    """An immutable rows x cols matrix whose entries share one field.
+def _vector(field: Field, values) -> Vector:
+    """The raw values as Scalars, reduced mod p over F_p."""
+    return tuple(_scalar(field, v) for v in values)
 
-    Subclasses fix the entry type (`_entry_type`, `_entry_error`) and its
-    zero and one (`_entry_zero(field)`, `_entry_one(field)`); everything
-    that only adds and multiplies entries lives here.  The optional shape
-    pins down degenerate sizes (0 x k) that the entry tuples alone cannot
-    express.  Matrices of different subclasses never compare equal.
+
+class DenseMatrix:
+    """An immutable rows x cols grid `values` whose entries share one field.
+
+    ``cls(field, entries, shape)`` is the checked edge: the subclass's
+    `_unbox(field, entry)` checks each entry and gives the value stored.
+    Everything built inside the library goes through the unchecked `_make`.
+    `_of_int(field, k)` is the value of the integer k.  Everything that only
+    adds and multiplies values lives here.  The shape pins down degenerate
+    sizes (0 x k) that the rows alone cannot express.  Matrices of different
+    subclasses, or over different fields, never compare equal.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "values")
 
-    _entry_type: type
-    _entry_error: str
+    def __new__(cls, field: Field, entries, shape: tuple[int, int] | None = None):
+        return cls._checked(field, ([cls._unbox(field, e) for e in row] for row in entries), shape)
 
-    def __init__(self, field: Field, entries, shape: tuple[int, int] | None = None):
-        entries = tuple(tuple(row) for row in entries)
-        rows = len(entries)
-        cols = len(entries[0]) if rows else (shape[1] if shape else 0)
+    @classmethod
+    def _checked(cls, field: Field, values, shape: tuple[int, int] | None = None):
+        """`_make` of values whose shape is checked."""
+        values = tuple(map(tuple, values))
+        rows = len(values)
+        cols = len(values[0]) if rows else (shape[1] if shape else 0)
         if shape is not None and shape != (rows, cols):
             raise DimensionMismatch(f"entries are {rows}x{cols}, expected {shape}")
-        for row in entries:
-            if len(row) != cols:
-                raise DimensionMismatch("ragged rows")
-            for e in row:
-                if not isinstance(e, self._entry_type) or (e.field is not field and e.field != field):
-                    raise TagMismatch(self._entry_error)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        if any(len(row) != cols for row in values):
+            raise DimensionMismatch("ragged rows")
+        return cls._make(field, values, (rows, cols))
+
+    @classmethod
+    def _make(cls, field: Field, values, shape: tuple[int, int]):
+        """The matrix of the given shape with rows `values`, trusted."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "field", field)
+        object.__setattr__(M, "rows", shape[0])
+        object.__setattr__(M, "cols", shape[1])
+        object.__setattr__(M, "values", tuple(map(tuple, values)))
+        return M
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
@@ -76,70 +96,55 @@ class DenseMatrix:
     # construction ------------------------------------------------------
     @classmethod
     def identity(cls, field: Field, n: int):
-        one, zero = cls._entry_one(field), cls._entry_zero(field)
-        return cls(field, ((one if i == j else zero for j in range(n)) for i in range(n)))
+        return cls._diagonal(field, [cls._of_int(field, 1)] * n)
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int):
-        zero = cls._entry_zero(field)
-        return cls(field, ((zero for _ in range(cols)) for _ in range(rows)), (rows, cols))
+        zero = cls._of_int(field, 0)
+        return cls._make(field, ([zero] * cols for _ in range(rows)), (rows, cols))
 
     @classmethod
     def diagonal(cls, field: Field, diag):
-        diag = list(diag)
-        zero = cls._entry_zero(field)
-        return cls(
-            field,
-            ((diag[i] if i == j else zero for j in range(len(diag))) for i in range(len(diag))),
-        )
+        return cls._diagonal(field, [cls._unbox(field, e) for e in diag])
+
+    @classmethod
+    def _diagonal(cls, field: Field, diag: list):
+        zero, n = cls._of_int(field, 0), len(diag)
+        rows = ([diag[i] if i == j else zero for j in range(n)] for i in range(n))
+        return cls._make(field, rows, (n, n))
 
     # basic algebra -------------------------------------------------------
     def _check(self, other: "DenseMatrix"):
         if other.field != self.field:
             raise TagMismatch("matrices over different fields")
 
-    def __add__(self, other):
+    def _entrywise(self, other: "DenseMatrix", op):
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        return type(self)(
-            self.field,
-            ((a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-            (self.rows, self.cols),
-        )
+        rows = (list(map(op, r1, r2)) for r1, r2 in zip(self.values, other.values))
+        return self._make(self.field, rows, (self.rows, self.cols))
+
+    def __add__(self, other):
+        return self._entrywise(other, add)
 
     def __sub__(self, other):
-        self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        return type(self)(
-            self.field,
-            ((a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-            (self.rows, self.cols),
-        )
+        return self._entrywise(other, sub)
 
     def __matmul__(self, other):
         self._check(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = self._entry_zero(self.field)
-        cols_t = list(zip(*other.entries)) if other.rows else [()] * other.cols
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in cols_t:
-                acc = zero
-                for a, b in zip(row, col):
-                    if not (a.is_zero or b.is_zero):
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return type(self)(self.field, out, (self.rows, other.cols))
+        zero = self._of_int(self.field, 0)
+        cols_t = list(zip(*other.values)) if other.rows else [()] * other.cols
+        out = ([sum((a * b for a, b in zip(row, col) if a and b), zero) for col in cols_t]
+               for row in self.values)
+        return self._make(self.field, out, (self.rows, other.cols))
 
     def transpose(self):
         if self.rows == 0 or self.cols == 0:
             return self.zeros(self.field, self.cols, self.rows)
-        return type(self)(self.field, zip(*self.entries))
+        return self._make(self.field, zip(*self.values), (self.cols, self.rows))
 
     @property
     def is_square(self) -> bool:
@@ -148,65 +153,61 @@ class DenseMatrix:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        # the field first: Fraction(1) == 1, so grids over Q and F_p can hold equal values
+        return (self.field == other.field and (self.rows, self.cols) == (other.rows, other.cols)
+                and self.values == other.values)
 
     def __hash__(self):
-        return hash((type(self).__name__, self.field, self.entries))
+        return hash((type(self).__name__, self.field, self.values))
 
     def __str__(self):
-        return "\n".join("[" + ", ".join(str(a) for a in row) + "]" for row in self.entries)
+        return "\n".join("[" + ", ".join(str(a) for a in row) + "]" for row in self.values)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.field.kind}, {self.rows}x{self.cols})"
 
 
 class Matrix(DenseMatrix):
-    """An immutable rows x cols matrix of scalars sharing one field."""
+    """An immutable rows x cols matrix over one field, whose `values` are raw:
+    Fractions over Q, `Gaussian` pairs over Q(i), residues over F_p."""
 
     __slots__ = ()
 
-    _entry_type = Scalar
-    _entry_error = "entry does not belong to the declared field"
+    _unbox = staticmethod(_value)
+    _of_int = staticmethod(lambda field, k: field.canon(k))
 
-    @staticmethod
-    def _entry_zero(field: Field) -> Scalar:
-        return field.zero()
+    @classmethod
+    def _make(cls, field: Field, values, shape: tuple[int, int]) -> "Matrix":
+        p = field.characteristic
+        if p:
+            values = ([v % p for v in row] for row in values)
+        return super()._make(field, values, shape)
 
-    @staticmethod
-    def _entry_one(field: Field) -> Scalar:
-        return field.one()
+    @property
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The entries boxed as Scalars, row by row."""
+        return tuple(tuple(Scalar(self.field, v) for v in row) for row in self.values)
 
     @classmethod
     def from_ints(cls, field: Field, rows) -> "Matrix":
-        return cls(field, ((field.from_int(v) for v in row) for row in rows))
+        return cls._checked(field, ((field.canon(v) for v in row) for row in rows))
 
     def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(self.field, ((c * a for a in row) for row in self.entries))
+        v = _value(self.field, c)
+        return self._make(self.field, ([v * a for a in row] for row in self.values),
+                          (self.rows, self.cols))
 
     def matvec(self, x: Vector) -> Vector:
         if len(x) != self.cols:
             raise DimensionMismatch(f"matrix has {self.cols} columns, vector length {len(x)}")
-        zero = self.field.zero()
-        out = []
-        for row in self.entries:
-            acc = zero
-            for a, b in zip(row, x):
-                if not (a.is_zero or b.is_zero):
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        return (self @ Matrix(self.field, [[c] for c in x], (self.cols, 1))).column(0)
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
+        return _vector(self.field, (row[j] for row in self.values))
 
     @property
     def is_zero(self) -> bool:
-        return all(a.is_zero for row in self.entries for a in row)
+        return not any(map(any, self.values))
 
     def __pow__(self, n: int) -> "Matrix":
         if not self.is_square:
@@ -245,17 +246,16 @@ def lift(field: Field, values) -> tuple[list, int]:
     return [x.numerator * (L // x.denominator) for x in values], L
 
 
-def _box(field: Field, u, L: int) -> list[Scalar]:
-    """u / L over K for lifted values u and an integer L, the inverse of
-    `lift`; over F_p, L = 1 and u is reduced mod p here."""
+def _box(field: Field, u, L: int) -> list:
+    """The raw values u / L over K for lifted values u and an integer L,
+    the inverse of `lift`; over F_p, L = 1 and u is reduced mod p here."""
     p = field.characteristic
     if p:
-        return [Scalar(field, a % p) for a in u]
-    zero = field.zero()
+        return [a % p for a in u]
+    zero = field.canon(0)
     if isinstance(field, GaussianRationals):
-        return [Scalar(field, Gaussian((Fraction(a, L), Fraction(b, L)))) if a or b else zero
-                for a, b in u]
-    return [Scalar(field, Fraction(a, L)) if a else zero for a in u]
+        return [Gaussian((Fraction(a, L), Fraction(b, L))) if a or b else zero for a, b in u]
+    return [Fraction(a, L) if a else zero for a in u]
 
 
 class _Lifted:
@@ -279,7 +279,7 @@ class _Lifted:
 
     def rows(self, A: "Matrix") -> tuple[list[list], int]:
         """(M, d) with A = M / d, M a list of lifted rows."""
-        u, d = lift(self.field, [a.value for row in A.entries for a in row])
+        u, d = lift(self.field, [a for row in A.values for a in row])
         return [u[i * A.cols : (i + 1) * A.cols] for i in range(A.rows)], d
 
     def add(self, x, y):
@@ -377,9 +377,9 @@ class Echelon:
             return next((i for i, (a, b) in enumerate(zip(*w)) if a or b), None)
         return next((i for i, a in enumerate(w) if a), None)
 
-    def box(self, w, den, indices=None) -> list[Scalar]:
-        """w / den over K, at `indices` if given; den is (re, im) over Q(i),
-        where (a + bi) / den = (a + bi) conj(den) / |den|^2."""
+    def box(self, w, den, indices=None) -> list:
+        """The raw values w / den over K, at `indices` if given; den is
+        (re, im) over Q(i), where (a + bi) / den = (a + bi) conj(den) / |den|^2."""
         if isinstance(den, tuple):
             w = list(zip(*w))
         if indices is not None:
@@ -436,14 +436,15 @@ def rref(M: Matrix) -> EchelonResult:
     """Reduced row echelon form by fraction-free Gauss–Jordan: every row goes
     through one `Echelon`, and its rows, sorted by pivot, are boxed once,
     each divided by D.  The result is unique."""
-    ech = Echelon(M.field)
-    for row in M.entries:
-        ech.push(ech.reduce(row)[0])
+    field = M.field
+    ech = Echelon(field)
+    for row in M.values:
+        ech.push(ech.reduce_lifted(*lift(field, row))[0])
     order = sorted(range(len(ech.pivots)), key=ech.pivots.__getitem__)
     rows = [ech.box(ech.rows[i], ech.D) for i in order]
-    rows += [[M.field.zero()] * M.cols] * (M.rows - len(rows))
+    rows += [[field.canon(0)] * M.cols] * (M.rows - len(rows))
     pivots = tuple(ech.pivots[i] for i in order)
-    return EchelonResult(Matrix(M.field, rows, (M.rows, M.cols)), pivots, len(pivots))
+    return EchelonResult(Matrix._make(field, rows, (M.rows, M.cols)), pivots, len(pivots))
 
 
 def rank(M: Matrix) -> int:
@@ -452,17 +453,15 @@ def rank(M: Matrix) -> int:
 
 def kernel_basis(M: Matrix) -> list[Vector]:
     """A basis of the nullspace, one vector per free column."""
-    ech = rref(M)
-    field = M.field
+    ech, field = rref(M), M.field
     pivot_set = set(ech.pivot_columns)
-    free = [c for c in range(M.cols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [field.zero()] * M.cols
-        v[fc] = field.one()
-        for r, pc in enumerate(ech.pivot_columns):
-            v[pc] = -ech.reduced.entries[r][fc]
-        basis.append(tuple(v))
+    for fc in (c for c in range(M.cols) if c not in pivot_set):
+        v = [field.canon(0)] * M.cols
+        v[fc] = field.canon(1)
+        for row, pc in zip(ech.reduced.values, ech.pivot_columns):
+            v[pc] = -row[fc]
+        basis.append(_vector(field, v))
     return basis
 
 
@@ -471,24 +470,25 @@ def solve_linear(M: Matrix, b: Vector) -> Vector:
     if len(b) != M.rows:
         raise DimensionMismatch(f"matrix has {M.rows} rows, vector length {len(b)}")
     field = M.field
-    augmented = Matrix(field, (tuple(row) + (b[i],) for i, row in enumerate(M.entries)))
-    ech = rref(augmented)
+    augmented = (row + (_value(field, c),) for row, c in zip(M.values, b))
+    ech = rref(Matrix._make(field, augmented, (M.rows, M.cols + 1)))
     if M.cols in ech.pivot_columns:
         raise NoSolution("right-hand side outside the column space")
-    x = [field.zero()] * M.cols
-    for r, pc in enumerate(ech.pivot_columns):
-        x[pc] = ech.reduced.entries[r][M.cols]
-    return tuple(x)
+    x = [field.canon(0)] * M.cols
+    for row, pc in zip(ech.reduced.values, ech.pivot_columns):
+        x[pc] = row[M.cols]
+    return _vector(field, x)
 
 
-def kronecker_column(A: Matrix, B: Matrix, k: int) -> Vector:
-    """Column k = i*m + j of A (x) B, which is (A e_i) (x) (B f_j).  Zero
-    factors are skipped, not multiplied: one side is often an identity."""
+def kronecker_column(A: Matrix, B: Matrix, k: int) -> list:
+    """The raw column k = i*m + j of A (x) B, which is (A e_i) (x) (B f_j).
+    Zero factors are skipped, not multiplied: one side is often an
+    identity."""
     i, j = divmod(k, B.cols)
-    zero = A.field.zero()
-    return tuple(
-        zero if a.is_zero or b.is_zero else a * b for a in A.column(i) for b in B.column(j)
-    )
+    zero, p = A.field.canon(0), A.field.characteristic
+    b_col = [row[j] for row in B.values]
+    col = [a * b if a and b else zero for a in (row[i] for row in A.values) for b in b_col]
+    return [c % p for c in col] if p else col
 
 
 def kronecker(A: Matrix, B: Matrix) -> Matrix:
@@ -497,28 +497,30 @@ def kronecker(A: Matrix, B: Matrix) -> Matrix:
         raise TagMismatch("kronecker requires a common field")
     columns = [kronecker_column(A, B, k) for k in range(A.cols * B.cols)]
     rows = A.rows * B.rows
-    return Matrix(A.field, ((c[r] for c in columns) for r in range(rows)), (rows, len(columns)))
+    return Matrix._make(A.field, ([c[r] for c in columns] for r in range(rows)),
+                        (rows, len(columns)))
 
 
 def sylvester_columns(A: Matrix, B: Matrix):
-    """The columns of A (x) I - I (x) B in order, each filled in directly from
-    the nonzero entries of A and B: column k*m + l is A[i][k] at i*m + l
-    and -B[j][l] at k*m + j."""
+    """The raw columns of A (x) I - I (x) B in order, each filled in directly
+    from the nonzero entries of A and B: column k*m + l is A[i][k] at
+    i*m + l and -B[j][l] at k*m + j."""
     if A.field != B.field:
         raise TagMismatch("sylvester operator requires a common field")
     if not A.is_square or not B.is_square:
         raise NonSquare("sylvester operator requires square factors")
-    n, m = A.rows, B.rows
-    zero, b_cols = A.field.zero(), list(zip(*B.entries))
-    for k, a_col in enumerate(zip(*A.entries)):
+    n, m, p = A.rows, B.rows, A.field.characteristic
+    zero, b_cols = A.field.canon(0), list(zip(*B.values))
+    for k, a_col in enumerate(zip(*A.values)):
         for l, b_col in enumerate(b_cols):
             col = [zero] * (n * m)
             for i, a in enumerate(a_col):
-                if not a.is_zero:
+                if a:
                     col[i * m + l] = a
             for j, b in enumerate(b_col):
-                if not b.is_zero:
-                    col[k * m + j] = col[k * m + j] - b
+                if b:
+                    c = col[k * m + j] - b
+                    col[k * m + j] = c % p if p else c
             yield col
 
 
@@ -527,7 +529,7 @@ def sylvester_operator(A: Matrix, B: Matrix) -> Matrix:
     image is the span of all vectors (A x) (x) y - x (x) (B y), hence the
     relation subspace of the operator-pair tensor quotient."""
     columns = list(sylvester_columns(A, B))
-    return Matrix(A.field, zip(*columns), (len(columns), len(columns)))
+    return Matrix._make(A.field, zip(*columns), (len(columns), len(columns)))
 
 
 def companion_matrix(p: Poly) -> Matrix:
@@ -537,15 +539,10 @@ def companion_matrix(p: Poly) -> Matrix:
         raise ConstantPolynomial("companion matrix needs degree >= 1")
     if not p.is_monic:
         raise NotMonic("companion matrix needs a monic polynomial")
-    field = p.field
-    n = p.degree
-    zero, one = field.zero(), field.one()
-    out = [[zero] * n for _ in range(n)]
-    for i in range(1, n):
-        out[i][i - 1] = one
-    for i in range(n):
-        out[i][n - 1] = -p.coefficient(i)
-    return Matrix(field, out)
+    field, n = p.field, p.degree
+    zero, one = field.canon(0), field.canon(1)
+    out = ([one if i == j + 1 else zero for j in range(n - 1)] + [-p.values[i]] for i in range(n))
+    return Matrix._make(field, out, (n, n))
 
 
 def poly_eval_operator(pi: Poly, A: Matrix) -> Matrix:
@@ -584,4 +581,4 @@ def poly_eval_operator(pi: Poly, A: Matrix) -> Matrix:
         if acc is not None:
             block = [list(map(ring.add, r, b)) for r, b in zip(ring.matmul(acc, powers[s]), block)]
         acc = block
-    return Matrix(field, (_box(field, row, L * d**m) for row in acc), (n, n))
+    return Matrix._make(field, (_box(field, row, L * d**m) for row in acc), (n, n))

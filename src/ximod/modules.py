@@ -19,7 +19,7 @@ from .errors import DimensionMismatch, InconsistentAction, NonSquare, ZeroVector
 from .factor import factor_irreducible
 from .fields import Field
 from .matrix import Echelon, Matrix, Vector, _Lifted, poly_eval_operator, unit_vector
-from .poly import Poly
+from .poly import Poly, _poly, _value
 from .polymatrix import PolyMatrix, smith_diagonal
 
 
@@ -194,11 +194,12 @@ def _krylov_presentation(A: Matrix) -> PolyMatrix:
         starts.append(start)
         ends = starts[1:] + [len(echelon.rows) + 1]
         tail = echelon.box(w, den, range(n, 2 * n + 1))
-        columns.append([Poly(field, tail[a:b]) for a, b in zip(starts, ends)])
+        columns.append([_poly(field, tail[a:b]) for a, b in zip(starts, ends)])
     k = len(columns)
-    return PolyMatrix(
+    return PolyMatrix._make(
         field,
         ((col[i] if i < len(col) else Poly.zero(field) for col in columns) for i in range(k)),
+        (k, k),
     )
 
 
@@ -272,10 +273,9 @@ def cyclic_witness(x: Vector, y: Vector) -> Matrix:
     if all(c.is_zero for c in x):
         raise ZeroVector("cannot map the zero vector anywhere but zero")
     field = x[0].field
-    k = next(i for i, c in enumerate(x) if not c.is_zero)
-    inv = x[k].inv()
-    zero = field.zero()
-    return Matrix(
-        field,
-        (((y[i] * inv) if j == k else zero for j in range(len(x))) for i in range(len(y))),
+    xs, ys = [_value(field, c) for c in x], [_value(field, c) for c in y]
+    k = next(i for i, c in enumerate(xs) if c)
+    inv, zero = field.raw_inv(xs[k]), field.canon(0)
+    return Matrix._make(
+        field, ([b * inv if j == k else zero for j in range(len(x))] for b in ys), (len(y), len(x))
     )

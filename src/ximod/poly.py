@@ -27,7 +27,7 @@ from .fields import Field, Scalar
 def _value(field: Field, c):
     """The raw value of the Scalar c, which must belong to field."""
     if not isinstance(c, Scalar) or (c.field is not field and c.field != field):
-        raise TagMismatch("coefficient does not belong to the declared field")
+        raise TagMismatch("scalar does not belong to the declared field")
     return c.value
 
 
@@ -239,12 +239,14 @@ class Poly:
         return _poly(self.field, [c * canon(k) for k, c in enumerate(self.values)][1:])
 
     def eval(self, s: Scalar) -> Scalar:
-        # Horner, reduced mod p at every step over F_p
-        x, p = _value(self.field, s), self.field.characteristic
-        acc = self.field.canon(0)
+        return Scalar(self.field, self._at(_value(self.field, s)))
+
+    def _at(self, x):
+        """The raw value at x, by Horner, reduced mod p at every step over F_p."""
+        p, acc = self.field.characteristic, self.field.canon(0)
         for c in reversed(self.values):
             acc = (acc * x + c) % p if p else acc * x + c
-        return Scalar(self.field, acc)
+        return acc
 
     # comparison / rendering ----------------------------------------------
     def __eq__(self, other):

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonSquare
+from .errors import NonSquare, TagMismatch
 from .fields import Field, Scalar
 from .matrix import DenseMatrix, Matrix, _box, _Lifted
-from .poly import Poly
+from .poly import Poly, _poly, _value
 
 
 class PolyMatrix(DenseMatrix):
@@ -25,41 +25,34 @@ class PolyMatrix(DenseMatrix):
 
     __slots__ = ()
 
-    _entry_type = Poly
-    _entry_error = "entry is not a polynomial over the declared field"
+    entries = DenseMatrix.values  # the Poly grid is read as it is stored
 
     @staticmethod
-    def _entry_zero(field: Field) -> Poly:
-        return Poly.zero(field)
+    def _unbox(field: Field, e) -> Poly:
+        if not isinstance(e, Poly) or (e.field is not field and e.field != field):
+            raise TagMismatch("entry is not a polynomial over the declared field")
+        return e
 
-    @staticmethod
-    def _entry_one(field: Field) -> Poly:
-        return Poly.one(field)
+    _of_int = staticmethod(lambda field, k: Poly.from_ints(field, (k,)))
 
     @classmethod
     def characteristic_matrix(cls, A: Matrix) -> "PolyMatrix":
         """x*I - A, the presentation matrix of the module induced by A."""
         if not A.is_square:
             raise NonSquare("characteristic matrix needs a square operator")
-        field = A.field
-        x = Poly.x(field)
-        out = []
-        for i in range(A.rows):
-            row = []
-            for j in range(A.cols):
-                entry = Poly.constant(-A.entries[i][j])
-                if i == j:
-                    entry = entry + x
-                row.append(entry)
-            out.append(row)
-        return cls(field, out)
+        field, one = A.field, A.field.canon(1)
+        out = ([_poly(field, (-a, one) if i == j else (-a,)) for j, a in enumerate(row)]
+               for i, row in enumerate(A.values))
+        return cls._make(field, out, (A.rows, A.cols))
 
     def evaluate(self, s: Scalar) -> Matrix:
         """Entrywise evaluation at a scalar point."""
-        return Matrix(self.field, ((e.eval(s) for e in row) for row in self.entries))
+        x = _value(self.field, s)
+        return Matrix._make(self.field, ([e._at(x) for e in row] for row in self.values),
+                            (self.rows, self.cols))
 
     def diagonal_entries(self) -> list[Poly]:
-        return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
+        return [self.values[i][i] for i in range(min(self.rows, self.cols))]
 
     def determinant(self) -> Poly:
         """Bareiss fraction-free elimination over K[x], O(n^3) ring operations.
@@ -73,7 +66,7 @@ class PolyMatrix(DenseMatrix):
         if not self.is_square:
             raise NonSquare("determinant needs a square matrix")
         n = self.rows
-        a = [list(row) for row in self.entries]
+        a = [list(row) for row in self.values]
         negate = False
         prev = Poly.one(self.field)
         for k in range(n - 1):
@@ -121,7 +114,7 @@ def charpoly(A: Matrix) -> Poly:
             v = [ring.dot(M[i], v) for i in range(k)]
         p = [ring.dot(t[j::-1], p) for j in range(k + 2)]
     # p[m] is at x^(n-m) of det(x*I - L*A)
-    return Poly(field, [_box(field, [c], L**m)[0] for m, c in enumerate(p)][::-1])
+    return _poly(field, [_box(field, [c], L**m)[0] for m, c in enumerate(p)][::-1])
 
 
 @dataclass(frozen=True)
@@ -235,7 +228,7 @@ class _SmithWorker:
 def smith_diagonal(P: PolyMatrix) -> list[Poly]:
     """The min(rows, cols) diagonal entries of the Smith form of P, with no
     transforms: the worker reduces a copy of P alone."""
-    return _SmithWorker(P.field, [list(row) for row in P.entries], P.rows, P.cols).reduce()
+    return _SmithWorker(P.field, [list(row) for row in P.values], P.rows, P.cols).reduce()
 
 
 def smith_normal_form(P: PolyMatrix) -> SmithForm:
@@ -248,11 +241,11 @@ def smith_normal_form(P: PolyMatrix) -> SmithForm:
     """
     field, r, c = P.field, P.rows, P.cols
     zero = Poly.zero(field)
-    d = [list(p) + list(u) for p, u in zip(P.entries, PolyMatrix.identity(field, r).entries)]
-    d += [list(v) + [zero] * r for v in PolyMatrix.identity(field, c).entries]
+    d = [list(p) + list(u) for p, u in zip(P.values, PolyMatrix.identity(field, r).values)]
+    d += [list(v) + [zero] * r for v in PolyMatrix.identity(field, c).values]
     _SmithWorker(field, d, r, c).reduce()
     return SmithForm(
-        U=PolyMatrix(field, (row[c:] for row in d[:r]), (r, r)),
-        D=PolyMatrix(field, (row[:c] for row in d[:r]), (r, c)),
-        V=PolyMatrix(field, (row[:c] for row in d[r:]), (c, c)),
+        U=PolyMatrix._make(field, (row[c:] for row in d[:r]), (r, r)),
+        D=PolyMatrix._make(field, (row[:c] for row in d[:r]), (r, c)),
+        V=PolyMatrix._make(field, (row[:c] for row in d[r:]), (c, c)),
     )

@@ -170,7 +170,7 @@ def _action_pairs(rules: RuleSet, field: PrimeField, n: int, m: int, max_degree:
     return sorted(
         pairs,
         key=lambda mn: tuple(
-            tuple(c.sort_key() for row in X.entries for c in row) for X in mn
+            tuple(c for row in X.values for c in row) for X in mn
         ),
     )
 

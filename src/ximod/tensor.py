@@ -25,9 +25,11 @@ the rewrite module at finite-field scale.
 Cosets are represented canonically by eliminating the pivot coordinates of
 an echelonised basis of W; the surviving coordinates index a basis of the
 quotient.  W's basis and the coset map come from one fraction-free
-Gauss-Jordan elimination on integral rows (`matrix.Echelon`): the Sylvester
-columns go in as integral vectors, and a reader boxes back into K only the
-entries it reads.
+Gauss-Jordan elimination on integral rows (`matrix.Echelon`): the raw
+Sylvester and Kronecker columns are lifted straight into it, and a reader
+takes back into K only the entries it reads.  Scalars are checked and
+unboxed where they come in (`RelationSubspace.reduce` and `contains`,
+`project_to_quotient`) and boxed where they go out.
 """
 from __future__ import annotations
 
@@ -40,12 +42,13 @@ from .matrix import (
     Echelon,
     Matrix,
     Vector,
+    _vector,
     kronecker_column,
+    lift,
     poly_eval_operator,
     rref,
     sylvester_columns,
     sylvester_operator,
-    unit_vector,
 )
 from .poly import Poly
 
@@ -208,19 +211,19 @@ class RelationSubspace:
     def reduce(self, coords: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
         """Eliminate the pivot coordinates; the result is the canonical
         representative of coords + W."""
-        return tuple(self.basis.box(*self.basis.reduce(coords)))
+        return _vector(self.field, self.basis.box(*self.basis.reduce(coords)))
 
     def contains(self, coords: tuple[Scalar, ...]) -> bool:
         return self.basis.leading(self.basis.reduce(coords)[0]) is None
 
     def coset_coordinates(self, vectors) -> Matrix:
-        """The coset map: column c is the canonical coordinates of
-        vectors[c] + W, read on the surviving `canonical_indices`."""
-        indices = self.canonical_indices
-        reduced = [self.basis.box(*self.basis.reduce(v), indices) for v in vectors]
-        return Matrix(
-            self.field,
-            ((v[t] for v in reduced) for t in range(len(indices))),
+        """The coset map on raw vectors: column c is the canonical
+        coordinates of vectors[c] + W, read on the surviving
+        `canonical_indices`."""
+        basis, field, indices = self.basis, self.field, self.canonical_indices
+        reduced = [basis.box(*basis.reduce_lifted(*lift(field, v)), indices) for v in vectors]
+        return Matrix._make(
+            field, ([v[t] for v in reduced] for t in range(len(indices))),
             (len(indices), len(reduced)),
         )
 
@@ -239,7 +242,7 @@ def relation_subspace(kind: TensorKind, n: int, m: int) -> RelationSubspace:
         )
     basis = Echelon(M.field)
     for column in sylvester_columns(M, N):
-        basis.push(basis.reduce(column)[0])
+        basis.push(basis.reduce_lifted(*lift(M.field, column))[0])
     return RelationSubspace(kind, M.field, n, m, basis)
 
 
@@ -264,7 +267,8 @@ def project_to_quotient(t: TensorElement, W: RelationSubspace) -> QuotientClass:
     """The canonical surjection onto the quotient by W."""
     if (t.n, t.m) != (W.n, W.m) or t.field != W.field:
         raise DimensionMismatch("tensor element does not match the subspace")
-    return QuotientClass(subspace=W, canonical=W.coset_coordinates([t.coords]).column(0))
+    canonical = W.basis.box(*W.basis.reduce(t.coords), W.canonical_indices)
+    return QuotientClass(subspace=W, canonical=_vector(W.field, canonical))
 
 
 def induced_operator(W: RelationSubspace) -> Matrix:
@@ -313,8 +317,9 @@ def induced_surjection(source: RelationSubspace, target: RelationSubspace) -> Ma
     generators = sylvester_columns(*source.kind.operators(source.n, source.m))
     if not target.coset_coordinates(generators).is_zero:
         raise DimensionMismatch("source relations are not contained in the target relations")
+    zero, one, nm = source.field.canon(0), source.field.canon(1), source.n * source.m
     return target.coset_coordinates(
-        unit_vector(source.field, source.n * source.m, j) for j in source.canonical_indices
+        [one if i == j else zero for i in range(nm)] for j in source.canonical_indices
     )
 
 

@@ -160,6 +160,35 @@ def test_gaussian_text_forms():
     assert parse_scalar_text(QI, "1E+2-3i") == QI.scalar((100, -3))
 
 
+def _matrix_route_values(M, N, a, v, pi):
+    """The raw values that every matrix route gives from the square matrices
+    M and N, the scalar a, the vector v and the monic polynomial pi."""
+    from ximod import (
+        OperatorPairKind,
+        PolyMatrix,
+        companion_matrix,
+        induced_operator,
+        kronecker,
+        relation_subspace,
+        sylvester_operator,
+    )
+    from ximod.matrix import kronecker_column, sylvester_columns
+
+    W = relation_subspace(OperatorPairKind(M, M), M.rows, M.rows)
+    induced = induced_operator(W)
+    assert induced.rows >= M.rows  # the quotient of (M, M) has dimension >= rows
+    matrices = [
+        M @ N, M + N, M - N, N - M, M.scale(a), kronecker(M, N), sylvester_operator(M, N),
+        induced, companion_matrix(pi), PolyMatrix.characteristic_matrix(M).evaluate(a),
+        Matrix.from_ints(M.field, [[-1, -2 * 10**18 - 7], [-3, 0]]),
+    ]
+    # the raw columns that the tensor layer lifts into an Echelon
+    columns = [*sylvester_columns(M, N)]
+    columns += [kronecker_column(M, N, k) for k in range(M.cols * N.cols)]
+    values = [x for X in matrices for row in X.values for x in row]
+    return values + [x for c in columns for x in c] + [s.value for s in M.matvec(v)]
+
+
 def test_every_route_to_a_gaussian_scalar_gives_a_gaussian_value():
     # a plain (re, im) tuple inside a Poly would concatenate under +
     from ximod import charpoly, poly_eval_operator, rref
@@ -174,7 +203,7 @@ def test_every_route_to_a_gaussian_scalar_gives_a_gaussian_value():
     M = Matrix(QI, [[a, b], [b * b, a]])
     scalars += [c for row in rref(M).reduced.entries for c in row]
     echelon = Echelon(QI)
-    scalars += echelon.box(*echelon.reduce([a, b]))
+    values = echelon.box(*echelon.reduce([a, b]))
     pi = Poly(QI, [a, b, a, b])
     for A in (M, Matrix.from_ints(QI, [[1, 2], [3, 4]])):  # with and without denominators
         scalars += charpoly(A).coeffs
@@ -182,7 +211,10 @@ def test_every_route_to_a_gaussian_scalar_gives_a_gaussian_value():
         scalars += [c for row in poly_eval_operator(Poly.from_ints(QI, [2, 0, -1, 3]), A).entries
                     for c in row]
     scalars += (Poly(QI, [a, b]) * Poly(QI, [b, a]) - Poly.x(QI)).coeffs
-    assert all(type(s.value) is Gaussian for s in scalars)
+    N = Matrix.from_ints(QI, [[1, 2], [3, 4]])
+    values += _matrix_route_values(M, N, a, (a, b), pi.monic())
+    values += [s.value for s in scalars]
+    assert all(type(v) is Gaussian for v in values)
     g, h = a.value, b.value
     assert g + h == (a + b).value and not g - g and (g * h, -g) == ((a * b).value, (-a).value)
 
@@ -202,12 +234,15 @@ def test_every_route_to_a_residue_gives_a_reduced_int():
     M = Matrix(F, entries)
     scalars += [c for row in rref(M).reduced.entries for c in row]
     echelon = Echelon(F)
-    scalars += echelon.box(*echelon.reduce(entries[0]))
+    values = echelon.box(*echelon.reduce(entries[0]))
     scalars += charpoly(M).coeffs
     pi = Poly(F, [F.from_int(rng.randrange(p // 2, p)) for _ in range(6)])
     scalars += [c for row in poly_eval_operator(pi, M).entries for c in row]
     scalars += (pi * pi - Poly(F, [a, b]) * pi).coeffs
-    assert all(type(s.value) is int and 0 <= s.value < p for s in scalars)
+    N = Matrix(F, [[F.from_int(rng.randrange(p // 2, p)) for _ in range(3)] for _ in range(3)])
+    values += _matrix_route_values(M, N, a, entries[1], pi.monic())
+    values += [s.value for s in scalars]
+    assert all(type(v) is int and 0 <= v < p for v in values)
     assert (-F.from_int(p - 1)).value == 1 and (-F.zero()).value == 0
 
 

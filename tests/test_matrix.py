@@ -15,6 +15,7 @@ from ximod import (
     Poly,
     PolyMatrix,
     PrimeField,
+    Scalar,
     TagMismatch,
     companion_matrix,
     kernel_basis,
@@ -166,7 +167,7 @@ def test_rref_and_coset_map_are_exact_on_large_entries(field):
             k = len(pivots)
             for v in (rand_vector(field, M.cols, rng), [rand_big_scalar(field, rng)
                                                        for _ in range(M.cols)]):
-                r = Matrix(field, [ech.box(*ech.reduce(v))])
+                r = Matrix(field, [[Scalar(field, a) for a in ech.box(*ech.reduce(v))]])
                 # a lift scaled by c reduces as the fresh lift does
                 u, L = lift(field, [a.value for a in v])
                 c = rng.randint(2, 10**6)
@@ -361,3 +362,34 @@ def test_scalar_and_polynomial_matrices_never_compare_equal():
         assert M != P and P != M
         assert {M} & {P} == set()
         assert len({M, P}) == 2
+
+
+def test_the_checked_edges_refuse_entries_of_another_field():
+    # a matrix stores raw values; only its edges see the Scalars' field tags
+    from ximod import TensorElement, project_to_quotient
+
+    F7 = PrimeField(7)
+    edges = [
+        lambda: Matrix(QQ, [[1]]),  # a bare int is not a Scalar
+        lambda: Matrix(QQ, [[F5.one()]]),
+        lambda: Matrix.diagonal(QQ, [F5.one()]),
+        lambda: PolyMatrix(QQ, [[QQ.one()]]),
+        lambda: PolyMatrix(QQ, [[Poly.one(F5)]]),
+        lambda: PolyMatrix.diagonal(QQ, [Poly.one(F5)]),
+        lambda: Matrix.identity(QQ, 2).matvec((QQ.one(), F5.one())),
+        lambda: Matrix.identity(QQ, 2).scale(F5.one()),
+        lambda: PolyMatrix.identity(QQ, 2).evaluate(F5.one()),
+        lambda: solve_linear(Matrix.identity(QQ, 1), (F5.one(),)),
+    ]
+    W = relation_subspace(OperatorPairKind(Matrix.identity(QQ, 2), Matrix.identity(QQ, 2)), 2, 2)
+    t = TensorElement(QQ, 2, 2, tuple(F5.from_int(k) for k in range(4)))
+    edges.append(lambda: project_to_quotient(t, W))
+    for edge in edges:
+        with pytest.raises(TagMismatch):
+            edge()
+    # equal raw grids over different fields stay apart
+    grids = [Matrix.from_ints(field, [[1, 2], [3, 4]]) for field in (QQ, F5, F7)]
+    assert len({str(M) for M in grids}) == 1
+    assert all(M != N for i, M in enumerate(grids) for N in grids[i + 1:])
+    assert len(set(grids)) == 3
+    assert len({Matrix.identity(QQ, 1), Matrix.identity(F5, 1), Matrix.identity(F7, 1)}) == 3

@@ -159,7 +159,7 @@ def test_readers_leave_the_relation_basis_unchanged(field):
             v = rand_vector(field, 9, rng)
             W.reduce(v)
             W.contains(v)
-            W.coset_coordinates([v, v])
+            W.coset_coordinates([[a.value for a in v]] * 2)
             project_to_quotient(TensorElement(field, 3, 3, v), W)
             induced_operator(W)
         assert ([*W.basis.pivots], [repr(r) for r in W.basis.rows], W.basis.D) == state
