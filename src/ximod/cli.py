@@ -1,8 +1,11 @@
 """Batch command-line interface.
 
-Every command validates its payload, computes, re-verifies a core identity
-of the result, and only then prints.  Exit codes: 0 success, 2 input
-error, 3 failed internal self-check.
+Every command handler validates its payload, computes, re-verifies a core
+identity of the result, and returns its JSON report together with a
+function that yields the text lines.  `main` alone prints, after the
+handler has returned: the report with --json, otherwise the text lines,
+which are built only then.  Exit codes: 0 success, 2 input error, 3 failed
+internal self-check.
 """
 from __future__ import annotations
 
@@ -95,16 +98,26 @@ def _ambient_field(args) -> Field | None:
     return parse_field_name(args.field) if getattr(args, "field", None) else None
 
 
-def _emit(args, report: dict, human_lines: list[str]) -> None:
-    """Print the report, or its human lines, with the self-check verdict
-    last: every caller has run its checks by now."""
+def _emit(args, report: dict, human) -> None:
+    """Print the report with --json, or else the lines `human()` yields,
+    with the self-check verdict last.  Only `main` calls this, once the
+    handler has run every check; the text is built in full before the
+    first line is printed, so a failure while rendering prints nothing."""
     if args.json:
         report["self_check"] = "ok"
         print(json.dumps(report, indent=2))
     else:
-        for line in human_lines:
-            print(line)
-        print("self-check: ok")
+        print("\n".join([*human(), "self-check: ok"]))
+
+
+def _payload_field(payload: dict, ambient: Field | None) -> Field:
+    """The field the payload declares, else --field, else Q."""
+    if "field" not in payload:
+        return ambient or QQ
+    declared = parse_field_declaration(payload, "$")
+    if ambient is not None and declared != ambient:
+        raise InputValidationError("$.field", "field conflicts with --field")
+    return declared
 
 
 def _poly_list(polys) -> str:
@@ -131,7 +144,7 @@ def _check_smith(P: PolyMatrix, snf) -> None:
             raise SelfCheckFailed("divisibility chain broken")
 
 
-def cmd_snf(args) -> int:
+def cmd_snf(args):
     payload = _load_payload(args)
     P = parse_polymatrix_json(payload, "$", _ambient_field(args))
     snf = smith_normal_form(P)
@@ -147,24 +160,23 @@ def cmd_snf(args) -> int:
         "diagonal": [poly_to_json(d) for d in snf.diagonal()],
         "invariant_factors": [poly_to_json(d) for d in snf.nonconstant_diagonal()],
     }
-    human = [
-        f"smith normal form over {P.field.describe()} ({P.rows}x{P.cols})",
-        "diagonal: " + _poly_list(snf.diagonal()),
-        "invariant factors: " + _poly_list(snf.nonconstant_diagonal()),
-        "U =",
-        str(snf.U),
-        "V =",
-        str(snf.V),
-    ]
-    _emit(args, report, human)
-    return 0
+
+    def human():
+        yield f"smith normal form over {P.field.describe()} ({P.rows}x{P.cols})"
+        yield "diagonal: " + _poly_list(snf.diagonal())
+        yield "invariant factors: " + _poly_list(snf.nonconstant_diagonal())
+        yield from ("U =", str(snf.U), "V =", str(snf.V))
+
+    return report, human
 
 
 # -- decompose -------------------------------------------------------------------
 
 def _decomposition_report(dec: ModuleDecomposition, field: Field, with_primary: bool):
+    """The JSON body of a decomposition, and a function that yields its text
+    lines after the heading."""
     flags = torsion_info(dec)
-    report = {
+    body = {
         "free_rank": dec.free_rank,
         "invariant_factors": [poly_to_json(f) for f in dec.invariant_factors],
         "flags": {
@@ -175,7 +187,6 @@ def _decomposition_report(dec: ModuleDecomposition, field: Field, with_primary: 
         "minimal_generators": minimal_generator_count(dec),
         "primary": None,
     }
-    warning = None
     primary = None
     if with_primary:
         try:
@@ -183,18 +194,32 @@ def _decomposition_report(dec: ModuleDecomposition, field: Field, with_primary: 
             rebuilt = recombine_invariant_factors(primary, field)
             if rebuilt != list(dec.invariant_factors):
                 raise SelfCheckFailed("elementary divisors do not recombine")
-            report["primary"] = [
+            body["primary"] = [
                 {"prime": poly_to_json(p), "exponents": list(exps)}
                 for p, exps in primary.components
             ]
         except FactorizationIncomplete as exc:
-            warning = {
+            body["warning"] = {
                 "factorization_incomplete": str(exc.remainder),
                 "detail": "irreducibility undecided; keeping invariant factors only",
             }
-    if warning is not None:
-        report["warning"] = warning
-    return report, flags, warning, primary
+
+    def human():
+        yield _module_summary(dec)
+        yield f"free rank: {dec.free_rank}"
+        yield "invariant factors: " + _poly_list(dec.invariant_factors)
+        yield (f"flags: torsion={flags.is_torsion} torsion-free={flags.is_torsion_free} "
+               f"free={flags.is_free}")
+        yield f"minimal generators: {body['minimal_generators']}"
+        if primary is not None:
+            yield "elementary divisors:"
+            for prime, exps in primary.components:
+                yield f"  ({prime}) with exponents {', '.join(str(e) for e in exps)}"
+        if "warning" in body:
+            remainder = body["warning"]["factorization_incomplete"]
+            yield "warning: factorization incomplete on " + remainder
+
+    return body, human
 
 
 def _module_summary(dec: ModuleDecomposition) -> str:
@@ -226,7 +251,7 @@ def _check_presentation(P: PolyMatrix, dec: ModuleDecomposition) -> None:
         raise SelfCheckFailed("invariant factors do not multiply to the determinant")
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args):
     payload = _load_payload(args)
     ambient = _ambient_field(args)
     if ("operator" in payload) == ("presentation" in payload):
@@ -259,27 +284,14 @@ def cmd_decompose(args) -> int:
             _check_presentation(P, dec)
         field = P.field
         source = {"kind": "presentation", "generators": P.rows, "relations": P.cols}
-    body, flags, warning, primary = _decomposition_report(dec, field, args.primary)
+    body, body_lines = _decomposition_report(dec, field, args.primary)
     report = {"command": "decompose", **field_to_json(field), **source, **body}
-    human = [
-        f"module decomposition over {field.describe()}",
-        _module_summary(dec),
-        f"free rank: {dec.free_rank}",
-        "invariant factors: " + _poly_list(dec.invariant_factors),
-        f"flags: torsion={flags.is_torsion} torsion-free={flags.is_torsion_free} "
-        f"free={flags.is_free}",
-        f"minimal generators: {minimal_generator_count(dec)}",
-    ]
-    if primary is not None:
-        human.append("elementary divisors:")
-        for prime, exps in primary.components:
-            human.append(f"  ({prime}) with exponents {', '.join(str(e) for e in exps)}")
-    if warning is not None:
-        human.append(
-            "warning: factorization incomplete on " + warning["factorization_incomplete"]
-        )
-    _emit(args, report, human)
-    return 0
+
+    def human():
+        yield f"module decomposition over {field.describe()}"
+        yield from body_lines()
+
+    return report, human
 
 
 # -- tensor ----------------------------------------------------------------------
@@ -298,19 +310,14 @@ _OPERATOR_KINDS = {
 
 def _build_kind(kind_name, payload, ambient):
     if kind_name == "standard":
-        field = None
-        if payload and "field" in payload:
-            field = parse_field_declaration(payload, "$")
-            if ambient is not None and field != ambient:
-                raise InputValidationError("$.field", "field conflicts with --field")
-        field = field or ambient or QQ
+        field = _payload_field(payload, ambient)
         n, m = (json_int(payload, k, "$", 'standard kind needs integers "n" and "m"', 1)
                 for k in "nm")
         if n * m > STANDARD_MAX_COORDINATES:
             raise InputValidationError(
                 "$", f"standard kind needs n*m <= {STANDARD_MAX_COORDINATES}")
         return StandardKind(field), n, m
-    if not payload or "A" not in payload or "B" not in payload:
+    if "A" not in payload or "B" not in payload:
         raise InputValidationError("$", f'kind {kind_name} needs matrices "A" and "B"')
     A = parse_matrix_json(payload["A"], "$.A", ambient)
     B = parse_matrix_json(payload["B"], "$.B", A.field)
@@ -353,46 +360,51 @@ def _check_tensor(W, induced) -> ModuleDecomposition | None:
     return dec
 
 
-def cmd_tensor(args) -> int:
+def _scalar_branching(a):
+    """The checked one-dimensional branching report for the twist a."""
+    rep = scalar_branching_report(a)
+    if not rep.literal_span_agrees:
+        raise SelfCheckFailed("literal relation span disagrees with the kind span")
+    return rep
+
+
+def _tensor_scalar_a(args, ambient):
+    if args.kind != "branching":
+        raise InputValidationError("--scalar-a", "only valid with --kind branching")
+    field = ambient or QQ
+    a = parse_scalar_json(field, args.scalar_a, "--scalar-a")
+    rep = _scalar_branching(a)
+    report = {
+        "command": "tensor",
+        "kind": "branching",
+        **field_to_json(field),
+        "n": 1,
+        "m": 1,
+        "scalar_a": scalar_to_json(a),
+        "relation_rank": rep.relation_rank,
+        "quotient_dim": rep.quotient_dim,
+        "caveat": rep.homomorphism_caveat,
+    }
+
+    def human():
+        yield f"branching tensor product of K (x) K over {field.describe()}, twist a = {a}"
+        yield f"relation rank: {rep.relation_rank}"
+        yield f"quotient dimension: {rep.quotient_dim}"
+        if rep.homomorphism_caveat:
+            yield "caveat: " + rep.homomorphism_caveat
+
+    return report, human
+
+
+def cmd_tensor(args):
     ambient = _ambient_field(args)
     if args.scalar_a is not None:
-        if args.kind != "branching":
-            raise InputValidationError("--scalar-a", "only valid with --kind branching")
-        field = ambient or QQ
-        a = parse_scalar_json(field, args.scalar_a, "--scalar-a")
-        rep = scalar_branching_report(a)
-        if not rep.literal_span_agrees:
-            raise SelfCheckFailed("literal relation span disagrees with the kind span")
-        report = {
-            "command": "tensor",
-            "kind": "branching",
-            **field_to_json(field),
-            "n": 1,
-            "m": 1,
-            "scalar_a": scalar_to_json(a),
-            "relation_rank": rep.relation_rank,
-            "quotient_dim": rep.quotient_dim,
-            "caveat": rep.homomorphism_caveat,
-        }
-        human = [
-            f"branching tensor product of K (x) K over {field.describe()}, "
-            f"twist a = {a}",
-            f"relation rank: {rep.relation_rank}",
-            f"quotient dimension: {rep.quotient_dim}",
-        ]
-        if rep.homomorphism_caveat:
-            human.append("caveat: " + rep.homomorphism_caveat)
-        _emit(args, report, human)
-        return 0
-    payload = _load_payload(args)
-    kind, n, m = _build_kind(args.kind, payload, ambient)
+        return _tensor_scalar_a(args, ambient)
+    kind, n, m = _build_kind(args.kind, _load_payload(args), ambient)
     W = relation_subspace(kind, n, m)
     induced = induced_operator(W) if isinstance(kind, OperatorPairKind) else None
     checked = _check_tensor(W, induced)
     induced_dec = checked if args.decompose else None
-    induced_body = None
-    if induced_dec is not None:
-        induced_body, _, _, _ = _decomposition_report(induced_dec, W.field, False)
     report = {
         "command": "tensor",
         "kind": kind.name,
@@ -403,51 +415,47 @@ def cmd_tensor(args) -> int:
         "quotient_dim": quotient_dim(W),
         "canonical_basis": list(W.canonical_indices),
         "induced_operator": matrix_to_json(induced) if induced is not None else None,
-        "induced_decomposition": induced_body,
+        "induced_decomposition": (
+            _decomposition_report(induced_dec, W.field, False)[0]
+            if induced_dec is not None else None
+        ),
     }
-    human = [
-        f"{kind.name} tensor product of K^{n} (x) K^{m} over {W.field.describe()}",
-        f"relation rank: {W.rank}",
-        f"quotient dimension: {quotient_dim(W)}",
-        "canonical basis indices: "
-        + (", ".join(str(i) for i in W.canonical_indices) or "(none)"),
-    ]
-    if induced is not None:
-        human.append("induced operator =")
-        human.append(str(induced) if induced.rows else "(zero-dimensional)")
-    if induced_dec is not None:
-        human.append("induced invariant factors: " + _poly_list(induced_dec.invariant_factors))
-    _emit(args, report, human)
-    return 0
+
+    def human():
+        yield f"{kind.name} tensor product of K^{n} (x) K^{m} over {W.field.describe()}"
+        yield f"relation rank: {W.rank}"
+        yield f"quotient dimension: {report['quotient_dim']}"
+        yield "canonical basis indices: " + (", ".join(map(str, W.canonical_indices)) or "(none)")
+        if induced is not None:
+            yield "induced operator ="
+            yield str(induced) if induced.rows else "(zero-dimensional)"
+        if induced_dec is not None:
+            yield "induced invariant factors: " + _poly_list(induced_dec.invariant_factors)
+
+    return report, human
 
 
 # -- equiv -----------------------------------------------------------------------
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args):
     ambient = _ambient_field(args)
-    payload = None
-    if args.rules != "standard":
-        payload = _load_payload(args)
     if args.rules == "standard":
-        field = ambient or QQ
-        lhs = parse_expression(args.lhs, field)
-        rhs = parse_expression(args.rhs, field)
-        kind = StandardKind(field)
+        kind = StandardKind(ambient or QQ)
+        field, shape = kind.field, None
     else:
-        kind, n, m = _build_kind(args.rules, payload, ambient)
-        field = kind.A.field
-        lhs = parse_expression(args.lhs, field)
-        rhs = parse_expression(args.rhs, field)
-        if (lhs.n, lhs.m) != (n, m):
-            raise InputValidationError(
-                "--lhs", f"expression shape {lhs.n}x{lhs.m} does not match operators"
-            )
-    rules = RuleSet(kind)
-    equivalent = decide_equiv(lhs, rhs, rules)
-    standard_equivalent = equivalent
-    if args.rules != "standard":
-        standard_equivalent = decide_equiv(lhs, rhs, RuleSet(StandardKind(field)))
+        kind, n, m = _build_kind(args.rules, _load_payload(args), ambient)
+        field, shape = kind.A.field, (n, m)
+    lhs = parse_expression(args.lhs, field)
+    rhs = parse_expression(args.rhs, field)
+    if shape not in (None, (lhs.n, lhs.m)):
+        raise InputValidationError(
+            "--lhs", f"expression shape {lhs.n}x{lhs.m} does not match operators"
+        )
+    # decide_equiv checks the shapes first; the standard rules have W = 0,
+    # so equivalence under them is a zero difference
+    equivalent = decide_equiv(lhs, rhs, RuleSet(kind))
     diff = linearize(lhs) - linearize(rhs)
+    standard_equivalent = diff.is_zero
     note = None
     if equivalent and not standard_equivalent:
         note = (
@@ -465,31 +473,24 @@ def cmd_equiv(args) -> int:
         "difference": vector_to_json(diff.coords),
         "note": note,
     }
-    human = [
-        f"equivalence under {args.rules} rules over {field.describe()}",
-        f"lhs: {format_sequence(lhs)}",
-        f"rhs: {format_sequence(rhs)}",
-        f"equivalent: {equivalent}",
-        f"equivalent under standard rules: {standard_equivalent}",
-    ]
-    if note:
-        human.append("note: " + note)
-    _emit(args, report, human)
-    return 0
+
+    def human():
+        yield f"equivalence under {args.rules} rules over {field.describe()}"
+        yield f"lhs: {report['lhs']}"
+        yield f"rhs: {report['rhs']}"
+        yield f"equivalent: {equivalent}"
+        yield f"equivalent under standard rules: {standard_equivalent}"
+        if note:
+            yield "note: " + note
+
+    return report, human
 
 
 # -- schmidt ---------------------------------------------------------------------
 
-def cmd_schmidt(args) -> int:
+def cmd_schmidt(args):
     payload = _load_payload(args)
-    ambient = _ambient_field(args)
-    field = ambient
-    if "field" in payload:
-        declared = parse_field_declaration(payload, "$")
-        if field is not None and declared != field:
-            raise InputValidationError("$.field", "field conflicts with --field")
-        field = declared
-    field = field or QQ
+    field = _payload_field(payload, _ambient_field(args))
     n, m = (json_int(payload, k, "$", 'schmidt needs integers "n" and "m"', 1) for k in "nm")
     coords = parse_vector_json(field, payload.get("coords"), "$.coords")
     if len(coords) != n * m:
@@ -507,9 +508,11 @@ def cmd_schmidt(args) -> int:
         "schmidt_rank": r,
         "classification": classification,
     }
-    human = [f"schmidt rank over {field.describe()}: {r} ({classification})"]
-    _emit(args, report, human)
-    return 0
+
+    def human():
+        yield f"schmidt rank over {field.describe()}: {r} ({classification})"
+
+    return report, human
 
 
 # -- demos -----------------------------------------------------------------------
@@ -518,89 +521,63 @@ def _frac(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
 
-def _demo_example61(args) -> int:
+def _demo_example61(args):
     field = QQ
-    instances = []
-    if args.random:
-        rng = random.Random(args.seed)
-        for _ in range(5):
-            a, b, c, d = (field.scalar(_frac(rng)) for _ in range(4))
-            u, v, w, z = (field.scalar(_frac(rng)) for _ in range(4))
-            pi = Poly(field, tuple(field.scalar(_frac(rng)) for _ in range(rng.randint(1, 4))))
-            instances.append((a, b, c, d, pi, u, v, w, z))
-    else:
-        a, b = field.from_int(2), field.from_int(3)
-        c, d = field.from_int(2), field.from_int(5)
-        pi = Poly.from_ints(field, [1, 0, 1])
-        u, v, w, z = (field.from_int(k) for k in (1, 2, 1, 1))
-        instances.append((a, b, c, d, pi, u, v, w, z))
-    reports = []
-    for a, b, c, d, pi, u, v, w, z in instances:
+    rng = random.Random(args.seed)
+
+    def draw():
+        return field.scalar(_frac(rng))
+
+    instances, rows = [], []
+    for _ in range(5 if args.random else 1):
+        if args.random:
+            a, b, c, d, u, v, w, z = (draw() for _ in range(8))
+            pi = Poly(field, tuple(draw() for _ in range(rng.randint(1, 4))))
+        else:
+            a, b, c, d, u, v, w, z = (field.from_int(k) for k in (2, 3, 2, 5, 1, 2, 1, 1))
+            pi = Poly.from_ints(field, [1, 0, 1])
         rep = simplification_report(a, b, c, d, pi, u, v, w, z)
         if not rep.difference_in_relations or not rep.classes_equal:
             raise SelfCheckFailed("the two sides do not agree in the quotient")
-        reports.append((a, b, c, d, pi, u, v, w, z, rep))
-    json_out = {
-        "command": "demo",
-        "name": "example61",
-        **field_to_json(field),
-        "instances": [
-            {
-                "a": scalar_to_json(a),
-                "b": scalar_to_json(b),
-                "c": scalar_to_json(c),
-                "d": scalar_to_json(d),
-                "pi": poly_to_json(pi),
-                "x": vector_to_json((u, v)),
-                "y": vector_to_json((w, z)),
-                "left_tensor": vector_to_json(rep.left_tensor.coords),
-                "right_tensor": vector_to_json(rep.right_tensor.coords),
-                "difference_in_relations": rep.difference_in_relations,
-                "classes_equal": rep.classes_equal,
-                "standard_equal": rep.standard_equal,
-                "quotient_dim": rep.quotient_dim,
-                "common_class": vector_to_json(rep.common_class),
-            }
-            for a, b, c, d, pi, u, v, w, z, rep in reports
-        ],
-    }
-    human = ["two-qubit diagonal operator-pair simplification demo"]
-    for a, b, c, d, pi, u, v, w, z, rep in reports:
-        human.append(
-            f"A = diag({a}, {b}), B = diag({c}, {d}), pi = {pi}, "
-            f"x = ({u}, {v}), y = ({w}, {z})"
-        )
-        human.append(
-            f"  (pi(A) x) (x) y = ({', '.join(str(cc) for cc in rep.left_tensor.coords)})"
-        )
-        human.append(
-            f"  x (x) (pi(B) y) = ({', '.join(str(cc) for cc in rep.right_tensor.coords)})"
-        )
-        human.append(
-            "  both plain tensors project to the same coset: "
-            f"difference in relations = {rep.difference_in_relations}, "
-            f"already equal as plain tensors = {rep.standard_equal}"
-        )
-    _emit(args, json_out, human)
-    return 0
+        instances.append({
+            "a": scalar_to_json(a),
+            "b": scalar_to_json(b),
+            "c": scalar_to_json(c),
+            "d": scalar_to_json(d),
+            "pi": poly_to_json(pi),
+            "x": vector_to_json((u, v)),
+            "y": vector_to_json((w, z)),
+            "left_tensor": vector_to_json(rep.left_tensor.coords),
+            "right_tensor": vector_to_json(rep.right_tensor.coords),
+            "difference_in_relations": rep.difference_in_relations,
+            "classes_equal": rep.classes_equal,
+            "standard_equal": rep.standard_equal,
+            "quotient_dim": rep.quotient_dim,
+            "common_class": vector_to_json(rep.common_class),
+        })
+        rows.append((a, b, c, d, pi, u, v, w, z, rep))
+    report = {"command": "demo", "name": "example61", **field_to_json(field),
+              "instances": instances}
+
+    def human():
+        yield "two-qubit diagonal operator-pair simplification demo"
+        for a, b, c, d, pi, u, v, w, z, rep in rows:
+            yield (f"A = diag({a}, {b}), B = diag({c}, {d}), pi = {pi}, "
+                   f"x = ({u}, {v}), y = ({w}, {z})")
+            yield f"  (pi(A) x) (x) y = ({', '.join(map(str, rep.left_tensor.coords))})"
+            yield f"  x (x) (pi(B) y) = ({', '.join(map(str, rep.right_tensor.coords))})"
+            yield ("  both plain tensors project to the same coset: "
+                   f"difference in relations = {rep.difference_in_relations}, "
+                   f"already equal as plain tensors = {rep.standard_equal}")
+
+    return report, human
 
 
-def _demo_branching(args) -> int:
+def _demo_branching(args):
     field = QQ
-    values = [
-        field.from_int(1),
-        field.from_int(0),
-        field.from_int(2),
-        field.from_int(-1),
-        field.scalar(Fraction(1, 2)),
-    ]
-    rows = []
-    for a in values:
-        rep = scalar_branching_report(a)
-        if not rep.literal_span_agrees:
-            raise SelfCheckFailed("literal relation span disagrees with the kind span")
-        rows.append(rep)
-    json_out = {
+    values = [*(field.from_int(k) for k in (1, 0, 2, -1)), field.scalar(Fraction(1, 2))]
+    rows = [_scalar_branching(a) for a in values]
+    report = {
         "command": "demo",
         "name": "branching",
         **field_to_json(field),
@@ -614,30 +591,29 @@ def _demo_branching(args) -> int:
             for rep in rows
         ],
     }
-    human = ["one-dimensional branching tensor products with twisted scalar moves"]
-    for rep in rows:
-        human.append(f"a = {rep.a}: quotient dimension {rep.quotient_dim}")
-    human.append(
-        "caveat: the scalar map c -> a*c is not multiplicative unless a is 0 or 1; "
-        "the quotient is computed from the literal relation span"
-    )
-    _emit(args, json_out, human)
-    return 0
+
+    def human():
+        yield "one-dimensional branching tensor products with twisted scalar moves"
+        for rep in rows:
+            yield f"a = {rep.a}: quotient dimension {rep.quotient_dim}"
+        yield ("caveat: the scalar map c -> a*c is not multiplicative unless a is 0 or 1; "
+               "the quotient is computed from the literal relation span")
+
+    return report, human
 
 
-def _demo_register(args) -> int:
+def _demo_register(args):
     field = QQ
     one, zero = field.one(), field.zero()
     A = Matrix.from_ints(field, [[1, 0], [0, 2]])
     B = Matrix.from_ints(field, [[1, 0], [0, 3]])
-    kind = OperatorPairKind(A, B)
-    W = relation_subspace(kind, 2, 2)
+    W = relation_subspace(OperatorPairKind(A, B), 2, 2)
     product_state = tensor_coordinates((one, zero), (one, one))
     bell_state = TensorElement(field, 2, 2, (one, zero, zero, one))
     samples = [("product e1 (x) (f1 + f2)", product_state), ("bell (1,0,0,1)", bell_state)]
     induced = induced_operator(W)
     factors = _decompose_operator(induced).invariant_factors if induced.rows else ()
-    json_out = {
+    report = {
         "command": "demo",
         "name": "register",
         **field_to_json(field),
@@ -662,21 +638,19 @@ def _demo_register(args) -> int:
             "induced_invariant_factors": [poly_to_json(f) for f in factors],
         },
     }
-    human = [
-        "two-qubit register: plain product K^2 (x) K^2 has dimension 4",
-    ]
-    for label, t in samples:
-        human.append(f"{label}: schmidt rank {schmidt_rank(t)}")
-    human.append(
-        f"operator-pair quotient by A = diag(1, 2), B = diag(1, 3): "
-        f"dimension {quotient_dim(W)}"
-    )
-    human.append("induced invariant factors: " + _poly_list(factors))
-    _emit(args, json_out, human)
-    return 0
+
+    def human():
+        yield "two-qubit register: plain product K^2 (x) K^2 has dimension 4"
+        for state in report["states"]:
+            yield f"{state['label']}: schmidt rank {state['schmidt_rank']}"
+        yield (f"operator-pair quotient by A = diag(1, 2), B = diag(1, 3): "
+               f"dimension {report['opair']['quotient_dim']}")
+        yield "induced invariant factors: " + _poly_list(factors)
+
+    return report, human
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args):
     demos = {
         "example61": _demo_example61,
         "branching": _demo_branching,
@@ -724,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ten.add_argument(
         "--kind",
         required=True,
-        choices=["standard", "opair", "subring", "branching"],
+        choices=["standard", *_OPERATOR_KINDS],
     )
     p_ten.add_argument(
         "--scalar-a",
@@ -743,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq.add_argument(
         "--rules",
         required=True,
-        choices=["standard", "opair", "subring", "branching"],
+        choices=["standard", *_OPERATOR_KINDS],
     )
     p_eq.add_argument("--lhs", required=True)
     p_eq.add_argument("--rhs", required=True)
@@ -783,7 +757,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        report, human = args.handler(args)
+        _emit(args, report, human)
+        return 0
     except SelfCheckFailed as exc:
         print(f"self-check failed: {exc}", file=sys.stderr)
         return 3

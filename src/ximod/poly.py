@@ -162,8 +162,6 @@ class Poly:
         return _poly(self.field, [-c for c in self.values])
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
         self._check(other)
         a, b = self.values, other.values
         if not a or not b:

@@ -57,7 +57,8 @@ from .poly import Poly
 
 @dataclass(frozen=True)
 class TensorElement:
-    """A vector of nm coordinates on the plain tensor square."""
+    """A vector of nm coordinates on the plain tensor square, each a Scalar
+    of `field`."""
 
     field: Field
     n: int
@@ -69,6 +70,9 @@ class TensorElement:
             raise DimensionMismatch(
                 f"expected {self.n * self.m} coordinates, got {len(self.coords)}"
             )
+        field = self.field
+        if any(c.field is not field and c.field != field for c in self.coords):
+            raise TagMismatch("tensor coordinates over another field")
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         self._check(other)

@@ -594,6 +594,93 @@ def test_equiv_identical_expressions(capsys):
     assert json.loads(out)["equivalent"] is True
 
 
+def _opair_payload_file(tmp_path):
+    payload = {
+        "A": {"field": "q", "rows": 2, "cols": 2, "entries": [["2", "0"], ["0", "3"]]},
+        "B": {"field": "q", "rows": 2, "cols": 2, "entries": [["2", "0"], ["0", "5"]]},
+    }
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(json.dumps(payload))
+    return str(payload_file)
+
+
+def test_equiv_opair_sides_equal_as_plain_tensors(capsys, tmp_path):
+    argv = ["equiv", "--rules", "opair", "--input", _opair_payload_file(tmp_path)]
+    lhs, rhs = "([1,0],[1,0]); ([0,1],[0,1])", "([0,1],[0,1]); ([1,0],[1,0])"
+    code, out, _ = run_main(capsys, [*argv, "--lhs", lhs, "--rhs", rhs, "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["equivalent"] is True
+    assert report["standard_equivalent"] is True
+    assert report["note"] is None
+    assert report["difference"] == ["0"] * 4
+    # a right-hand side of the wrong shape is refused by the decision itself
+    code, out, err = run_main(capsys, [*argv, "--lhs", lhs, "--rhs", "([1,0,0],[1,0])"])
+    assert (code, out) == (2, "")
+    assert "sequences of different shapes" in err
+
+
+def test_equiv_decides_once_and_linearizes_one_difference(capsys, tmp_path, monkeypatch):
+    from ximod import cli
+
+    calls = {"decide_equiv": 0, "linearize": 0}
+
+    def counted(name):
+        inner = getattr(cli, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    for argv in (
+        ["--rules", "opair", "--input", _opair_payload_file(tmp_path)],
+        ["--rules", "standard"],
+    ):
+        calls.update(decide_equiv=0, linearize=0)
+        code, _, _ = run_main(
+            capsys, ["equiv", *argv, "--lhs", "([2,3],[1,1])", "--rhs", "([1,1],[2,5])", "--json"]
+        )
+        assert code == 0
+        assert calls == {"decide_equiv": 1, "linearize": 2}
+
+
+def test_json_output_renders_no_text(capsys, tmp_path, monkeypatch):
+    # under --json no handler may build its text lines: make the renderers
+    # raise an error main does not catch, and every command must still pass
+    from ximod import cli
+    from ximod.matrix import DenseMatrix
+
+    def refuse(*_):
+        raise AssertionError("text rendered under --json")
+
+    for owner, name in ((cli, "_poly_list"), (cli, "_module_summary"), (DenseMatrix, "__str__")):
+        monkeypatch.setattr(owner, name, refuse)
+    opair = tmp_path / "opair.json"
+    opair.write_text(json.dumps({
+        "A": {"field": "q", "rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "2"]]},
+        "B": {"field": "q", "rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "3"]]},
+    }))
+    snf, decompose = tmp_path / "snf.json", tmp_path / "decompose.json"
+    snf.write_text(SNF_PAYLOAD)
+    decompose.write_text(DECOMPOSE_PAYLOAD)
+    commands = [
+        ["snf", "--input", str(snf)],
+        ["decompose", "--primary", "--input", str(decompose)],
+        ["tensor", "--kind", "opair", "--decompose", "--input", str(opair)],
+        ["demo", "register"],
+    ]
+    for argv in commands:
+        code, out, _ = run_main(capsys, [*argv, "--json"])
+        assert code == 0 and json.loads(out)["self_check"] == "ok"
+        with pytest.raises(AssertionError, match="text rendered"):
+            main(argv)
+        assert capsys.readouterr().out == ""
+
+
 def test_schmidt_command(capsys, tmp_path):
     payload_file = tmp_path / "p.json"
     payload_file.write_text(

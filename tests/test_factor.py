@@ -177,6 +177,24 @@ def test_factor_irreducible_quartic_mod2():
     assert parts == [(f, 1)]
 
 
+def test_factor_f2_splits_equal_degree_products_by_the_trace_map():
+    # each product below has several irreducible factors of one degree d >= 2,
+    # which only the characteristic-2 trace map can separate
+    c1 = Poly.from_ints(F2, [1, 1, 0, 1])  # x^3 + x + 1
+    c2 = Poly.from_ints(F2, [1, 0, 1, 1])  # x^3 + x^2 + 1
+    quartics = [Poly.from_ints(F2, c) for c in ([1, 1, 0, 0, 1], [1, 0, 0, 1, 1], [1, 1, 1, 1, 1])]
+    q = quartics[0] * quartics[1] * quartics[2]
+    cases = [
+        (c1 * c2, {c1: 1, c2: 1}),
+        (q, {g: 1 for g in quartics}),
+        (q**2 * c1, {c1: 1, **{g: 2 for g in quartics}}),
+    ]
+    for f, expected in cases:
+        parts = factor_irreducible(f)
+        assert dict(parts) == expected
+        assert all(exhaustive_irreducible_fp(g) for g, _ in parts)
+
+
 def test_factor_fp_matches_exhaustive_oracle():
     rng = random.Random(31)
     for field in (F2, F3, F5):

@@ -37,6 +37,13 @@ def test_trailing_zeros_stripped():
     assert Poly.zero(QQ).degree == -1
 
 
+def test_scaling_goes_through_scale_only():
+    p = Poly.from_ints(QQ, [1, 2])
+    assert p.scale(QQ.from_int(3)) == Poly.from_ints(QQ, [3, 6])
+    with pytest.raises(TypeError):
+        p * QQ.one()
+
+
 def test_divmod_examples():
     f = Poly.from_ints(QQ, [1, 0, 1])  # x^2 + 1
     g = Poly.from_ints(QQ, [-1, 1])  # x - 1

@@ -16,6 +16,7 @@ from ximod import (
     PrimeField,
     StandardKind,
     SubringKind,
+    TagMismatch,
     TensorElement,
     WrongKind,
     apply_left,
@@ -52,6 +53,14 @@ def test_tensor_coordinates_unit():
 def test_tensor_coordinates_expansion():
     t = tensor_coordinates(ints(QQ, (1, 2)), ints(QQ, (3, 4)))
     assert t.coords == ints(QQ, (3, 4, 6, 8))
+
+
+def test_tensor_element_refuses_coordinates_of_another_field():
+    with pytest.raises(TagMismatch):
+        TensorElement(QQ, 1, 2, (F5.one(), F5.zero()))
+    # an equal field built apart is the same field
+    t = TensorElement(PrimeField(5), 1, 2, (F5.one(), F5.zero()))
+    assert not t.is_zero and t.field == F5
 
 
 def test_scalar_moves_across_factors():

@@ -5,8 +5,11 @@
 Builds every workload of this checkout's perfbench/workloads.py at each
 seed, runs each command through <checkout>/src's ``cli.main`` in this
 process, with the payload on stdin, and prints one sha256 of the
-(exit, stdout, stderr) triples per workload.  Two checkouts whose lines
-match gave byte-identical outputs on those corpora.  Nothing is written.
+(exit, stdout, stderr) triples per workload.  Every benchmark command
+passes --json, so a second line per workload, "<workload> text: ...",
+hashes the same commands run without --json: the text renderer.  Two
+checkouts whose lines match gave byte-identical outputs on those corpora.
+Nothing is written.
 """
 from __future__ import annotations
 
@@ -48,13 +51,16 @@ def main() -> None:
 
     print(f"ximod from {Path(cli.__file__).parent}, seeds {' '.join(map(str, args.seeds))}")
     for name, build in workloads.WORKLOADS.items():
-        digest, count = hashlib.sha256(), 0
+        digest, text, count = hashlib.sha256(), hashlib.sha256(), 0
         for seed in args.seeds:
             for rnd in build(seed):
                 for cmd in rnd:
                     digest.update(repr(run(cli, cmd.argv, cmd.payload)).encode())
+                    argv = [arg for arg in cmd.argv if arg != "--json"]
+                    text.update(repr(run(cli, argv, cmd.payload)).encode())
                     count += 1
         print(f"{name}: {digest.hexdigest()} ({count} commands)")
+        print(f"{name} text: {text.hexdigest()} ({count} commands)")
 
 
 if __name__ == "__main__":
