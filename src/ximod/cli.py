@@ -40,7 +40,7 @@ from .jsonio import (
     scalar_to_json,
     vector_to_json,
 )
-from .matrix import Matrix, kronecker_column, poly_eval_operator
+from .matrix import Matrix, _Lifted, poly_eval_operator
 from .modules import (
     ModuleDecomposition,
     OperatorModule,
@@ -54,13 +54,14 @@ from .modules import (
 )
 from .poly import Poly, poly_gcd
 from .polymatrix import PolyMatrix, charpoly, smith_diagonal, smith_normal_form
-from .rewrite import RuleSet, decide_equiv, format_sequence, linearize, parse_expression
+from .rewrite import RuleSet, decide_equiv, format_sequence, parse_expression
 from .tensor import (
     BranchingKind,
     OperatorPairKind,
     StandardKind,
     SubringKind,
     TensorElement,
+    _integral_pair,
     induced_operator,
     project_to_quotient,
     quotient_dim,
@@ -339,10 +340,25 @@ def _check_tensor(W, induced) -> ModuleDecomposition | None:
     (induced is None) have no check here that could fail."""
     if induced is None:
         return None
+    # each stored row Y of W^perp, n x m, must satisfy A^T Y = Y B; the rows
+    # are independent (D at distinct coordinates), so with the count below
+    # they span W^perp, and W is its annihilator
+    ring, nm = _Lifted(W.field), W.n * W.m
+    if not W.D or sorted(W.canonical_indices + W.pivots) != list(range(nm)):
+        raise SelfCheckFailed("the stored rows of the relation annihilator are not independent")
+    M, N = _integral_pair(ring, W.kind.A, W.kind.B)
+    if any(ring.matmul(M, Y) != ring.matmul(Y, N) for Y in W.annihilator()):
+        raise SelfCheckFailed("a stored row Y of the relation annihilator fails A^T Y = Y B")
     # x acts through A (x) I; on the quotient it must agree with I (x) B
-    identity = Matrix.identity(W.field, W.n)
-    right = (kronecker_column(identity, W.kind.B, k) for k in W.canonical_indices)
-    if W.coset_coordinates(right) != induced:
+    B, d = ring.rows(W.kind.B)
+
+    def right(k):  # (I (x) B) e_k for k = i m + j: column j of B on the coordinates i m + s
+        i, j = divmod(k, W.m)
+        u = [ring.zero] * nm
+        u[i * W.m : (i + 1) * W.m] = [row[j] for row in B]
+        return u, d
+
+    if W.coset_coordinates(map(right, W.canonical_indices)) != induced:
         raise SelfCheckFailed("left and right actions disagree on the quotient")
     # K[x]/(a) (x) K[x]/(b) = K[x]/gcd(a, b), over the invariant factors of A and B
     a_factors = _decompose_operator(W.kind.A).invariant_factors
@@ -453,8 +469,7 @@ def cmd_equiv(args):
         )
     # decide_equiv checks the shapes first; the standard rules have W = 0,
     # so equivalence under them is a zero difference
-    equivalent = decide_equiv(lhs, rhs, RuleSet(kind))
-    diff = linearize(lhs) - linearize(rhs)
+    equivalent, diff = decide_equiv(lhs, rhs, RuleSet(kind))
     standard_equivalent = diff.is_zero
     note = None
     if equivalent and not standard_equivalent:

@@ -292,6 +292,12 @@ class _Lifted:
             return -x[0], -x[1]
         return -x
 
+    def scale(self, k: int, x):
+        """k x for an integer k."""
+        if self.gaussian:
+            return k * x[0], k * x[1]
+        return k * x % self.p if self.p else k * x
+
     def dot(self, x, y):
         """sum_i x[i] y[i] over the shorter of x and y."""
         if self.gaussian:
@@ -315,13 +321,13 @@ class Echelon:
 
     Over Q a row is a list of ints; over Q(i) a Gaussian-integer row is a
     pair (re, im) of int lists; over F_p a list of residues.  Each input
-    comes in as a lift (u, L), its denominators cleared once: `reduce`
-    lifts a vector over K, `reduce_lifted` takes one lifted already.
-    Every row equals D at its own pivot and zero at every other pivot, D
-    being the latest pivot value (over F_p, D = 1), so each entry is a
-    minor of the cleared inputs and every division in `push` is exact.
-    All vectors given to one `Echelon` have the same length.  `reduce`
-    gives (w, den) with w integral; only `box` takes w back to K.
+    comes to `reduce_lifted` as a lift (u, L) (see `lift`), its
+    denominators cleared once.  Every row equals D at its own pivot and
+    zero at every other pivot, D being the latest pivot value (over F_p,
+    D = 1), so each entry is a minor of the cleared inputs and every
+    division in `push` is exact.  All vectors given to one `Echelon` have
+    the same length.  `reduce_lifted` gives (w, den) with w integral; only
+    `box` takes w back to K.
     """
 
     def __init__(self, field: Field):
@@ -329,13 +335,6 @@ class Echelon:
         self.pivots: list[int] = []
         self.rows: list = []
         self.D = (1, 0) if isinstance(field, GaussianRationals) else 1
-
-    def reduce(self, v):
-        """`reduce_lifted` of the lift of v."""
-        field = self.field
-        if any(a.field is not field and a.field != field for a in v):
-            raise TagMismatch("vector and echelon over different fields")
-        return self.reduce_lifted(*lift(field, [a.value for a in v]))
 
     def reduce_lifted(self, u, L: int):
         """(w, D L) with w = D u - sum_i u[p_i] r_i for the lift (u, L) of a
@@ -371,6 +370,10 @@ class Echelon:
                 wi = [b - fr * d - fi * c for b, c, d in zip(wi, rr, ri)]
         return (wr, wi), (dr * L, di * L)
 
+    def lifted(self, w) -> list:
+        """A row or reduced vector w as a list of lifted values (see `lift`)."""
+        return list(zip(*w)) if isinstance(self.D, tuple) else w
+
     def leading(self, w) -> int | None:
         """The index of the first nonzero entry of w, None if w is zero."""
         if isinstance(self.D, tuple):
@@ -380,8 +383,7 @@ class Echelon:
     def box(self, w, den, indices=None) -> list:
         """The raw values w / den over K, at `indices` if given; den is
         (re, im) over Q(i), where (a + bi) / den = (a + bi) conj(den) / |den|^2."""
-        if isinstance(den, tuple):
-            w = list(zip(*w))
+        w = self.lifted(w)
         if indices is not None:
             w = [w[t] for t in indices]
         if isinstance(den, tuple):
@@ -391,8 +393,9 @@ class Echelon:
         return _box(self.field, w, den)
 
     def push(self, w) -> None:
-        """Append w from the latest `reduce`; zero adds nothing.  With D' = w[q],
-        q the leading index, each row r becomes (D' r - r[q] w) / D."""
+        """Append w from the latest `reduce_lifted`; zero adds nothing.  With D' = w[q],
+        q the leading index, each row r becomes (D' r - r[q] w) / D, which is
+        r itself when r[q] = 0 and D' = D."""
         q = self.leading(w)
         if q is None:
             return
@@ -407,7 +410,7 @@ class Echelon:
             f = r[q]
             if p:
                 self.rows[i] = [(a - f * b) % p for a, b in zip(r, w)] if f else r
-            else:
+            elif f or Dn != D:
                 self.rows[i] = [(Dn * a - f * b) // D for a, b in zip(r, w)]
         self.D = Dn
         self.pivots.append(q)
@@ -421,6 +424,8 @@ class Echelon:
         ar, ai = nr * dr + ni * di, ni * dr - nr * di
         for i, (rr, ri) in enumerate(self.rows):
             fr, fi = rr[q], ri[q]
+            if not (fr or fi) and (nr, ni) == (dr, di):
+                continue
             br, bi = fr * dr + fi * di, fi * dr - fr * di
             cols = list(zip(rr, ri, wr, wi))
             self.rows[i] = (
@@ -567,8 +572,7 @@ def poly_eval_operator(pi: Poly, A: Matrix) -> Matrix:
     ring = _Lifted(field)
     M, d = ring.rows(A)
     c, L = lift(field, pi.values)
-    # g_k = c_k d^(m-k), each a one-term dot
-    g = [ring.dot((a,), (ring.of_int(d ** (m - k)),)) for k, a in enumerate(c)]
+    g = [ring.scale(d ** (m - k), a) for k, a in enumerate(c)]  # g_k = c_k d^(m-k)
     s = max(1, isqrt(m + 1))
     powers = [[[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)], M]
     while len(powers) <= s:

@@ -147,33 +147,26 @@ def decompose_operator_module(module: OperatorModule) -> ModuleDecomposition:
     )
 
 
-def _krylov_presentation(A: Matrix) -> PolyMatrix:
-    """Present the module of A by Krylov chains, one `Echelon` over K in
-    O(n^3) ring operations on the integral lift A = M / d.  Krylov vector i
-    enters it followed by e_i in K^{n+1}, so a reduced vector that vanishes
-    on its first n entries is a relation, with its coefficients in the last
-    n + 1.
+def _krylov_chains(ring: _Lifted, M: list, d: int) -> tuple[Echelon, list]:
+    """The Krylov chains of A = M / d on K^n, M a list of lifted rows, in one
+    `Echelon` over K in O(n^3) ring operations.  Krylov vector s enters it
+    followed by e_s in K^{n+1}, so a reduced vector that vanishes on its
+    first n entries is a relation, with its coefficients in the last n + 1.
 
     Chain j runs g_j, A g_j, A^2 g_j, ... from the first unit vector g_j
-    outside the span so far, until A^{d_j} g_j = sum_{i <= j} a_i(A) g_i
-    depends on the vectors before it (deg a_i < d_i).  Column j is that
-    relation: x^{d_j} - a_j on the diagonal and -a_i above it.  The map
-    K[x]^k -> K^n, e_j -> g_j is onto and kills every column, and the
-    quotient by the columns has dimension deg det = sum d_j = n, so the
-    columns generate all relations.
+    outside the span so far, until A^{d_j} g_j depends on the vectors
+    before it.  Nothing is boxed: the t-th vector of a chain is d^t A^t g_j
+    = M (d^(t-1) A^(t-1) g_j), an integral matvec, and it enters with its
+    whole K^(2n+1) vector scaled by d^t as the lift (u, d^t).
 
-    Nothing is boxed on the way: the t-th vector of a chain is d^t A^t g_j
-    = M (d^(t-1) A^(t-1) g_j), an integral matvec, and it enters the
-    `Echelon` with its whole K^(2n+1) vector scaled by d^t as the lift
-    (u, d^t).  The relation is boxed with the d^t of the vector that closes
-    its chain in its denominator, which unscales it and keeps x^{d_j} monic.
+    Gives the `Echelon`, whose n rows then hold the Krylov vectors, and per
+    chain (start, w, den): start is the index of its first Krylov vector,
+    and w / den, reduced and not pushed, is zero on its first n entries and
+    holds the chain's closing relation in its last n + 1.
     """
-    field, n = A.field, A.rows
-    ring = _Lifted(field)
-    M, d = ring.rows(A)
-    echelon = Echelon(field)
-    starts: list[int] = []  # index of each chain's first Krylov vector
-    columns: list[list[Poly]] = []
+    n = len(M)
+    echelon = Echelon(ring.field)
+    chains = []
     for j in range(n):
         if len(echelon.rows) == n:
             break
@@ -188,13 +181,34 @@ def _krylov_presentation(A: Matrix) -> PolyMatrix:
                 break
             echelon.push(w)
             v, scale = [ring.dot(row, v) for row in M], scale * d
-        if len(echelon.rows) == start:
-            continue  # e_j is already in the span
+        if len(echelon.rows) > start:  # else e_j is already in the span
+            chains.append((start, w, den))
+    return echelon, chains
+
+
+def _krylov_presentation(A: Matrix) -> PolyMatrix:
+    """Present the module of A by its Krylov chains (`_krylov_chains`) on
+    the integral lift A = M / d.
+
+    Chain j closes with A^{d_j} g_j = sum_{i <= j} a_i(A) g_i (deg a_i <
+    d_i), and column j is that relation: x^{d_j} - a_j on the diagonal and
+    -a_i above it.  The map K[x]^k -> K^n, e_j -> g_j is onto and kills
+    every column, and the quotient by the columns has dimension deg det =
+    sum d_j = n, so the columns generate all relations.  Each relation is
+    boxed with the d^t of the vector that closes its chain in its
+    denominator, which unscales it and keeps x^{d_j} monic.
+    """
+    field, n = A.field, A.rows
+    ring = _Lifted(field)
+    echelon, chains = _krylov_chains(ring, *ring.rows(A))
+    starts = [start for start, _, _ in chains]
+    ends = starts[1:] + [n]
+    columns = []
+    for j, (_, w, den) in enumerate(chains):
         # w says x^{d_j} g_j + sum_i (c-polynomial of chain i) g_i = 0
-        starts.append(start)
-        ends = starts[1:] + [len(echelon.rows) + 1]
         tail = echelon.box(w, den, range(n, 2 * n + 1))
-        columns.append([_poly(field, tail[a:b]) for a, b in zip(starts, ends)])
+        bounds = zip(starts[: j + 1], ends[:j] + [ends[j] + 1])
+        columns.append([_poly(field, tail[a:b]) for a, b in bounds])
     k = len(columns)
     return PolyMatrix._make(
         field,

@@ -127,16 +127,19 @@ def linearize(s: FormalSequence) -> TensorElement:
     return acc
 
 
-def decide_equiv(s: FormalSequence, t: FormalSequence, rules: RuleSet) -> bool:
-    """True iff the linearised difference lies in the rule set's relation
-    subspace (which is zero for the standard rules)."""
+def decide_equiv(
+    s: FormalSequence, t: FormalSequence, rules: RuleSet
+) -> tuple[bool, TensorElement]:
+    """(verdict, difference): the linearised difference of s and t, and
+    whether it lies in the rule set's relation subspace (which is zero for
+    the standard rules)."""
     if (s.n, s.m) != (t.n, t.m) or s.field != t.field:
         raise DimensionMismatch("sequences of different shapes")
     W = relation_subspace(rules.kind, s.n, s.m)
     if W.field != s.field:
         raise TagMismatch("rule set field does not match the sequences")
     diff = linearize(s) - linearize(t)
-    return W.contains(diff.coords)
+    return W.contains(diff.coords), diff
 
 
 # ---------------------------------------------------------------------------

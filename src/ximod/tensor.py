@@ -22,18 +22,22 @@ while constants contribute nothing.  This linear-algebra reading of the
 rewriting rules is validated against the breadth-first closure oracle in
 the rewrite module at finite-field scale.
 
-Cosets are represented canonically by eliminating the pivot coordinates of
-an echelonised basis of W; the surviving coordinates index a basis of the
-quotient.  W's basis and the coset map come from one fraction-free
-Gauss-Jordan elimination on integral rows (`matrix.Echelon`): the raw
-Sylvester and Kronecker columns are lifted straight into it, and a reader
-takes back into K only the entries it reads.  Scalars are checked and
-unboxed where they come in (`RelationSubspace.reduce` and `contains`,
-`project_to_quotient`) and boxed where they go out.
+Cosets are represented canonically on the coordinates that are not pivots
+of W, which index a basis of the quotient.  W is never eliminated itself:
+under the trace pairing its annihilator is W^perp = {Y : M^T Y = Y N}, the
+module maps (K^m, N) -> (K^n, M^T), of dimension q = sum deg gcd(a_i, b_j)
+over the invariant factors of M and N, which is small whenever the quotient
+is.  A basis of W^perp comes from the Krylov chains of N on the integral
+lifts, and one fraction-free `matrix.Echelon` of those q vectors, with the
+coordinates reversed, gives both the canonical coordinates and the coset
+map (`RelationSubspace`).  Scalars are checked and unboxed where they come
+in (`RelationSubspace.reduce` and `contains`, `project_to_quotient`) and
+boxed where they go out.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from math import gcd
 from typing import Union
 
 from .errors import DimensionMismatch, TagMismatch, WrongKind
@@ -42,14 +46,16 @@ from .matrix import (
     Echelon,
     Matrix,
     Vector,
+    _box,
+    _Lifted,
     _vector,
-    kronecker_column,
     lift,
     poly_eval_operator,
     rref,
     sylvester_columns,
     sylvester_operator,
 )
+from .modules import _krylov_chains
 from .poly import Poly
 
 
@@ -188,15 +194,24 @@ TensorKind = Union[StandardKind, OperatorPairKind, SubringKind, BranchingKind]
 class RelationSubspace:
     """The subspace W of coordinate space whose quotient is the product.
 
-    `basis` holds the Sylvester columns of the kind's pair, echelonised; its
-    pivots are the coordinates the coset map eliminates.
+    W is held through its annihilator W^perp = {Y : M^T Y = Y N}, Y an n x m
+    matrix on the same coordinates and (M, N) the kind's pair, in the form
+    the coset map reads.  W^perp has one row for each of the q
+    `canonical_indices` I, equal to D there and zero on the rest of I; X is
+    the q x (nm - q) matrix of their entries on W's `pivots` P, the other
+    coordinates.  The entries of X are lifted values (see `matrix.lift`) and
+    D is a positive integer (1 over F_p), so the class of v = u / L has the
+    coordinates (D u_I + X u_P) / (D L) on I.
     """
 
     kind: TensorKind
     field: Field
     n: int
     m: int
-    basis: Echelon = dataclass_field(compare=False, repr=False)
+    canonical_indices: tuple[int, ...] = dataclass_field(compare=False, repr=False)
+    pivots: tuple[int, ...] = dataclass_field(compare=False, repr=False)
+    X: tuple[tuple, ...] = dataclass_field(compare=False, repr=False)
+    D: int = dataclass_field(compare=False, repr=False)
 
     @property
     def generator_matrix(self) -> Matrix:
@@ -205,49 +220,160 @@ class RelationSubspace:
 
     @property
     def rank(self) -> int:
-        return len(self.basis.pivots)
+        return len(self.pivots)
 
-    @property
-    def canonical_indices(self) -> tuple[int, ...]:
-        pivots = set(self.basis.pivots)
-        return tuple(j for j in range(self.n * self.m) if j not in pivots)
+    def annihilator(self) -> list[list[list]]:
+        """The stored rows of W^perp as lifted n x m matrices."""
+        ring, m = _Lifted(self.field), self.m
+        out = []
+        for i, x in zip(self.canonical_indices, self.X):
+            row = [ring.zero] * (self.n * m)
+            row[i] = ring.of_int(self.D)
+            for p, a in zip(self.pivots, x):
+                row[p] = a
+            out.append([row[r : r + m] for r in range(0, len(row), m)])
+        return out
+
+    def _coordinates(self, u, L: int) -> list:
+        """The raw coordinates on `canonical_indices` of the class of the
+        lifted vector u / L."""
+        ring, D = _Lifted(self.field), self.D
+        numerators = [u[i] if D == 1 else ring.scale(D, u[i]) for i in self.canonical_indices]
+        if self.pivots:
+            u_P = [u[p] for p in self.pivots]
+            numerators = [ring.add(a, ring.dot(x, u_P)) for a, x in zip(numerators, self.X)]
+        return _box(self.field, numerators, D * L)
+
+    def _checked_coordinates(self, coords: tuple[Scalar, ...]) -> list:
+        field = self.field
+        if any(a.field is not field and a.field != field for a in coords):
+            raise TagMismatch("vector and relation subspace over different fields")
+        return self._coordinates(*lift(field, [a.value for a in coords]))
 
     def reduce(self, coords: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
-        """Eliminate the pivot coordinates; the result is the canonical
-        representative of coords + W."""
-        return _vector(self.field, self.basis.box(*self.basis.reduce(coords)))
+        """The canonical representative of coords + W: its class's
+        coordinates on `canonical_indices`, zero on the pivots."""
+        out = [self.field.canon(0)] * (self.n * self.m)
+        for i, c in zip(self.canonical_indices, self._checked_coordinates(coords)):
+            out[i] = c
+        return _vector(self.field, out)
 
     def contains(self, coords: tuple[Scalar, ...]) -> bool:
-        return self.basis.leading(self.basis.reduce(coords)[0]) is None
+        return not any(self._checked_coordinates(coords))
 
-    def coset_coordinates(self, vectors) -> Matrix:
-        """The coset map on raw vectors: column c is the canonical
-        coordinates of vectors[c] + W, read on the surviving
-        `canonical_indices`."""
-        basis, field, indices = self.basis, self.field, self.canonical_indices
-        reduced = [basis.box(*basis.reduce_lifted(*lift(field, v)), indices) for v in vectors]
-        return Matrix._make(
-            field, ([v[t] for v in reduced] for t in range(len(indices))),
-            (len(indices), len(reduced)),
-        )
+    def coset_coordinates(self, lifted) -> Matrix:
+        """The coset map on lifted vectors (see `matrix.lift`): column c is
+        the coordinates on `canonical_indices` of the class of u / L, for the
+        c-th pair (u, L) of `lifted`."""
+        columns = [self._coordinates(u, L) for u, L in lifted]
+        q = len(self.canonical_indices)
+        return Matrix._make(self.field, ([c[t] for c in columns] for t in range(q)),
+                            (q, len(columns)))
+
+
+def _integral_pair(ring: _Lifted, M: Matrix, N: Matrix) -> tuple[list, list]:
+    """(M', N') = (d_N M_lift^T, d_M N_lift), for M = M_lift / d_M and
+    N = N_lift / d_N: both are integral, and M^T Y = Y N exactly when
+    M' Y = Y N'."""
+    (M_lift, d_M), (N_lift, d_N) = ring.rows(M), ring.rows(N)
+    return ([[ring.scale(d_N, a) for a in col] for col in zip(*M_lift)],
+            [[ring.scale(d_M, a) for a in row] for row in N_lift])
+
+
+def _intertwiners(ring: _Lifted, M: list, N: list):
+    """Lifted vectors vec(Y), row by row, that form a basis of the n x m
+    matrices Y with M Y = Y N, for integral n x n M and m x m N.
+
+    Such a Y is a module map (K^m, N) -> (K^n, M), fixed by the images
+    y_j = Y g_j of the generators of N's Krylov chains (`_krylov_chains`).
+    If chain j closes with the relation sum_i r_ij(N) g_i = 0, the y_j that
+    occur are the solutions of sum_i r_ij(M) y_i = 0 for every j: a kn x kn
+    system, one vector Y per kernel vector.  Y maps Krylov vector N^t g_i
+    to M^t y_i, so Y K = Z for the Krylov basis K and Z = [M^t y_i]; the
+    rows of the chain `Echelon`, each D at its pivot in the Krylov block,
+    hold D K^-1 in their tail, and Y is taken as Z (D K^-1).
+    """
+    n, m = len(M), len(N)
+    chains_echelon, chains = _krylov_chains(ring, N, 1)
+    starts = [start for start, _, _ in chains]
+    lengths = [b - a for a, b in zip(starts, starts[1:] + [m])]
+    powers = [[[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]]
+    while len(powers) <= max(lengths):
+        powers.append(ring.matmul(powers[-1], M))
+    k, zero = len(chains), ring.zero
+    system = Echelon(ring.field)
+    for j, (_, w, _) in enumerate(chains):
+        c = chains_echelon.lifted(w)[m:]
+        # the coefficients of r_ij: chain i's slots, and for i = j the closing one
+        blocks = [c[s : s + d + (i == j)] for i, (s, d) in enumerate(zip(starts, lengths))]
+        blocks[j + 1 :] = [[]] * (k - j - 1)
+        for r in range(n):
+            row = []
+            for coeffs in blocks:
+                if coeffs.count(zero) == len(coeffs):
+                    row += [zero] * n
+                else:
+                    row += [ring.dot(coeffs, col) for col in zip(*(P[r] for P in powers))]
+            system.push(system.reduce_lifted(row, 1)[0])
+    order = sorted(range(m), key=chains_echelon.pivots.__getitem__)
+    inverse = [chains_echelon.lifted(chains_echelon.rows[p])[m : 2 * m] for p in order]
+    solved = list(zip(system.pivots, map(system.lifted, system.rows)))
+    for f in sorted(set(range(k * n)) - set(system.pivots)):
+        x = [zero] * (k * n)
+        x[f] = system.D
+        for p, row in solved:
+            x[p] = ring.neg(row[f])
+        Z = [[] for _ in range(n)]  # row r of Z, column by column
+        for i, length in enumerate(lengths):
+            v = x[i * n : (i + 1) * n]
+            for t in range(length):
+                for z, a in zip(Z, v):
+                    z.append(a)
+                if t + 1 < length:
+                    v = [ring.dot(row, v) for row in M]
+        yield [a for z in Z for a in (
+            [zero] * m if z.count(zero) == m else [ring.dot(z, col) for col in inverse]
+        )]
 
 
 def relation_subspace(kind: TensorKind, n: int, m: int) -> RelationSubspace:
-    """The relation subspace of a product flavour on K^n (x) K^m: the
-    Sylvester columns of its pair, pushed into one `Echelon`."""
+    """The relation subspace of a product flavour on K^n (x) K^m, found from
+    its annihilator: a basis of W^perp (`_intertwiners`, on the integral
+    pair of `_integral_pair`) goes into one `Echelon` with its coordinates
+    reversed.  Read backwards, its pivots are the complement of W's pivots
+    (the complement of a basis of a matroid is a basis of the dual, and
+    greedy from the left picks the complement of greedy from the right),
+    and its rows, D on those coordinates, are W^perp in the stored form."""
     if n < 1 or m < 1:
         raise DimensionMismatch("factor dimensions must be positive")
-    if isinstance(kind, StandardKind):  # (I, I): the Sylvester operator is zero
-        return RelationSubspace(kind, kind.field, n, m, Echelon(kind.field))
+    nm = n * m
+    if isinstance(kind, StandardKind):  # (I, I): W = 0 and W^perp is everything
+        return RelationSubspace(kind, kind.field, n, m, tuple(range(nm)), (), ((),) * nm, 1)
     M, N = kind.operators(n, m)
     if M.rows != n or N.rows != m:
         raise DimensionMismatch(
             f"kind operators are {M.rows} and {N.rows}; expected {n} and {m}"
         )
-    basis = Echelon(M.field)
-    for column in sylvester_columns(M, N):
-        basis.push(basis.reduce_lifted(*lift(M.field, column))[0])
-    return RelationSubspace(kind, M.field, n, m, basis)
+    if M.field != N.field:
+        raise TagMismatch("kind operators over different fields")
+    field, ring = M.field, _Lifted(M.field)
+    echelon = Echelon(field)
+    for y in _intertwiners(ring, *_integral_pair(ring, M, N)):
+        echelon.push(echelon.reduce_lifted(y[::-1], 1)[0])
+    rows = sorted((nm - 1 - q, echelon.lifted(r)[::-1])
+                  for q, r in zip(echelon.pivots, echelon.rows))
+    indices = tuple(i for i, _ in rows)
+    pivots = tuple(sorted(set(range(nm)) - set(indices)))
+    X, D = [[r[p] for p in pivots] for _, r in rows], echelon.D
+    if isinstance(D, tuple):  # over Q(i), multiply every row by conj(D) to make D an integer
+        conj = D[0], -D[1]
+        X, D = [[ring.dot((a,), (conj,)) for a in x] for x in X], D[0] ** 2 + D[1] ** 2
+    if not field.characteristic:  # take out the content that D shares with every row
+        g = gcd(D, *(c for x in X for a in x for c in (a if ring.gaussian else (a,))))
+        g = g if D > 0 else -g
+        X = [[(a[0] // g, a[1] // g) if ring.gaussian else a // g for a in x] for x in X]
+        D //= g
+    return RelationSubspace(kind, field, n, m, indices, pivots, tuple(map(tuple, X)), D)
 
 
 def quotient_dim(W: RelationSubspace) -> int:
@@ -271,8 +397,7 @@ def project_to_quotient(t: TensorElement, W: RelationSubspace) -> QuotientClass:
     """The canonical surjection onto the quotient by W."""
     if (t.n, t.m) != (W.n, W.m) or t.field != W.field:
         raise DimensionMismatch("tensor element does not match the subspace")
-    canonical = W.basis.box(*W.basis.reduce(t.coords), W.canonical_indices)
-    return QuotientClass(subspace=W, canonical=_vector(W.field, canonical))
+    return QuotientClass(subspace=W, canonical=_vector(W.field, W._checked_coordinates(t.coords)))
 
 
 def induced_operator(W: RelationSubspace) -> Matrix:
@@ -285,10 +410,16 @@ def induced_operator(W: RelationSubspace) -> Matrix:
     """
     if not isinstance(W.kind, OperatorPairKind):
         raise WrongKind("induced operator is defined for the operator-pair kind")
-    identity = Matrix.identity(W.field, W.m)
-    return W.coset_coordinates(
-        kronecker_column(W.kind.A, identity, k) for k in W.canonical_indices
-    )
+    ring, m = _Lifted(W.field), W.m
+    A, d = ring.rows(W.kind.A)
+
+    def column(k):  # (A (x) I) e_k for k = i m + j: column i of A on the coordinates r m + j
+        i, j = divmod(k, m)
+        u = [ring.zero] * (W.n * m)
+        u[j::m] = [row[i] for row in A]
+        return u, d
+
+    return W.coset_coordinates(map(column, W.canonical_indices))
 
 
 def apply_left(A: Matrix, t: TensorElement) -> TensorElement:
@@ -318,12 +449,14 @@ def induced_surjection(source: RelationSubspace, target: RelationSubspace) -> Ma
     """
     if (source.n, source.m, source.field) != (target.n, target.m, target.field):
         raise DimensionMismatch("subspaces live on different coordinate spaces")
+    field, nm = source.field, source.n * source.m
     generators = sylvester_columns(*source.kind.operators(source.n, source.m))
-    if not target.coset_coordinates(generators).is_zero:
+    if not target.coset_coordinates(lift(field, c) for c in generators).is_zero:
         raise DimensionMismatch("source relations are not contained in the target relations")
-    zero, one, nm = source.field.canon(0), source.field.canon(1), source.n * source.m
+    ring = _Lifted(field)
     return target.coset_coordinates(
-        [one if i == j else zero for i in range(nm)] for j in source.canonical_indices
+        ([ring.one if i == j else ring.zero for i in range(nm)], 1)
+        for j in source.canonical_indices
     )
 
 

@@ -23,7 +23,6 @@ from ximod import (
 )
 from ximod.cli import STANDARD_MAX_COORDINATES, _check_smith, _check_tensor, build_parser, main
 from ximod.jsonio import matrix_to_json, poly_to_json
-from ximod.matrix import Echelon
 
 
 def run_cli(args, stdin_text=""):
@@ -163,26 +162,43 @@ def test_tensor_check_rejects_a_tampered_induced_operator():
         _check_tensor(W, induced + Matrix.identity(QQ, induced.rows))
 
 
-def test_tensor_check_rejects_a_tampered_relation_rank(capsys, tmp_path, monkeypatch):
-    # W = everything passes the action check on the empty quotient, but the
-    # invariant factors of A and B say the quotient has dimension 1
-    def everything(kind, n, m):
-        W = relation_subspace(kind, n, m)
-        basis = Echelon(QQ)
-        for row in Matrix.identity(QQ, n * m).entries:
-            basis.push(basis.reduce(row)[0])
-        return dataclasses.replace(W, basis=basis)
-
-    monkeypatch.setattr("ximod.cli.relation_subspace", everything)
+def _run_tampered_opair(capsys, tmp_path, monkeypatch, tamper):
+    """`ximod tensor --kind opair` on A = diag(1, 2), B = diag(1, 3), whose
+    quotient has dimension 1, with its relation subspace W replaced by
+    tamper(W)."""
+    monkeypatch.setattr(
+        "ximod.cli.relation_subspace", lambda kind, n, m: tamper(relation_subspace(kind, n, m))
+    )
     payload = {
         "A": {"field": "q", "rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "2"]]},
         "B": {"field": "q", "rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "3"]]},
     }
     payload_file = tmp_path / "p.json"
     payload_file.write_text(json.dumps(payload))
-    code, out, err = run_main(capsys, ["tensor", "--kind", "opair", "--input", str(payload_file)])
+    return run_main(capsys, ["tensor", "--kind", "opair", "--input", str(payload_file)])
+
+
+def test_tensor_check_rejects_a_tampered_relation_rank(capsys, tmp_path, monkeypatch):
+    # W = everything (no row of W^perp) passes the action check on the empty
+    # quotient, but the invariant factors of A and B say it has dimension 1
+    def everything(W):
+        return dataclasses.replace(W, canonical_indices=(), pivots=tuple(range(W.n * W.m)), X=())
+
+    code, out, err = _run_tampered_opair(capsys, tmp_path, monkeypatch, everything)
     assert (code, out) == (3, "")
     assert "quotient dimension disagrees with the invariant factors" in err
+
+
+def test_tensor_check_rejects_a_tampered_annihilator_row(capsys, tmp_path, monkeypatch):
+    # one row of W^perp moved off {Y : A^T Y = Y B}: still one independent
+    # row, so the count agrees, but the row itself fails the certificate
+    def moved(W):
+        assert (W.canonical_indices, W.pivots) == ((0,), (1, 2, 3))
+        return dataclasses.replace(W, X=((W.D,) + W.X[0][1:],))
+
+    code, out, err = _run_tampered_opair(capsys, tmp_path, monkeypatch, moved)
+    assert (code, out) == (3, "")
+    assert "fails A^T Y = Y B" in err
 
 
 def _matrix(rows):
@@ -191,7 +207,7 @@ def _matrix(rows):
 
 
 def test_tensor_runs_without_the_sylvester_matrix_or_rref(capsys, tmp_path, monkeypatch):
-    # W is read through its `Echelon` only: no command below may build the
+    # W is computed from its annihilator: no command below may build the
     # Sylvester matrix or call rref
     A, B = _matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]]), _matrix([[1, 0], [1, 1]])
     cases = {
@@ -621,21 +637,25 @@ def test_equiv_opair_sides_equal_as_plain_tensors(capsys, tmp_path):
 
 
 def test_equiv_decides_once_and_linearizes_one_difference(capsys, tmp_path, monkeypatch):
-    from ximod import cli
+    # decide_equiv returns the difference it linearised, and cmd_equiv reports
+    # that one: one command linearises each side once.  Every ximod module's
+    # name for rewrite.linearize is wrapped, so no caller goes uncounted
+    from ximod import cli, rewrite
 
     calls = {"decide_equiv": 0, "linearize": 0}
 
-    def counted(name):
-        inner = getattr(cli, name)
-
+    def counted(name, inner):
         def wrapper(*args):
             calls[name] += 1
             return inner(*args)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(cli, name, counted(name))
+    monkeypatch.setattr(cli, "decide_equiv", counted("decide_equiv", cli.decide_equiv))
+    linearize = counted("linearize", rewrite.linearize)
+    for name, module in list(sys.modules.items()):
+        if (name == "ximod" or name.startswith("ximod.")) and hasattr(module, "linearize"):
+            monkeypatch.setattr(module, "linearize", linearize)
     for argv in (
         ["--rules", "opair", "--input", _opair_payload_file(tmp_path)],
         ["--rules", "standard"],

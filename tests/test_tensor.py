@@ -32,9 +32,19 @@ from ximod import (
     scalar_branching_report,
     schmidt_rank,
     simplification_report,
+    solve_linear,
+    sylvester_operator,
     tensor_coordinates,
 )
-from oracles import rand_invertible, rand_matrix, rand_poly, rand_scalar, rand_vector
+from ximod.matrix import lift
+from oracles import (
+    rand_invertible,
+    rand_matrix,
+    rand_poly,
+    rand_scalar,
+    rand_vector,
+    sympy_domain,
+)
 
 F5 = PrimeField(5)
 
@@ -158,20 +168,96 @@ def test_projection_kills_exactly_the_subspace():
 
 @pytest.mark.parametrize("field", [QQ, QI, F5], ids=["q", "qi", "fp5"])
 def test_readers_leave_the_relation_basis_unchanged(field):
-    # reduce, contains, the coset map and the projection only read W.basis
+    # reduce, contains, the coset map and the projection only read the stored
+    # form (I, P, X, D) of W^perp
     rng = random.Random(f"readers-{field.describe()}")
     for _ in range(3):
         A = rand_matrix(field, 3, 3, rng)
         W = relation_subspace(OperatorPairKind(A, A), 3, 3)  # quotient dim >= 3
-        state = ([*W.basis.pivots], [repr(r) for r in W.basis.rows], W.basis.D)
+        state = (W.canonical_indices, W.pivots, repr(W.X), W.D)
         for _ in range(3):
             v = rand_vector(field, 9, rng)
             W.reduce(v)
             W.contains(v)
-            W.coset_coordinates([[a.value for a in v]] * 2)
+            W.coset_coordinates([lift(field, [a.value for a in v])] * 2)
             project_to_quotient(TensorElement(field, 3, 3, v), W)
             induced_operator(W)
-        assert ([*W.basis.pivots], [repr(r) for r in W.basis.rows], W.basis.D) == state
+        assert (W.canonical_indices, W.pivots, repr(W.X), W.D) == state
+
+
+def _block_diagonal(field, *blocks):
+    zero, size = field.zero(), sum(B.rows for B in blocks)
+    rows, offset = [], 0
+    for B in blocks:
+        for row in B.entries:
+            rows.append([zero] * offset + list(row) + [zero] * (size - offset - B.rows))
+        offset += B.rows
+    return Matrix(field, rows)
+
+
+def _conjugate(S, A):
+    """S A S^-1."""
+    field, n = A.field, A.rows
+    inverse_columns = [solve_linear(S, tuple(field.from_int(int(i == j)) for i in range(n)))
+                       for j in range(n)]
+    return S @ A @ Matrix(field, zip(*inverse_columns))
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, QI, PrimeField(2), PrimeField(101)], ids=["q", "qi", "fp2", "fp101"]
+)
+def test_relation_subspace_matches_sympy_on_the_sylvester_matrix(field):
+    # W is computed from its annihilator; sympy eliminates the Sylvester
+    # columns themselves.  Its pivots on the coordinates (the rref of the
+    # transpose) are W's pivots, and the rest are the canonical indices
+    pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    domain, convert = sympy_domain(field)
+
+    def to_sympy(M):
+        return DomainMatrix([[convert(a) for a in row] for row in M.entries], (M.rows, M.cols),
+                            domain)
+
+    rng = random.Random(f"sylvester-sympy-{field.describe()}")
+    f, g, h = (companion_matrix(rand_poly(field, 2, rng, monic=True, min_degree=d))
+               for d in (1, 2, 2))
+    c = field.from_int(3)  # a nonzero scalar in every field here
+    pairs = [  # (A, B, whether W = 0)
+        (f, f, False),
+        (_block_diagonal(field, f, g), _block_diagonal(field, f, h), False),  # shared factor f
+        (_block_diagonal(field, g, g), _block_diagonal(field, g, g, f), False),  # 2 chains each
+        (_block_diagonal(field, f, g), _block_diagonal(field, g, g, f), False),
+    ]
+    # the same, conjugated: the later chains' relations reach into the earlier ones
+    for A, B, _ in pairs[1:]:
+        S, T = rand_invertible(field, A.rows, rng), rand_invertible(field, B.rows, rng)
+        pairs.append((_conjugate(S, A), _conjugate(T, B), False))
+    for n in range(1, 6):
+        m = rng.randint(1, 5)
+        A = rand_matrix(field, n, n, rng)
+        pairs += [
+            (A, rand_matrix(field, m, m, rng), False),
+            (A, A, False),
+            (Matrix.identity(field, n).scale(c), Matrix.identity(field, m).scale(c), True),
+            (Matrix.zeros(field, n, n), Matrix.zeros(field, m, m), True),
+            (Matrix.zeros(field, n, n), rand_matrix(field, m, m, rng), False),
+        ]
+    for A, B, everything in pairs:
+        n, m = A.rows, B.rows
+        W = relation_subspace(OperatorPairKind(A, B), n, m)
+        S = to_sympy(sylvester_operator(A, B))
+        _, pivots = S.transpose().rref()
+        assert W.pivots == tuple(pivots)
+        assert W.canonical_indices == tuple(j for j in range(n * m) if j not in pivots)
+        if everything:
+            assert quotient_dim(W) == n * m
+        for _ in range(2):
+            v = rand_vector(field, n * m, rng)
+            r = W.reduce(v)
+            assert all(r[p].is_zero for p in W.pivots)
+            d = to_sympy(Matrix(field, ((a - b,) for a, b in zip(v, r)), (n * m, 1)))
+            assert S.hstack(d).rank() == S.rank()
 
 
 def test_projection_is_linear():
