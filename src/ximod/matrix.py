@@ -506,16 +506,19 @@ def kronecker(A: Matrix, B: Matrix) -> Matrix:
                         (rows, len(columns)))
 
 
-def sylvester_columns(A: Matrix, B: Matrix):
-    """The raw columns of A (x) I - I (x) B in order, each filled in directly
-    from the nonzero entries of A and B: column k*m + l is A[i][k] at
-    i*m + l and -B[j][l] at k*m + j."""
+def sylvester_operator(A: Matrix, B: Matrix) -> Matrix:
+    """The map t -> (A (x) I - I (x) B) t on the nm coordinate space.  Its
+    image is the span of all vectors (A x) (x) y - x (x) (B y), hence the
+    relation subspace of the operator-pair tensor quotient.  Each column is
+    filled in directly from the nonzero entries of A and B: column k*m + l
+    is A[i][k] at i*m + l and -B[j][l] at k*m + j."""
     if A.field != B.field:
         raise TagMismatch("sylvester operator requires a common field")
     if not A.is_square or not B.is_square:
         raise NonSquare("sylvester operator requires square factors")
     n, m, p = A.rows, B.rows, A.field.characteristic
     zero, b_cols = A.field.canon(0), list(zip(*B.values))
+    columns = []
     for k, a_col in enumerate(zip(*A.values)):
         for l, b_col in enumerate(b_cols):
             col = [zero] * (n * m)
@@ -526,15 +529,8 @@ def sylvester_columns(A: Matrix, B: Matrix):
                 if b:
                     c = col[k * m + j] - b
                     col[k * m + j] = c % p if p else c
-            yield col
-
-
-def sylvester_operator(A: Matrix, B: Matrix) -> Matrix:
-    """The map t -> (A (x) I - I (x) B) t on the nm coordinate space.  Its
-    image is the span of all vectors (A x) (x) y - x (x) (B y), hence the
-    relation subspace of the operator-pair tensor quotient."""
-    columns = list(sylvester_columns(A, B))
-    return Matrix._make(A.field, zip(*columns), (len(columns), len(columns)))
+            columns.append(col)
+    return Matrix._make(A.field, zip(*columns), (n * m, n * m))
 
 
 def companion_matrix(p: Poly) -> Matrix:

@@ -25,10 +25,12 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     ExpressionSyntaxError,
+    InputValidationError,
     NoSolution,
     TagMismatch,
 )
 from .fields import Field, GaussianRationals, PrimeField, Scalar
+from .jsonio import parse_scalar_json
 from .matrix import (
     Matrix,
     Vector,
@@ -411,10 +413,11 @@ class _ExpressionParser:
         if not isinstance(self.field, GaussianRationals):
             self._fail("object scalars are only valid over the gaussian rationals", start)
         try:
-            obj = json.loads(blob)
-            return self.field.scalar((str(obj.get("re", "0")), str(obj.get("im", "0"))))
-        except (ValueError, TypeError, KeyError):
+            return parse_scalar_json(self.field, json.loads(blob), "scalar")
+        except (ValueError, InputValidationError):
             self._fail(f"not a valid gaussian scalar object: {blob!r}", start)
+        except RecursionError:
+            self._fail("gaussian scalar object nested too deeply", start)
 
 
 def parse_expression(text: str, field: Field) -> FormalSequence:

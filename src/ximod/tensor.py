@@ -30,9 +30,11 @@ over the invariant factors of M and N, which is small whenever the quotient
 is.  A basis of W^perp comes from the Krylov chains of N on the integral
 lifts, and one fraction-free `matrix.Echelon` of those q vectors, with the
 coordinates reversed, gives both the canonical coordinates and the coset
-map (`RelationSubspace`).  Scalars are checked and unboxed where they come
-in (`RelationSubspace.reduce` and `contains`, `project_to_quotient`) and
-boxed where they go out.
+map (`RelationSubspace`).  That basis also tells whether W contains the
+image of another pair (M', N'): exactly when M'^T Y = Y N' for each of its
+Y (`RelationSubspace.contains_image`).  Scalars are checked and unboxed
+where they come in (`RelationSubspace.reduce` and `contains`,
+`project_to_quotient`) and boxed where they go out.
 """
 from __future__ import annotations
 
@@ -52,7 +54,6 @@ from .matrix import (
     lift,
     poly_eval_operator,
     rref,
-    sylvester_columns,
     sylvester_operator,
 )
 from .modules import _krylov_chains
@@ -222,17 +223,22 @@ class RelationSubspace:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def annihilator(self) -> list[list[list]]:
-        """The stored rows of W^perp as lifted n x m matrices."""
-        ring, m = _Lifted(self.field), self.m
-        out = []
+    def contains_image(self, M: Matrix, N: Matrix) -> bool:
+        """Whether W contains the image of M (x) I - I (x) N: whether every
+        stored row Y of W^perp, read as an n x m matrix, has M^T Y = Y N."""
+        n, m, field = self.n, self.m, self.field
+        if (M.rows, M.cols, N.rows, N.cols) != (n, n, m, m):
+            raise DimensionMismatch(f"operators do not act on K^{n} (x) K^{m}")
+        if M.field != field or N.field != field:
+            raise TagMismatch("operators and relation subspace over different fields")
+        ring = _Lifted(field)
+        M, N = _integral_pair(ring, M, N)
         for i, x in zip(self.canonical_indices, self.X):
-            row = [ring.zero] * (self.n * m)
-            row[i] = ring.of_int(self.D)
-            for p, a in zip(self.pivots, x):
-                row[p] = a
-            out.append([row[r : r + m] for r in range(0, len(row), m)])
-        return out
+            y = {i: ring.of_int(self.D), **dict(zip(self.pivots, x))}
+            Y = [[y.get(r * m + s, ring.zero) for s in range(m)] for r in range(n)]
+            if ring.matmul(M, Y) != ring.matmul(Y, N):
+                return False
+        return True
 
     def _coordinates(self, u, L: int) -> list:
         """The raw coordinates on `canonical_indices` of the class of the
@@ -245,7 +251,9 @@ class RelationSubspace:
         return _box(self.field, numerators, D * L)
 
     def _checked_coordinates(self, coords: tuple[Scalar, ...]) -> list:
-        field = self.field
+        field, nm = self.field, self.n * self.m
+        if len(coords) != nm:
+            raise DimensionMismatch(f"expected {nm} coordinates, got {len(coords)}")
         if any(a.field is not field and a.field != field for a in coords):
             raise TagMismatch("vector and relation subspace over different fields")
         return self._coordinates(*lift(field, [a.value for a in coords]))
@@ -449,11 +457,9 @@ def induced_surjection(source: RelationSubspace, target: RelationSubspace) -> Ma
     """
     if (source.n, source.m, source.field) != (target.n, target.m, target.field):
         raise DimensionMismatch("subspaces live on different coordinate spaces")
-    field, nm = source.field, source.n * source.m
-    generators = sylvester_columns(*source.kind.operators(source.n, source.m))
-    if not target.coset_coordinates(lift(field, c) for c in generators).is_zero:
+    if not target.contains_image(*source.kind.operators(source.n, source.m)):
         raise DimensionMismatch("source relations are not contained in the target relations")
-    ring = _Lifted(field)
+    ring, nm = _Lifted(source.field), source.n * source.m
     return target.coset_coordinates(
         ([ring.one if i == j else ring.zero for i in range(nm)], 1)
         for j in source.canonical_indices

@@ -6,7 +6,9 @@ besides its own ``def``/``class`` statement and that re-export: in a
 ``src/ximod`` module (its own included, e.g. a result type that a function
 there constructs) or under ``tests/``.  Each module-level private function
 or class must be referenced in ``src/ximod``: a private helper that only
-tests call is dead code too.
+tests call is dead code too.  Each name a ``src/ximod`` module imports must
+be read in that module, ``__init__.py`` aside, whose imports are the
+re-exports.
 """
 import ast
 import inspect
@@ -64,5 +66,25 @@ def test_every_private_helper_has_a_user_in_src():
     used = set().union(*(_referenced_names(p) for p in files))
     unused = [
         f"{p.name}:{name}" for p in files for name in _private_definitions(p) if name not in used
+    ]
+    assert unused == []
+
+
+def _imported_names(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def test_every_import_in_src_is_read():
+    unused = [
+        f"{p.name}:{name}"
+        for p in SRC.glob("*.py") if p.name != "__init__.py"
+        for name in _imported_names(p) if name not in _referenced_names(p)
     ]
     assert unused == []

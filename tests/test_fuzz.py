@@ -67,9 +67,11 @@ def well_formed_command(draw):
     s, n, m = scalar_json(flag), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     pair = {"A": draw(grid(flag, s, n, n)), "B": draw(grid(flag, s, m, m))}
 
-    def expression():
+    def expression():  # a qi scalar may be a {"re", "im"} object
         def vector(k):
-            return "[" + ",".join(draw(scalar_text(flag)) for _ in range(k)) + "]"
+            scalar = scalar_json(flag) if flag == "qi" else scalar_text(flag)
+            text = scalar.map(lambda e: e if isinstance(e, str) else json.dumps(e))
+            return "[" + ",".join(draw(text) for _ in range(k)) + "]"
         return "; ".join(f"({vector(n)},{vector(m)})" for _ in range(draw(st.integers(1, 3))))
 
     name = draw(st.sampled_from(["snf", "operator", "presentation", "standard", "opair",
@@ -215,6 +217,14 @@ def test_branching_shortcut_takes_any_scalar_a(payload_file, case):
     flag, a = case
     argv = ["tensor", "--kind", "branching", "--field", flag, "--scalar-a", a]
     assert _call(argv, None, payload_file) == 0, argv
+
+
+@pytest.mark.parametrize("scalar", ['{"re":"1/0"}', '{"re":' * 3000 + '"1"' + "}" * 3000],
+                         ids=["zero-denominator", "nested-3000-deep"])
+def test_bad_object_scalars_in_expressions_exit_2(payload_file, scalar):
+    lhs = f"([{scalar}], [1])"
+    argv = ["equiv", "--field", "qi", "--rules", "standard", "--lhs", lhs, "--rhs", "([1],[1])"]
+    assert _call(argv, None, payload_file) == 2
 
 
 @FUZZ

@@ -87,6 +87,18 @@ def test_parse_errors_carry_position():
         parse_expression("", QQ)
 
 
+@pytest.mark.parametrize("scalar", [
+    '{"re": "1/0"}',  # a zero denominator
+    '{"re":' * 3000 + '"1"' + "}" * 3000,  # deeper than the JSON decoder recurses
+    '{"re": {"re": "1"}}',
+    '{"re": "1" "im": "2"}',
+], ids=["zero-denominator", "nested-3000-deep", "nested-object", "missing-comma"])
+def test_parse_refuses_a_bad_object_scalar_at_its_position(scalar):
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        parse_expression(f"([1],[1]);\n ([2, {scalar}], [1])", QI)
+    assert (exc.value.line, exc.value.column) == (2, 7)
+
+
 def test_parse_dimension_mismatch_across_pairs():
     with pytest.raises(DimensionMismatch):
         parse_expression("([1,0],[1]);([1],[1])", QQ)

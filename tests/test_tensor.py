@@ -145,6 +145,83 @@ def test_relation_subspace_dimension_check():
         relation_subspace(OperatorPairKind(A, B), 2, 2)
 
 
+def test_reduce_and_contains_refuse_a_wrong_coordinate_count():
+    D = Matrix.diagonal(QQ, ints(QQ, (1, 2)))
+    W = relation_subspace(OperatorPairKind(D, D), 2, 2)
+    for k in (2, 6):
+        v = ints(QQ, range(k))
+        with pytest.raises(DimensionMismatch):
+            W.contains(v)
+        with pytest.raises(DimensionMismatch):
+            W.reduce(v)
+
+
+# -- containment of an image ---------------------------------------------------------
+
+def _contains_every_sylvester_column(W, M, N):
+    S = sylvester_operator(M, N)
+    return all(W.contains(S.column(j)) for j in range(S.cols))
+
+
+def _pair_with_a_common_block(field, n, m, rng):
+    """Conjugates of block diagonal A and B that share a random block of
+    size min(n, m), so that W^perp of (A, B) is not zero."""
+    k = min(n, m)
+    C = rand_matrix(field, k, k, rng)
+
+    def extend(size):
+        blocks = [C] + [rand_matrix(field, size - k, size - k, rng)] * (size > k)
+        return _conjugate(rand_invertible(field, size, rng), _block_diagonal(field, *blocks))
+
+    return extend(n), extend(m)
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, QI, PrimeField(2), PrimeField(101)], ids=["q", "qi", "fp2", "fp101"]
+)
+def test_contains_image_agrees_with_the_sylvester_columns(field):
+    # W contains im(M (x) I - I (x) N) exactly when it contains every column
+    # of the Sylvester operator
+    rng = random.Random(f"contains-image-{field.describe()}")
+    outcomes = set()
+    for n, m in product(range(1, 5), repeat=2):
+        A, B = _pair_with_a_common_block(field, n, m, rng)
+        subring = SubringKind(A, B, rand_poly(field, 2, rng, min_degree=1))
+        c = rand_scalar(field, rng)
+        opair = relation_subspace(OperatorPairKind(A, B), n, m)
+        assert quotient_dim(opair) >= min(n, m)
+        standard = relation_subspace(StandardKind(field), n, m)
+        unrelated = rand_matrix(field, n, n, rng), rand_matrix(field, m, m, rng)
+        scalars = Matrix.identity(field, n).scale(c), Matrix.identity(field, m).scale(c)
+        cases = [
+            (opair, (A, B), True),  # the kind's own pair
+            (opair, subring.operators(n, m), True),  # p(A) (x) I - I (x) p(B) moves p
+            (opair, unrelated, None),
+            (standard, (A, B), None),
+            (standard, scalars, True),  # W = 0 holds only the image of a scalar pair
+            (standard, unrelated, None),
+        ]
+        for W, (M, N), known in cases:
+            got = W.contains_image(M, N)
+            assert got == _contains_every_sylvester_column(W, M, N), (n, m, M, N)
+            assert known in (None, got)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_contains_image_rejects_a_wrong_shape_or_field():
+    A, B = Matrix.from_ints(QQ, [[1, 1], [0, 1]]), Matrix.from_ints(QQ, [[2]])
+    W = relation_subspace(OperatorPairKind(A, B), 2, 1)
+    assert W.contains_image(A, B)
+    for M, N in ((B, A), (A, Matrix.identity(QQ, 2)), (Matrix.zeros(QQ, 2, 1), B)):
+        with pytest.raises(DimensionMismatch):
+            W.contains_image(M, N)
+    A5, B5 = Matrix.from_ints(F5, [[1, 1], [0, 1]]), Matrix.from_ints(F5, [[2]])
+    for M, N in ((A5, B5), (A, B5), (A5, B)):
+        with pytest.raises(TagMismatch):
+            W.contains_image(M, N)
+
+
 # -- projection -------------------------------------------------------------------
 
 def test_projection_kills_exactly_the_subspace():
