@@ -5,7 +5,8 @@ coefficients: ``Matrix(field, scalars)`` checks and unboxes each entry
 once, every matrix built inside the library goes through the unchecked
 `_make`, which reduces mod p once, and `entries` boxes on read.  The
 eliminations and evaluations run on the integral lift of the values
-(`lift`, `_Lifted`, `Echelon`); `_box` is the way back to raw values.
+(`lift`, `_Lifted`, `Echelon`, whose rows are read through `Echelon.basis`
+and `Echelon.kernel`); `_box` is the way back to raw values.
 """
 from __future__ import annotations
 
@@ -246,14 +247,18 @@ def lift(field: Field, values) -> tuple[list, int]:
     return [x.numerator * (L // x.denominator) for x in values], L
 
 
-def _box(field: Field, u, L: int) -> list:
-    """The raw values u / L over K for lifted values u and an integer L,
-    the inverse of `lift`; over F_p, L = 1 and u is reduced mod p here."""
+def _box(field: Field, u, L) -> list:
+    """The raw values u / L over K for lifted values u, the inverse of
+    `lift`; L is an integer, or over Q(i) a Gaussian integer (re, im) as an
+    `Echelon` gives it.  Over F_p, L = 1 and u is reduced mod p here."""
     p = field.characteristic
     if p:
         return [a % p for a in u]
     zero = field.canon(0)
     if isinstance(field, GaussianRationals):
+        if isinstance(L, tuple):  # (a + bi) / L = (a + bi) conj(L) / |L|^2
+            lr, li = L
+            u, L = [(a * lr + b * li, b * lr - a * li) for a, b in u], lr * lr + li * li
         return [Gaussian((Fraction(a, L), Fraction(b, L))) if a or b else zero for a, b in u]
     return [Fraction(a, L) if a else zero for a in u]
 
@@ -326,8 +331,9 @@ class Echelon:
     zero at every other pivot, D being the latest pivot value (over F_p,
     D = 1), so each entry is a minor of the cleared inputs and every
     division in `push` is exact.  All vectors given to one `Echelon` have
-    the same length.  `reduce_lifted` gives (w, den) with w integral; only
-    `box` takes w back to K.
+    the same length.  `reduce_lifted` gives (w, den) with w integral, and
+    `_box(field, lifted(w), den)` takes it back to K.  The rows are read
+    only through `basis` and `kernel`, so that their layout stays here.
     """
 
     def __init__(self, field: Field):
@@ -380,17 +386,22 @@ class Echelon:
             return next((i for i, (a, b) in enumerate(zip(*w)) if a or b), None)
         return next((i for i, a in enumerate(w) if a), None)
 
-    def box(self, w, den, indices=None) -> list:
-        """The raw values w / den over K, at `indices` if given; den is
-        (re, im) over Q(i), where (a + bi) / den = (a + bi) conj(den) / |den|^2."""
-        w = self.lifted(w)
-        if indices is not None:
-            w = [w[t] for t in indices]
-        if isinstance(den, tuple):
-            dr, di = den
-            w = [(a * dr + b * di, b * dr - a * di) for a, b in w]
-            den = dr * dr + di * di
-        return _box(self.field, w, den)
+    def basis(self) -> list[tuple[int, list]]:
+        """(pivot, row) for every row, ordered by pivot, each row lifted (see
+        `lift`): divided by D, the rows are the reduced row echelon form."""
+        return sorted(zip(self.pivots, map(self.lifted, self.rows)))  # pivots are distinct
+
+    def kernel(self, length: int):
+        """The kernel of the rows, one lifted vector of the given length per
+        free coordinate f, in increasing order: D at f, -r[f] at the pivot of
+        each row r, zero elsewhere."""
+        rows, gaussian = self.basis(), isinstance(self.D, tuple)
+        for f in sorted(set(range(length)) - set(self.pivots)):
+            x = [(0, 0) if gaussian else 0] * length
+            x[f] = self.D
+            for q, r in rows:
+                x[q] = (-r[f][0], -r[f][1]) if gaussian else -r[f]
+            yield x
 
     def push(self, w) -> None:
         """Append w from the latest `reduce_lifted`; zero adds nothing.  With D' = w[q],
@@ -437,18 +448,23 @@ class Echelon:
         self.rows.append((wr, wi))
 
 
-def rref(M: Matrix) -> EchelonResult:
-    """Reduced row echelon form by fraction-free Gauss–Jordan: every row goes
-    through one `Echelon`, and its rows, sorted by pivot, are boxed once,
-    each divided by D.  The result is unique."""
-    field = M.field
-    ech = Echelon(field)
+def _row_echelon(M: Matrix) -> Echelon:
+    """The `Echelon` of the rows of M."""
+    ech = Echelon(M.field)
     for row in M.values:
-        ech.push(ech.reduce_lifted(*lift(field, row))[0])
-    order = sorted(range(len(ech.pivots)), key=ech.pivots.__getitem__)
-    rows = [ech.box(ech.rows[i], ech.D) for i in order]
+        ech.push(ech.reduce_lifted(*lift(M.field, row))[0])
+    return ech
+
+
+def rref(M: Matrix) -> EchelonResult:
+    """Reduced row echelon form by fraction-free Gauss–Jordan: the `basis`
+    of the rows' `Echelon`, each row boxed once, divided by D.  The result
+    is unique."""
+    field, ech = M.field, _row_echelon(M)
+    basis = ech.basis()
+    rows = [_box(field, r, ech.D) for _, r in basis]
     rows += [[field.canon(0)] * M.cols] * (M.rows - len(rows))
-    pivots = tuple(ech.pivots[i] for i in order)
+    pivots = tuple(q for q, _ in basis)
     return EchelonResult(Matrix._make(field, rows, (M.rows, M.cols)), pivots, len(pivots))
 
 
@@ -457,17 +473,10 @@ def rank(M: Matrix) -> int:
 
 
 def kernel_basis(M: Matrix) -> list[Vector]:
-    """A basis of the nullspace, one vector per free column."""
-    ech, field = rref(M), M.field
-    pivot_set = set(ech.pivot_columns)
-    basis = []
-    for fc in (c for c in range(M.cols) if c not in pivot_set):
-        v = [field.canon(0)] * M.cols
-        v[fc] = field.canon(1)
-        for row, pc in zip(ech.reduced.values, ech.pivot_columns):
-            v[pc] = -row[fc]
-        basis.append(_vector(field, v))
-    return basis
+    """A basis of the nullspace, one vector per free column: the
+    `Echelon.kernel` of the rows, boxed."""
+    ech = _row_echelon(M)
+    return [_vector(M.field, _box(M.field, x, ech.D)) for x in ech.kernel(M.cols)]
 
 
 def solve_linear(M: Matrix, b: Vector) -> Vector:

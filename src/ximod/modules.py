@@ -6,7 +6,8 @@ invariant factors are those of x*I - A, but they are read off a smaller
 presentation: Krylov chains e, Ae, A^2 e, ... over K present the module by
 a k x k polynomial matrix, k the number of chains, and only that matrix
 goes through the Smith form.  The chains are formed on the integral lift
-A = M / d, each vector scaled by d^t, and only the relations are boxed
+A = M / d, each vector scaled by d^t, into one record of their closing
+relations and D K^-1 (`_krylov_chains`), and only the relations are boxed
 back into K.  Finitely presented modules go through the Smith form of
 their presentation matrix directly.
 """
@@ -18,7 +19,7 @@ from typing import Callable
 from .errors import DimensionMismatch, InconsistentAction, NonSquare, ZeroVector
 from .factor import factor_irreducible
 from .fields import Field
-from .matrix import Echelon, Matrix, Vector, _Lifted, poly_eval_operator, unit_vector
+from .matrix import Echelon, Matrix, Vector, _box, _Lifted, poly_eval_operator, unit_vector
 from .poly import Poly, _poly, _value
 from .polymatrix import PolyMatrix, smith_diagonal
 
@@ -147,11 +148,12 @@ def decompose_operator_module(module: OperatorModule) -> ModuleDecomposition:
     )
 
 
-def _krylov_chains(ring: _Lifted, M: list, d: int) -> tuple[Echelon, list]:
+def _krylov_chains(ring: _Lifted, M: list, d: int) -> tuple[list, list]:
     """The Krylov chains of A = M / d on K^n, M a list of lifted rows, in one
     `Echelon` over K in O(n^3) ring operations.  Krylov vector s enters it
     followed by e_s in K^{n+1}, so a reduced vector that vanishes on its
-    first n entries is a relation, with its coefficients in the last n + 1.
+    first n entries is a relation, with its coefficients in the last n + 1,
+    and once the n Krylov vectors are in, its rows read [D I | D K^-T | 0].
 
     Chain j runs g_j, A g_j, A^2 g_j, ... from the first unit vector g_j
     outside the span so far, until A^{d_j} g_j depends on the vectors
@@ -159,31 +161,36 @@ def _krylov_chains(ring: _Lifted, M: list, d: int) -> tuple[Echelon, list]:
     = M (d^(t-1) A^(t-1) g_j), an integral matvec, and it enters with its
     whole K^(2n+1) vector scaled by d^t as the lift (u, d^t).
 
-    Gives the `Echelon`, whose n rows then hold the Krylov vectors, and per
-    chain (start, w, den): start is the index of its first Krylov vector,
-    and w / den, reduced and not pushed, is zero on its first n entries and
-    holds the chain's closing relation in its last n + 1.
+    Gives the record (chains, inverse) in lifted values.  Chain j closes
+    with sum_{i <= j} r_ij(A) g_i = 0; chains[j] is (blocks, den), and
+    blocks[i] / den are the coefficients of r_ij, lowest degree first: d_i
+    of them for i < j, and d_j + 1 for the monic r_jj, whose last is den.
+    The rows of `inverse` are D K^-1 for the Krylov basis K in chain order.
     """
     n = len(M)
     echelon = Echelon(ring.field)
-    chains = []
+    starts, chains = [], []
+    s = 0  # the number of Krylov vectors so far
     for j in range(n):
-        if len(echelon.rows) == n:
+        if s == n:
             break
-        start = len(echelon.rows)
+        start = s
         v, scale = [ring.zero] * n, 1  # v = d^t A^t g_j, scale = d^t
         v[j] = ring.one
         while True:
             tail = [ring.zero] * (n + 1)
-            tail[len(echelon.rows)] = ring.of_int(scale)
+            tail[s] = ring.of_int(scale)
             w, den = echelon.reduce_lifted(v + tail, scale)
             if echelon.leading(w) >= n:
                 break
             echelon.push(w)
+            s += 1
             v, scale = [ring.dot(row, v) for row in M], scale * d
-        if len(echelon.rows) > start:  # else e_j is already in the span
-            chains.append((start, w, den))
-    return echelon, chains
+        if s > start:  # else e_j is already in the span
+            c = echelon.lifted(w)[n:]
+            starts.append(start)
+            chains.append(([c[a:b] for a, b in zip(starts, starts[1:] + [s + 1])], den))
+    return chains, list(zip(*(r[n : 2 * n] for _, r in echelon.basis())))
 
 
 def _krylov_presentation(A: Matrix) -> PolyMatrix:
@@ -195,20 +202,12 @@ def _krylov_presentation(A: Matrix) -> PolyMatrix:
     -a_i above it.  The map K[x]^k -> K^n, e_j -> g_j is onto and kills
     every column, and the quotient by the columns has dimension deg det =
     sum d_j = n, so the columns generate all relations.  Each relation is
-    boxed with the d^t of the vector that closes its chain in its
-    denominator, which unscales it and keeps x^{d_j} monic.
+    boxed with its den, which unscales it and keeps x^{d_j} monic.
     """
-    field, n = A.field, A.rows
+    field = A.field
     ring = _Lifted(field)
-    echelon, chains = _krylov_chains(ring, *ring.rows(A))
-    starts = [start for start, _, _ in chains]
-    ends = starts[1:] + [n]
-    columns = []
-    for j, (_, w, den) in enumerate(chains):
-        # w says x^{d_j} g_j + sum_i (c-polynomial of chain i) g_i = 0
-        tail = echelon.box(w, den, range(n, 2 * n + 1))
-        bounds = zip(starts[: j + 1], ends[:j] + [ends[j] + 1])
-        columns.append([_poly(field, tail[a:b]) for a, b in bounds])
+    chains, _ = _krylov_chains(ring, *ring.rows(A))
+    columns = [[_poly(field, _box(field, b, den)) for b in blocks] for blocks, den in chains]
     k = len(columns)
     return PolyMatrix._make(
         field,

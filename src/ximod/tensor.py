@@ -27,12 +27,13 @@ of W, which index a basis of the quotient.  W is never eliminated itself:
 under the trace pairing its annihilator is W^perp = {Y : M^T Y = Y N}, the
 module maps (K^m, N) -> (K^n, M^T), of dimension q = sum deg gcd(a_i, b_j)
 over the invariant factors of M and N, which is small whenever the quotient
-is.  A basis of W^perp comes from the Krylov chains of N on the integral
-lifts, and one fraction-free `matrix.Echelon` of those q vectors, with the
-coordinates reversed, gives both the canonical coordinates and the coset
-map (`RelationSubspace`).  That basis also tells whether W contains the
-image of another pair (M', N'): exactly when M'^T Y = Y N' for each of its
-Y (`RelationSubspace.contains_image`).  Scalars are checked and unboxed
+is.  A basis of W^perp comes from the record of the Krylov chains of N on
+the integral lifts (`modules._krylov_chains`), and the `basis` of one
+fraction-free `matrix.Echelon` of those q vectors, with the coordinates
+reversed, gives both the canonical coordinates and the coset map
+(`RelationSubspace`).  That basis also tells whether W contains the image
+of another pair (M', N'): exactly when M'^T Y = Y N' for each of its Y
+(`RelationSubspace.contains_image`).  Scalars are checked and unboxed
 where they come in (`RelationSubspace.reduce` and `contains`,
 `project_to_quotient`) and boxed where they go out.
 """
@@ -296,25 +297,20 @@ def _intertwiners(ring: _Lifted, M: list, N: list):
     y_j = Y g_j of the generators of N's Krylov chains (`_krylov_chains`).
     If chain j closes with the relation sum_i r_ij(N) g_i = 0, the y_j that
     occur are the solutions of sum_i r_ij(M) y_i = 0 for every j: a kn x kn
-    system, one vector Y per kernel vector.  Y maps Krylov vector N^t g_i
-    to M^t y_i, so Y K = Z for the Krylov basis K and Z = [M^t y_i]; the
-    rows of the chain `Echelon`, each D at its pivot in the Krylov block,
-    hold D K^-1 in their tail, and Y is taken as Z (D K^-1).
+    system, one vector Y per kernel vector (`Echelon.kernel`).  Y maps
+    Krylov vector N^t g_i to M^t y_i, so Y K = Z for the Krylov basis K and
+    Z = [M^t y_i], and Y is taken as Z (D K^-1), the chains' `inverse`.
     """
     n, m = len(M), len(N)
-    chains_echelon, chains = _krylov_chains(ring, N, 1)
-    starts = [start for start, _, _ in chains]
-    lengths = [b - a for a, b in zip(starts, starts[1:] + [m])]
+    chains, inverse = _krylov_chains(ring, N, 1)
+    k, zero = len(chains), ring.zero
+    lengths = [len(blocks[j]) - 1 for j, (blocks, _) in enumerate(chains)]
     powers = [[[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]]
     while len(powers) <= max(lengths):
         powers.append(ring.matmul(powers[-1], M))
-    k, zero = len(chains), ring.zero
     system = Echelon(ring.field)
-    for j, (_, w, _) in enumerate(chains):
-        c = chains_echelon.lifted(w)[m:]
-        # the coefficients of r_ij: chain i's slots, and for i = j the closing one
-        blocks = [c[s : s + d + (i == j)] for i, (s, d) in enumerate(zip(starts, lengths))]
-        blocks[j + 1 :] = [[]] * (k - j - 1)
+    for j, (blocks, _) in enumerate(chains):
+        # the coefficients of r_ij, i <= j; chains after j do not occur
         for r in range(n):
             row = []
             for coeffs in blocks:
@@ -322,15 +318,9 @@ def _intertwiners(ring: _Lifted, M: list, N: list):
                     row += [zero] * n
                 else:
                     row += [ring.dot(coeffs, col) for col in zip(*(P[r] for P in powers))]
-            system.push(system.reduce_lifted(row, 1)[0])
-    order = sorted(range(m), key=chains_echelon.pivots.__getitem__)
-    inverse = [chains_echelon.lifted(chains_echelon.rows[p])[m : 2 * m] for p in order]
-    solved = list(zip(system.pivots, map(system.lifted, system.rows)))
-    for f in sorted(set(range(k * n)) - set(system.pivots)):
-        x = [zero] * (k * n)
-        x[f] = system.D
-        for p, row in solved:
-            x[p] = ring.neg(row[f])
+            system.push(system.reduce_lifted(row + [zero] * (n * (k - j - 1)), 1)[0])
+    inverse = list(zip(*inverse))  # column c of D K^-1
+    for x in system.kernel(k * n):
         Z = [[] for _ in range(n)]  # row r of Z, column by column
         for i, length in enumerate(lengths):
             v = x[i * n : (i + 1) * n]
@@ -368,8 +358,7 @@ def relation_subspace(kind: TensorKind, n: int, m: int) -> RelationSubspace:
     echelon = Echelon(field)
     for y in _intertwiners(ring, *_integral_pair(ring, M, N)):
         echelon.push(echelon.reduce_lifted(y[::-1], 1)[0])
-    rows = sorted((nm - 1 - q, echelon.lifted(r)[::-1])
-                  for q, r in zip(echelon.pivots, echelon.rows))
+    rows = [(nm - 1 - q, r[::-1]) for q, r in reversed(echelon.basis())]
     indices = tuple(i for i, _ in rows)
     pivots = tuple(sorted(set(range(nm)) - set(indices)))
     X, D = [[r[p] for p in pivots] for _, r in rows], echelon.D
@@ -403,7 +392,7 @@ class QuotientClass:
 
 def project_to_quotient(t: TensorElement, W: RelationSubspace) -> QuotientClass:
     """The canonical surjection onto the quotient by W."""
-    if (t.n, t.m) != (W.n, W.m) or t.field != W.field:
+    if (t.n, t.m) != (W.n, W.m):
         raise DimensionMismatch("tensor element does not match the subspace")
     return QuotientClass(subspace=W, canonical=_vector(W.field, W._checked_coordinates(t.coords)))
 

@@ -193,7 +193,7 @@ def test_every_route_to_a_gaussian_scalar_gives_a_gaussian_value():
     from ximod import charpoly, poly_eval_operator, rref
     from ximod.fields import Gaussian
     from ximod.jsonio import parse_scalar_json
-    from ximod.matrix import Echelon, lift
+    from ximod.matrix import Echelon, _box, lift
 
     a = parse_scalar_text(QI, "1/2-3i")
     b = parse_scalar_json(QI, {"re": "2", "im": "-1/3"}, "$")
@@ -202,7 +202,8 @@ def test_every_route_to_a_gaussian_scalar_gives_a_gaussian_value():
     M = Matrix(QI, [[a, b], [b * b, a]])
     scalars += [c for row in rref(M).reduced.entries for c in row]
     echelon = Echelon(QI)
-    values = echelon.box(*echelon.reduce_lifted(*lift(QI, [a.value, b.value])))
+    w, den = echelon.reduce_lifted(*lift(QI, [a.value, b.value]))
+    values = _box(QI, echelon.lifted(w), den)
     pi = Poly(QI, [a, b, a, b])
     for A in (M, Matrix.from_ints(QI, [[1, 2], [3, 4]])):  # with and without denominators
         scalars += charpoly(A).coeffs
@@ -222,7 +223,7 @@ def test_every_route_to_a_residue_gives_a_reduced_int():
     # over F_p a value outside [0, p) would break equality and printing;
     # p is large so that unreduced sums and products would show
     from ximod import charpoly, poly_eval_operator, rref
-    from ximod.matrix import Echelon, lift
+    from ximod.matrix import Echelon, _box, lift
 
     F = PrimeField(10**18 + 3)
     p = F.p
@@ -233,7 +234,8 @@ def test_every_route_to_a_residue_gives_a_reduced_int():
     M = Matrix(F, entries)
     scalars += [c for row in rref(M).reduced.entries for c in row]
     echelon = Echelon(F)
-    values = echelon.box(*echelon.reduce_lifted(*lift(F, [a.value for a in entries[0]])))
+    w, den = echelon.reduce_lifted(*lift(F, [a.value for a in entries[0]]))
+    values = _box(F, echelon.lifted(w), den)
     scalars += charpoly(M).coeffs
     pi = Poly(F, [F.from_int(rng.randrange(p // 2, p)) for _ in range(6)])
     scalars += [c for row in poly_eval_operator(pi, M).entries for c in row]

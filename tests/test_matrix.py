@@ -27,7 +27,7 @@ from ximod import (
     sylvester_operator,
     unit_vector,
 )
-from ximod.matrix import Echelon, lift
+from ximod.matrix import Echelon, _box, _Lifted, lift
 from oracles import (
     naive_charpoly,
     rand_big_scalar,
@@ -172,7 +172,8 @@ def test_rref_and_coset_map_are_exact_on_large_entries(field):
             k = len(pivots)
             for v in (rand_vector(field, M.cols, rng), [rand_big_scalar(field, rng)
                                                        for _ in range(M.cols)]):
-                r = Matrix(field, [[Scalar(field, a) for a in ech.box(*_reduce(ech, v))]])
+                w, den = _reduce(ech, v)
+                r = Matrix(field, [[Scalar(field, a) for a in _box(field, ech.lifted(w), den)]])
                 # a lift scaled by c reduces as the fresh lift does
                 u, L = lift(field, [a.value for a in v])
                 c = rng.randint(2, 10**6)
@@ -225,6 +226,56 @@ def test_echelon_push_of_a_zero_vector_adds_no_pivot(field):
         assert ech.leading(w) is None
         ech.push(w)
         assert ([*ech.pivots], repr(ech.rows), ech.D) == state
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, QI, PrimeField(2), PrimeField(101)], ids=["q", "qi", "fp2", "fp101"]
+)
+def test_echelon_basis_is_d_times_the_reduced_rows_and_its_kernel_is_annihilated(field):
+    to_sympy = _sympy_converter(field)
+    _, convert = sympy_domain(field)
+    rng = random.Random(f"basis-kernel-{field.describe()}")
+    ring = _Lifted(field)
+    for rows, cols, r in [(3, 5, 3), (5, 4, 2), (4, 6, 1), (6, 6, 4), (2, 7, 2), (4, 4, 4)]:
+        for M in (rand_matrix(field, rows, r, rng) @ rand_matrix(field, r, cols, rng),
+                  Matrix.zeros(field, rows, cols)):
+            lifts = [lift(field, row) for row in M.values]
+            ech = Echelon(field)
+            for u, L in lifts:
+                ech.push(ech.reduce_lifted(u, L)[0])
+            basis = ech.basis()
+            reduced, pivots = to_sympy(M).rref()
+            k = len(pivots)
+            assert [q for q, _ in basis] == list(pivots)
+            if k:
+                rows_over_k = Matrix(field, [[Scalar(field, a) for a in _box(field, row, 1)]
+                                             for _, row in basis])
+                D = convert(Scalar(field, _box(field, [ech.D], 1)[0]))
+                assert to_sympy(rows_over_k) == reduced.extract(range(k), range(cols)).scalarmul(D)
+            kernel = list(ech.kernel(cols))
+            free = [f for f in range(cols) if f not in pivots]
+            assert len(kernel) == len(free) == cols - k
+            for f, x in zip(free, kernel):
+                assert len(x) == cols and x[f] == ech.D
+                assert all(x[g] == ring.zero for g in free if g != f)
+                assert all(ring.dot(u, x) == ring.zero for u, _ in lifts)
+
+
+def test_box_over_qi_divides_by_a_gaussian_denominator():
+    # (a + bi) / (dr + di i) = (a + bi)(dr - di i) / (dr^2 + di^2)
+    rng = random.Random("box-gaussian")
+    dens = [(2, 0), (-3, 0), (0, 1), (0, -5)]
+    dens += [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(40)]
+    for dr, di in dens:
+        if not (dr or di):
+            continue
+        u = [(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(5)] + [(0, 0)]
+        conj = [(a * dr + b * di, b * dr - a * di) for a, b in u]
+        values = _box(QI, u, (dr, di))
+        assert values == _box(QI, conj, dr * dr + di * di)
+        d = QI.scalar((dr, di))
+        assert [Scalar(QI, v) for v in values] == [QI.scalar(a) / d for a in u]
+    assert _box(QI, [(3, 4), (0, 0)], (2, 0)) == _box(QI, [(3, 4), (0, 0)], 2)
 
 
 def test_kernel_basis_cases():

@@ -16,6 +16,7 @@ from ximod import (
     PolyMatrix,
     PresentedModule,
     PrimeField,
+    Scalar,
     ZeroVector,
     charpoly,
     companion_matrix,
@@ -315,22 +316,22 @@ def test_krylov_smith_diagonal_over_qi_matches_determinantal_divisors():
             assert tuple(snf.nonconstant_diagonal()) == naive_invariant_factors(A), (name, n)
 
 
-def _chain_generators(A, P):
-    """The unit vectors the Krylov chains of the presentation P start from:
-    each the first e_j outside the span of the chains before it, its chain
-    as long as the degree of P's diagonal entry."""
+def _chain_generators(A, lengths):
+    """The unit vectors Krylov chains of the given lengths start from, each
+    the first e_j outside the span of the chains before it, and the Krylov
+    vectors of all chains in chain order."""
     from ximod import rank
 
     n, span, generators = A.rows, [], []
-    for d in P.diagonal_entries():
+    for length in lengths:
         j = next(j for j in range(n)
                  if rank(Matrix(A.field, span + [unit_vector(A.field, n, j)])) > len(span))
         v = unit_vector(A.field, n, j)
         generators.append(v)
-        for _ in range(d.degree):
+        for _ in range(length):
             span.append(v)
             v = A.matvec(v)
-    return generators
+    return generators, span
 
 
 @pytest.mark.parametrize("field", [QQ, QI], ids=["q", "qi"])
@@ -350,7 +351,7 @@ def test_decompose_of_fractional_derogatory_operators_matches_determinantal_divi
         assert all(d.is_monic for d in P.diagonal_entries())
         # each column is a relation among the chains' own unit vectors,
         # unscaled: sum_i P[i][k](A) g_i = 0
-        generators = _chain_generators(A, P)
+        generators, _ = _chain_generators(A, [d.degree for d in P.diagonal_entries()])
         for k in range(P.cols):
             images = [poly_eval_operator(P.entries[i][k], A).matvec(g)
                       for i, g in enumerate(generators)]
@@ -358,6 +359,55 @@ def test_decompose_of_fractional_derogatory_operators_matches_determinantal_divi
         dec = decompose_operator_module(OperatorModule(field, n, A))
         assert len(dec.invariant_factors) == len(degrees)
         assert dec.invariant_factors == naive_invariant_factors(A), degrees
+
+
+@pytest.mark.parametrize("field", [QQ, QI, F2, F101], ids=["q", "qi", "fp2", "fp101"])
+def test_krylov_chain_record_holds_its_relations_and_the_inverse_basis(field):
+    # random operators, integral and with denominators, and conjugated block
+    # diagonals of equal blocks: several chains, whose closing relations
+    # reach back into the earlier chains
+    from ximod.matrix import _box, _Lifted
+    from ximod.modules import _krylov_chains
+
+    rng = random.Random(f"chain-record-{field.describe()}")
+    one, ring = field.one(), _Lifted(field)
+    seen = {"denominators": 0, "three chains": 0, "coupled": 0}
+    for n in range(1, 10):
+        b = rng.randint(1, max(1, n // 2))
+        integral = Matrix.from_ints(field, [[rng.randint(-9, 9) for _ in range(n)]
+                                            for _ in range(n)])
+        equal_blocks = _block_diagonal(field, [rand_matrix(field, b, b, rng)] * (n // b)
+                                       + [rand_matrix(field, n % b, n % b, rng)] * (n % b > 0))
+        for A in (integral, rand_matrix(field, n, n, rng), _conjugate(equal_blocks, rng)):
+            M, d = ring.rows(A)
+            seen["denominators"] += d > 1
+            chains, inverse = _krylov_chains(ring, M, d)
+            k = len(chains)
+            assert [len(blocks) for blocks, _ in chains] == list(range(1, k + 1))
+            lengths = [len(blocks[j]) - 1 for j, (blocks, _) in enumerate(chains)]
+            assert sum(lengths) == n
+            generators, krylov = _chain_generators(A, lengths)
+            assert len(krylov) == n
+            for j, (blocks, den) in enumerate(chains):
+                # sum_i r_ij(A) g_i = 0, r_jj monic of degree d_j
+                assert _box(field, blocks[j][-1:], den) == [one.value]
+                total = [field.zero()] * n
+                for coeffs, g in zip(blocks, generators):
+                    v = g
+                    for a in _box(field, coeffs, den):
+                        total = [x + Scalar(field, a) * y for x, y in zip(total, v)]
+                        v = A.matvec(v)
+                assert all(x.is_zero for x in total), (n, j)
+                seen["coupled"] += any(a != ring.zero for coeffs in blocks[:j] for a in coeffs)
+            seen["three chains"] += k >= 3
+            # (D K^-1) K = D I for the Krylov basis K in chain order
+            inverse = Matrix(field, [[Scalar(field, a) for a in _box(field, row, 1)]
+                                     for row in inverse])
+            K = Matrix(field, zip(*krylov))
+            D = (inverse @ K).entries[0][0]
+            assert not D.is_zero and inverse @ K == Matrix.identity(field, n).scale(D)
+    assert seen["three chains"] and seen["coupled"], seen
+    assert seen["denominators"] or field.characteristic, seen
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 101], ids=["q", "fp2", "fp3", "fp101"])

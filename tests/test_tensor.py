@@ -262,6 +262,23 @@ def test_readers_leave_the_relation_basis_unchanged(field):
         assert (W.canonical_indices, W.pivots, repr(W.X), W.D) == state
 
 
+def test_projection_refuses_another_field_as_the_other_readers_do():
+    # a tensor over F_5 against W over Q: a field fault (TagMismatch) for
+    # project_to_quotient as for contains and reduce, a wrong shape a
+    # DimensionMismatch
+    t = TensorElement(F5, 1, 1, (F5.one(),))
+    A = Matrix.from_ints(QQ, [[2]])
+    for W in (relation_subspace(StandardKind(QQ), 1, 1),
+              relation_subspace(OperatorPairKind(A, A), 1, 1)):
+        for read in (lambda: project_to_quotient(t, W), lambda: W.contains(t.coords),
+                     lambda: W.reduce(t.coords)):
+            with pytest.raises(TagMismatch):
+                read()
+        with pytest.raises(DimensionMismatch):
+            project_to_quotient(TensorElement(QQ, 2, 2, (QQ.one(),) * 4), W)
+        assert project_to_quotient(TensorElement(QQ, 1, 1, (QQ.one(),)), W).canonical == (QQ.one(),)
+
+
 def _block_diagonal(field, *blocks):
     zero, size = field.zero(), sum(B.rows for B in blocks)
     rows, offset = [], 0

@@ -1,0 +1,118 @@
+"""Time ximod's operator decomposition and characteristic polynomial over size ladders.
+
+    python3 tools/decompose_ladder.py --root <checkout> [--sizes 8 16 24 32]
+
+For each field of q, qi and fp:101 and each n of --sizes, prints the median
+process time in ms of `decompose_operator_module` and of `charpoly` on two
+n x n operators:
+
+  * dense: entries drawn from [-9, 9] (real and imaginary parts over qi),
+    one Krylov chain for a generic operator;
+  * derogatory: S diag(C, ..., C) S^-1 for one dense 4 x 4 block C and an
+    integral S with an integral inverse, so about n / 4 chains whose
+    closing relations reach back into the earlier chains.
+
+After each field's rungs it prints the local slope of each column between
+neighbouring sizes, log(t2 / t1) / log(n2 / n1), and over q and qi one rung
+with denominators: a dense operator at n = FRACTION_SIZE whose entries are
+a / b with a in [-9, 9] and b in [1, 9].  Inputs depend only on the field
+and n, so two checkouts' tables compare line by line.  The timings are
+information only.
+"""
+from __future__ import annotations
+
+import argparse
+import math
+import random
+import statistics
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+BLOCK = 4
+FRACTION_SIZE = 16
+
+
+def median_ms(fn, budget: float = 0.3) -> float:
+    times: list[float] = []
+    while len(times) < 3 or (sum(times) < budget and len(times) < 100):
+        start = time.process_time()
+        fn()
+        times.append(time.process_time() - start)
+    return 1e3 * statistics.median(times)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", required=True, type=Path, help="ximod checkout to time")
+    parser.add_argument("--sizes", nargs="+", type=int, default=[8, 16, 24, 32])
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.root.resolve() / "src"))
+    from ximod import QI, QQ, Matrix, OperatorModule, PrimeField, charpoly, modules
+
+    def timed(A):
+        """(median ms of decompose, median ms of charpoly, number of invariant factors)."""
+        module = OperatorModule(A.field, A.rows, A)
+        t_dec = median_ms(lambda: modules.decompose_operator_module(module))
+        factors = modules.decompose_operator_module(module).invariant_factors
+        return t_dec, median_ms(lambda: charpoly(A)), len(factors)
+
+    def shear(field, n, rng, lower):
+        """I + N and its inverse for N with random -1, 0, 1 next to the diagonal,
+        below it if lower: inv[i][j] is the product of -N along the path i..j."""
+        off = [rng.randint(-1, 1) for _ in range(n)]
+        S = [[int(i == j) for j in range(n)] for i in range(n)]
+        inv = [[0] * n for _ in range(n)]
+        for i in range(n):
+            if i:
+                S[i][i - 1] = off[i]
+            prod = 1
+            for j in range(i, -1, -1):
+                inv[i][j] = prod
+                prod *= -off[j]
+        if not lower:
+            S, inv = ([list(col) for col in zip(*M)] for M in (S, inv))
+        return Matrix.from_ints(field, S), Matrix.from_ints(field, inv)
+
+    print(f"ximod from {Path(modules.__file__).parent}; median process ms of "
+          "decompose_operator_module (dec) and charpoly (cp), k invariant factors")
+    print(f"{'field':>6} {'n':>3} {'dense dec':>10} {'cp':>9} {'k':>3} "
+          f"{'derog dec':>10} {'cp':>9} {'k':>3}")
+    for field in (QQ, QI, PrimeField(101)):
+
+        def dense(n, rng, den=1):
+            def part():
+                return Fraction(rng.randint(-9, 9), rng.randint(1, den))
+            if field is QI:
+                return Matrix(field, [[field.scalar((part(), part())) for _ in range(n)]
+                                      for _ in range(n)])
+            return Matrix(field, [[field.scalar(part()) if field is QQ
+                                   else field.from_int(rng.randint(-9, 9))
+                                   for _ in range(n)] for _ in range(n)])
+
+        rows = []
+        for n in args.sizes:
+            rng = random.Random(f"decompose-ladder-{field.describe()}-{n}")
+            C = dense(BLOCK, rng).entries
+            D = Matrix(field, [[C[i % BLOCK][j % BLOCK] if i // BLOCK == j // BLOCK
+                                else field.zero() for j in range(n)] for i in range(n)])
+            (L, L_inv), (U, U_inv) = shear(field, n, rng, True), shear(field, n, rng, False)
+            derogatory = L @ U @ D @ U_inv @ L_inv
+            cells = timed(dense(n, rng)) + timed(derogatory)
+            rows.append((n, cells[0], cells[1], cells[3], cells[4]))
+            print(f"{field.kind:>6} {n:>3} {cells[0]:>10.3f} {cells[1]:>9.3f} {cells[2]:>3} "
+                  f"{cells[3]:>10.3f} {cells[4]:>9.3f} {cells[5]:>3}")
+        for (n1, *t1), (n2, *t2) in zip(rows, rows[1:]):
+            slopes = [math.log(b / a) / math.log(n2 / n1) for a, b in zip(t1, t2)]
+            print(f"{field.kind:>6} slope {n1}->{n2}: dense dec {slopes[0]:.2f}, "
+                  f"cp {slopes[1]:.2f}; derog dec {slopes[2]:.2f}, cp {slopes[3]:.2f}")
+        if not field.characteristic:
+            rng = random.Random(f"decompose-ladder-{field.describe()}-fraction")
+            t_dec, t_cp, k = timed(dense(FRACTION_SIZE, rng, den=9))
+            print(f"{field.kind:>6} {FRACTION_SIZE:>3} with denominators: dec {t_dec:.3f}, "
+                  f"cp {t_cp:.3f}, k {k}")
+
+
+if __name__ == "__main__":
+    main()
