@@ -1,27 +1,27 @@
 """Squarefree and irreducible factorisation of univariate polynomials.
 
 Factorisation is complete over prime fields (distinct-degree plus
-equal-degree splitting).  Everything here computes with `Poly`'s one
-arithmetic on raw coefficients (`divmod`, `poly_gcd` and `_pow_mod`
-below); over F_p that reduces each coefficient mod p once, when it is
-final.  Powers mod a fixed modulus (`_pow_mod`, the characteristic-2
-trace map) run through `_Modulus`, which reduces packed products with a
-precomputed inverse where `Poly`'s packed lanes fit, and takes Poly's
-schoolbook a * b % m for larger primes.
+equal-degree splitting).  Everything here computes with `Poly`'s
+arithmetic (`divmod`, `poly_gcd` and `_pow_mod` below): on residues over
+F_p, reducing each coefficient mod p once, when it is final, and on the
+integral lift over Q and Q(i).  Powers mod a fixed modulus (`_pow_mod`,
+the characteristic-2 trace map) run through `_Modulus`, which reduces
+packed products with a precomputed inverse where `Poly`'s packed lanes
+fit, and takes Poly's schoolbook a * b % m for larger primes.
 
 Over the rational and gaussian-rational fields it is deliberately partial,
 and works on the integral form h = L^n g(x/L) of a monic g and on its
 images over F_p at the primes p in increasing order (p = 1 mod 4 over Q(i),
 where i maps to either square root of -1).  Squarefree decomposition first:
 a squarefree image at one of the first three primes proves g squarefree;
-otherwise Musser's gcd peeling runs on the field's values.  Then exhaustive
-root extraction: the smallest prime at which every image is squarefree
-(one gcd per image) is the one prime where the prime-field splitting finds
-the roots mod p, which are lifted p-adically and checked, and divided out
-of h, by Horner in gaussian integers.  A rootless factor of degree <= 3 is
-irreducible, since any splitting of it has a linear part.  A rootless
-factor of degree >= 4 cannot be decided by these means and raises
-FactorizationIncomplete; callers fall back to invariant factors.
+otherwise Musser's gcd peeling runs.  Then exhaustive root extraction:
+the smallest prime at which every image is squarefree (one gcd per image)
+is the one prime where the prime-field splitting finds the roots mod p,
+which are lifted p-adically and checked, and divided out of h, by Horner
+in gaussian integers.  A rootless factor of degree <= 3 is irreducible,
+since any splitting of it has a linear part.  A rootless factor of degree
+>= 4 cannot be decided by these means and raises FactorizationIncomplete;
+callers fall back to invariant factors.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from itertools import islice
 
 from .errors import FactorizationIncomplete, ZeroPolynomial
 from .fields import GaussianRationals, PrimeField, Rationals, Scalar, _is_prime
-from .poly import Poly, _kron, _packs, _poly, poly_gcd
+from .poly import Poly, _from_lift, _kron, _packs, _poly, poly_gcd
 
 # fixed seed: equal-degree splitting must be reproducible run to run
 _SPLIT_SEED = 0x5EED
@@ -58,7 +58,7 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 
 # how many of the first primes of `_IntegralForm.images`, those that root
 # extraction tries first, may certify squarefreeness over Q and Q(i); where
-# none does, Musser's peeling runs on the field's values
+# none does, Musser's peeling runs
 _CERTIFICATE_PRIMES = 3
 
 
@@ -188,13 +188,12 @@ class _IntegralForm:
         self.field = g.field
         self.gaussian = isinstance(g.field, GaussianRationals)
         self.signs = (1, -1) if self.gaussian else (1,)
-        n = g.degree
-        parts = g.values if self.gaussian else [(c, 0) for c in g.values]
-        self.lcm = lcm = math.lcm(*(x.denominator for part in parts for x in part))
-        # c * L^(n-k) in integers: each denominator divides L
-        scales = [lcm ** (n - k) for k in range(n + 1)]
-        self.h = [(re.numerator * (m // re.denominator), im.numerator * (m // im.denominator))
-                  for m, (re, im) in zip(scales, parts)]
+        # g = u / L is canonical, so L is the lcm of its coefficients'
+        # denominators, and u[n] = L since g is monic: h_k = u_k L^(n-1-k)
+        n, u, self.lcm = g.degree, g.u, g.den
+        parts = u if self.gaussian else [(c, 0) for c in u]
+        self.h = [(re * self.lcm ** (n - 1 - k), im * self.lcm ** (n - 1 - k))
+                  for k, (re, im) in enumerate(parts[:n])] + [(1, 0)]
 
     def image(self, t: int, m: int) -> list[int]:
         """h mod m with i -> t."""
@@ -217,11 +216,11 @@ class _IntegralForm:
 
     def descale(self, q: list[tuple[int, int]]) -> Poly:
         """The monic polynomial over K whose integral form, with this L, is
-        the monic q of degree m: coefficient k is q_k / L^(m-k)."""
-        m, canon = len(q) - 1, self.field.canon
-        values = [(Fraction(re, self.lcm ** (m - k)), Fraction(im, self.lcm ** (m - k)))
-                  for k, (re, im) in enumerate(q)]
-        return _poly(self.field, [canon(v if self.gaussian else v[0]) for v in values])
+        the monic q of degree m: coefficient k is q_k / L^(m-k), the lift
+        q_k L^k over L^m."""
+        m, L = len(q) - 1, self.lcm
+        u = [(re * L**k, im * L**k) for k, (re, im) in enumerate(q)]
+        return _from_lift(self.field, u if self.gaussian else [re for re, _ in u], L**m)
 
 
 def _deflate(h: list[tuple[int, int]], u: int, v: int) -> list[tuple[int, int]] | None:

@@ -4,10 +4,10 @@ A :class:`Field` is the value tag, `canon` and the inverse: two scalars
 interoperate only when they carry the same field object.  Arithmetic, truth,
 order and printing belong to the raw values themselves (`Fraction` over Q,
 `Gaussian` over Q(i), int over F_p); a `Scalar` runs Python's operators on
-its value and reduces mod p once per result, as `Poly` does.  Values are
-kept canonical at all times (reduced fractions with positive denominator,
-`Gaussian` pairs of them, residues in ``[0, p)``), so equality of scalars is
-equality of representations.
+its value and reduces mod p once per result, as `Poly` does over F_p.
+Values are kept canonical at all times (reduced fractions with positive
+denominator, `Gaussian` pairs of them, residues in ``[0, p)``), so
+equality of scalars is equality of representations.
 """
 from __future__ import annotations
 
@@ -337,7 +337,7 @@ _set_field, _set_value = Scalar.field.__set__, Scalar.value.__set__
 
 def _scalar(field: Field, value) -> Scalar:
     """The Scalar with raw value `value`, reduced mod p over F_p; built
-    without a call to `__init__`, as `poly._poly` builds a Poly."""
+    without a call to `__init__`, as `poly._from_lift` builds a Poly."""
     p = field.characteristic
     s = object.__new__(Scalar)
     _set_field(s, field)

@@ -1,18 +1,20 @@
 """Exact dense matrices and vectors over a coefficient field.
 
-A `Matrix` stores the raw values of its entries, as a `Poly` stores its
-coefficients: ``Matrix(field, scalars)`` checks and unboxes each entry
-once, every matrix built inside the library goes through the unchecked
-`_make`, which reduces mod p once, and `entries` boxes on read.  The
-eliminations and evaluations run on the integral lift of the values
-(`lift`, `_Lifted`, `Echelon`, whose rows are read through `Echelon.basis`
-and `Echelon.kernel`); `_box` is the way back to raw values.
+A `Matrix` stores the raw values of its entries, as a `Poly` over F_p
+stores its coefficients: ``Matrix(field, scalars)`` checks and unboxes
+each entry once, every matrix built inside the library goes through the
+unchecked `_make`, which reduces mod p once, and `entries` boxes on read.
+The eliminations and evaluations run on the integral lift of the values
+(`_Lifted`, `Echelon`, whose rows are read through `Echelon.basis` and
+`Echelon.kernel`).  `poly.lift` is the way in and `poly._box` the way back
+to raw values, the same pair by which a `Poly` over Q and Q(i) is stored
+and read; `poly_eval_operator` takes its polynomial's lift as it is
+stored.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import add, mul, sub
 
 from .errors import (
@@ -23,8 +25,8 @@ from .errors import (
     NotMonic,
     TagMismatch,
 )
-from .fields import Field, Gaussian, GaussianRationals, Scalar, _scalar
-from .poly import Poly, _value
+from .fields import Field, GaussianRationals, Scalar, _scalar
+from .poly import Poly, _box, _value, lift
 
 Vector = tuple[Scalar, ...]
 
@@ -230,37 +232,6 @@ class EchelonResult:
     reduced: Matrix
     pivot_columns: tuple[int, ...]
     rank: int
-
-
-def lift(field: Field, values) -> tuple[list, int]:
-    """(u, L) with values = u / L for raw values over K: u holds ints over Q,
-    plain (re, im) pairs of ints over Q(i), residues over F_p (L = 1), and
-    L is the lcm of the denominators.  `_Lifted` computes on u, and `_box`
-    is the way back."""
-    if field.characteristic:
-        return list(values), 1
-    if isinstance(field, GaussianRationals):
-        L = lcm(*(x.denominator for pair in values for x in pair))
-        return [(a.numerator * (L // a.denominator), b.numerator * (L // b.denominator))
-                for a, b in values], L
-    L = lcm(*(x.denominator for x in values))
-    return [x.numerator * (L // x.denominator) for x in values], L
-
-
-def _box(field: Field, u, L) -> list:
-    """The raw values u / L over K for lifted values u, the inverse of
-    `lift`; L is an integer, or over Q(i) a Gaussian integer (re, im) as an
-    `Echelon` gives it.  Over F_p, L = 1 and u is reduced mod p here."""
-    p = field.characteristic
-    if p:
-        return [a % p for a in u]
-    zero = field.canon(0)
-    if isinstance(field, GaussianRationals):
-        if isinstance(L, tuple):  # (a + bi) / L = (a + bi) conj(L) / |L|^2
-            lr, li = L
-            u, L = [(a * lr + b * li, b * lr - a * li) for a, b in u], lr * lr + li * li
-        return [Gaussian((Fraction(a, L), Fraction(b, L))) if a or b else zero for a, b in u]
-    return [Fraction(a, L) if a else zero for a in u]
 
 
 class _Lifted:
@@ -559,7 +530,7 @@ def poly_eval_operator(pi: Poly, A: Matrix) -> Matrix:
     """Evaluate a polynomial at a square matrix by Paterson–Stockmeyer on
     the integral lift, boxing only the result.
 
-    With A = M / d and the coefficients of pi lifted to c_k / L (`lift`),
+    With A = M / d and pi stored as its lift c / L (c_k / L at x^k),
     pi(A) = g(M) / (L d^m) for m = deg pi and g = sum_k c_k d^(m-k) x^k,
     whose coefficients are integral.  For s = floor(sqrt(m + 1)) the powers
     I, M, ..., M^s are formed once, the coefficients of g are cut into
@@ -576,7 +547,7 @@ def poly_eval_operator(pi: Poly, A: Matrix) -> Matrix:
         return Matrix.zeros(field, n, n)
     ring = _Lifted(field)
     M, d = ring.rows(A)
-    c, L = lift(field, pi.values)
+    c, L = pi.u, pi.den
     g = [ring.scale(d ** (m - k), a) for k, a in enumerate(c)]  # g_k = c_k d^(m-k)
     s = max(1, isqrt(m + 1))
     powers = [[[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)], M]

@@ -7,9 +7,9 @@ presentation: Krylov chains e, Ae, A^2 e, ... over K present the module by
 a k x k polynomial matrix, k the number of chains, and only that matrix
 goes through the Smith form.  The chains are formed on the integral lift
 A = M / d, each vector scaled by d^t, into one record of their closing
-relations and D K^-1 (`_krylov_chains`), and only the relations are boxed
-back into K.  Finitely presented modules go through the Smith form of
-their presentation matrix directly.
+relations and D K^-1 (`_krylov_chains`), and the relations become
+polynomials from their lifts, without being boxed.  Finitely presented
+modules go through the Smith form of their presentation matrix directly.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from typing import Callable
 from .errors import DimensionMismatch, InconsistentAction, NonSquare, ZeroVector
 from .factor import factor_irreducible
 from .fields import Field
-from .matrix import Echelon, Matrix, Vector, _box, _Lifted, poly_eval_operator, unit_vector
-from .poly import Poly, _poly, _value
+from .matrix import Echelon, Matrix, Vector, _Lifted, poly_eval_operator, unit_vector
+from .poly import Poly, _from_lift, _value
 from .polymatrix import PolyMatrix, smith_diagonal
 
 
@@ -202,12 +202,13 @@ def _krylov_presentation(A: Matrix) -> PolyMatrix:
     -a_i above it.  The map K[x]^k -> K^n, e_j -> g_j is onto and kills
     every column, and the quotient by the columns has dimension deg det =
     sum d_j = n, so the columns generate all relations.  Each relation is
-    boxed with its den, which unscales it and keeps x^{d_j} monic.
+    the Poly of its lift over its den, which unscales it and keeps x^{d_j}
+    monic.
     """
     field = A.field
     ring = _Lifted(field)
     chains, _ = _krylov_chains(ring, *ring.rows(A))
-    columns = [[_poly(field, _box(field, b, den)) for b in blocks] for blocks, den in chains]
+    columns = [[_from_lift(field, b, den) for b in blocks] for blocks, den in chains]
     k = len(columns)
     return PolyMatrix._make(
         field,

@@ -1,12 +1,21 @@
 """Dense univariate polynomials over an exact coefficient field.
 
-A `Poly` holds the raw values of its coefficients (`Scalar.value`):
-Fractions over Q, `Gaussian` pairs over Q(i), residues over F_p.  Its ring
-operations run Python's operators on them in one code path for the three
-fields, the same arithmetic a `Scalar` runs, and over F_p reduce each
-coefficient mod p once, when it is final.  Order and printing are the
-values' own; only the inverse comes from the field.  Coefficients are boxed
-as Scalars only when read.
+Over Q and Q(i) a `Poly` is stored as its integral lift: `u`, a tuple of
+ints over Q or of (re, im) pairs of ints over Q(i), and `den`, one positive
+int, with coefficient k equal to u[k] / den.  The lift is canonical (no
+trailing zero, and gcd(den, every component of u) = 1), so equality is
+structural.  Every ring operation runs on u in ints and normalises its
+result once (`_from_lift`).  Division is pseudo-division by the divisor's
+lead, which is made a positive int first: over Q(i) the divisor is
+multiplied by the conjugate of its lead (`_pseudo_divmod`).  Over F_p, `u`
+is the tuple of residues and `den` is 1.
+
+`values`, the raw coefficients as a `Scalar` holds them (Fractions over Q,
+`Gaussian` pairs of Fractions over Q(i), residues over F_p), is boxed from
+the lift on first read and cached; over F_p it is `u` itself.  No ring
+operation reads it: printing, ordering and the Scalar readers (`coeffs`,
+`leading_coefficient`) do.  `lift` and `_box` are the one way between raw
+values and lifts, for vectors and matrices (`matrix`) as for polynomials.
 
 Over F_p, a product whose shorter factor has `_KRON_MIN` coefficients or
 more is one integer product (Kronecker substitution, `_kron`), where every
@@ -18,10 +27,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import zip_longest
+from fractions import Fraction
+from itertools import chain, zip_longest
+from math import gcd, lcm
+from operator import index
 
 from .errors import BothZero, DivisionByZero, TagMismatch
-from .fields import Field, Scalar
+from .fields import Field, Gaussian, GaussianRationals, Scalar
 
 
 def _value(field: Field, c):
@@ -29,6 +41,184 @@ def _value(field: Field, c):
     if not isinstance(c, Scalar) or (c.field is not field and c.field != field):
         raise TagMismatch("scalar does not belong to the declared field")
     return c.value
+
+
+# -- integral lifts -------------------------------------------------------------
+
+def lift(field: Field, values) -> tuple[list, int]:
+    """(u, L) with values = u / L for raw values over K: u holds ints over Q,
+    plain (re, im) pairs of ints over Q(i), residues over F_p (L = 1), and
+    L is the lcm of the denominators.  Integral code computes on u, and
+    `_box` is the way back."""
+    if field.characteristic:
+        return list(values), 1
+    if isinstance(field, GaussianRationals):
+        L = lcm(*(x.denominator for pair in values for x in pair))
+        return [(a.numerator * (L // a.denominator), b.numerator * (L // b.denominator))
+                for a, b in values], L
+    L = lcm(*(x.denominator for x in values))
+    return [x.numerator * (L // x.denominator) for x in values], L
+
+
+def _box(field: Field, u, L) -> list:
+    """The raw values u / L over K for lifted values u, the inverse of
+    `lift`; L is an integer, or over Q(i) a Gaussian integer (re, im) as an
+    `Echelon` gives it.  Over F_p, L = 1 and u is reduced mod p here."""
+    p = field.characteristic
+    if p:
+        return [a % p for a in u]
+    zero = field.canon(0)
+    if isinstance(field, GaussianRationals):
+        if isinstance(L, tuple):  # (a + bi) / L = (a + bi) conj(L) / |L|^2
+            lr, li = L
+            u, L = [(a * lr + b * li, b * lr - a * li) for a, b in u], lr * lr + li * li
+        return [Gaussian((Fraction(a, L), Fraction(b, L))) if a or b else zero for a, b in u]
+    return [Fraction(a, L) if a else zero for a in u]
+
+
+def _canonical(u, den, gaussian: bool) -> tuple[tuple, int]:
+    """The canonical lift of u / den over Q or Q(i): no trailing zero, den
+    positive and gcd(den, every component of u) = 1.  den is a nonzero int,
+    over Q(i) also a Gaussian integer (re, im), divided out through its
+    conjugate as `_box` does, or None for the lead of u, which gives the
+    lift of u's monic scaling."""
+    u = list(u)
+    if gaussian:
+        while u and not (u[-1][0] or u[-1][1]):
+            u.pop()
+        if den is None:
+            den = u[-1] if u else 1
+        if isinstance(den, tuple):
+            dr, di = den
+            if di:
+                # the content shared with den first, while u is small
+                g = gcd(dr, di, *chain.from_iterable(u))
+                if g != 1:
+                    u, dr, di = [(a // g, b // g) for a, b in u], dr // g, di // g
+                u, den = [(a * dr + b * di, b * dr - a * di) for a, b in u], dr * dr + di * di
+            else:
+                den = dr
+        if den < 0:
+            u, den = [(-a, -b) for a, b in u], -den
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(u))
+            if g != 1:
+                u, den = [(a // g, b // g) for a, b in u], den // g
+        return tuple(u), den
+    while u and not u[-1]:
+        u.pop()
+    if den is None:
+        den = u[-1] if u else 1
+    if den < 0:
+        u, den = [-a for a in u], -den
+    if den != 1:
+        g = gcd(den, *u)
+        if g != 1:
+            u, den = [a // g for a in u], den // g
+    return tuple(u), den
+
+
+def _from_lift(field: Field, u, den=1) -> "Poly":
+    """The Poly u / den for lifted values u (see `lift`) and a nonzero den
+    as `_canonical` takes it; over F_p, u is reduced mod p and den is 1."""
+    f = object.__new__(Poly)
+    p = field.characteristic
+    if p:
+        u = [a % p for a in u]
+        while u and not u[-1]:
+            u.pop()
+        u, den = tuple(u), 1
+        _set_values(f, u)
+    else:
+        u, den = _canonical(u, den, isinstance(field, GaussianRationals))
+    _set_field(f, field)
+    _set_u(f, u)
+    _set_den(f, den)
+    return f
+
+
+def _poly(field: Field, values) -> "Poly":
+    """The Poly with raw coefficients `values`, lifted (see `lift`)."""
+    return _from_lift(field, *lift(field, values))
+
+
+def _times(u, k: int, gaussian: bool) -> list:
+    """The lifted values u times the integer k."""
+    if gaussian:
+        return [(k * a, k * b) for a, b in u]
+    return [k * a for a in u]
+
+
+def _conj_lead(b, gaussian: bool):
+    """(c, b') with b' = c b for an integral lift b: c is the sign of b's
+    lead over Q, and its conjugate over Q(i) (or its sign where it is
+    real), so that b's lead becomes a positive int N, stored as (N, 0)
+    over Q(i)."""
+    if not gaussian:
+        return (1, b) if b[-1] > 0 else (-1, [-a for a in b])
+    lr, li = b[-1]
+    if not li:
+        return ((1, 0), b) if lr > 0 else ((-1, 0), [(-a, -c) for a, c in b])
+    return (lr, -li), [(a * lr + c * li, c * lr - a * li) for a, c in b]
+
+
+def _pseudo_divmod(a, b, gaussian: bool) -> tuple[list, list, int]:
+    """(q, r, s) with s a = q b + r and deg r < deg b, for integral lifts a
+    and b whose lead is a positive int N (over Q(i), the pair (N, 0)) and
+    len(a) >= len(b) (Geddes, Czapor & Labahn, *Algorithms for Computer
+    Algebra*, 7.2).  Each step cancels the top coefficient c of r against
+    N x^j b, after scaling r and q by only N / gcd(N, c), so that s is a
+    positive int and nothing is scaled where N divides each such c, as
+    for an integral monic b (N = 1)."""
+    m = len(b) - 1
+    body, rem = b[:m], list(a)
+    quot = [(0, 0) if gaussian else 0] * (len(a) - m)
+    s = 1
+    if gaussian:
+        N = b[m][0]
+        for k in range(len(rem) - 1, m - 1, -1):
+            cr, ci = rem[k]
+            if not (cr or ci):
+                continue
+            g = gcd(N, cr, ci)
+            if g != N:
+                f = N // g
+                rem, quot, s = _times(rem[:k], f, True), _times(quot, f, True), s * f
+            cr, ci = cr // g, ci // g
+            quot[k - m] = (cr, ci)
+            rem[k - m:k] = [(x - cr * y + ci * z, w - cr * z - ci * y)
+                            for (x, w), (y, z) in zip(rem[k - m:k], body)]
+        return quot, rem[:m], s
+    N = b[m]
+    for k in range(len(rem) - 1, m - 1, -1):
+        c = rem[k]
+        if not c:
+            continue
+        g = gcd(N, c)
+        if g != N:
+            f = N // g
+            rem, quot, s = [f * x for x in rem[:k]], [f * x for x in quot], s * f
+        c //= g
+        quot[k - m] = c
+        rem[k - m:k] = [x - c * y for x, y in zip(rem[k - m:k], body)]
+    return quot, rem[:m], s
+
+
+def _divmod_fp(a, b, p: int) -> tuple[list, list]:
+    """Schoolbook (q, r) with a = q b + r mod p for residue lists with
+    len(a) >= len(b), r left unreduced: each remainder coefficient is
+    reduced once, when it is read as the next quotient term."""
+    m = len(b) - 1
+    inv = pow(b[m], -1, p)
+    rem = list(a)
+    quot = [0] * (len(rem) - m)
+    for k in range(len(rem) - 1, m - 1, -1):
+        c = rem[k] % p
+        if c:
+            q = quot[k - m] = c * inv % p
+            # b's leading term cancels rem[k], which is not read again
+            rem[k - m:k] = [s - q * t for s, t in zip(rem[k - m:k], b)]
+    return quot, rem[:m]
 
 
 # Kronecker substitution packs residues into the 64-bit lanes of one int;
@@ -63,27 +253,17 @@ def _kron(a, b) -> list[int]:
     return memoryview((x * y).to_bytes(size, order)).cast("Q").tolist()
 
 
-def _poly(field: Field, values) -> "Poly":
-    """The Poly with raw coefficients `values`, reduced mod p over F_p."""
-    p = field.characteristic
-    values = [v % p for v in values] if p else list(values)
-    while values and not values[-1]:
-        values.pop()
-    f = object.__new__(Poly)
-    object.__setattr__(f, "field", field)
-    object.__setattr__(f, "values", tuple(values))
-    return f
-
-
 class Poly:
-    """A polynomial stored as a tuple of raw coefficient values, index =
-    degree; ``Poly(field, scalars)`` checks and unboxes the Scalars.
+    """A polynomial stored as its lift (`u`, `den`), index = degree;
+    ``Poly(field, scalars)`` checks and unboxes the Scalars.
 
-    The representation is canonical: no trailing zero coefficients, so the
-    zero polynomial is the empty tuple and equality is structural.
+    The representation is canonical (see the module docstring), so the
+    zero polynomial is ``u == ()`` and equality is structural.  Over Q and
+    Q(i) the `values` slot is empty until first read; `__getattr__` boxes
+    it then.
     """
 
-    __slots__ = ("field", "values")
+    __slots__ = ("field", "u", "den", "values")
 
     def __new__(cls, field: Field, coeffs):
         return _poly(field, [_value(field, c) for c in coeffs])
@@ -91,10 +271,19 @@ class Poly:
     def __setattr__(self, name, _value):
         raise AttributeError(f"Poly is immutable; cannot set {name!r}")
 
+    def __getattr__(self, name):
+        # called only for an empty slot: `values` over Q and Q(i) is boxed
+        # on first read and kept
+        if name != "values":
+            raise AttributeError(f"'Poly' object has no attribute {name!r}")
+        values = tuple(_box(self.field, self.u, self.den))
+        _set_values(self, values)
+        return values
+
     # construction ------------------------------------------------------
     @classmethod
     def zero(cls, field: Field) -> "Poly":
-        return _poly(field, ())
+        return _from_lift(field, ())
 
     @classmethod
     def one(cls, field: Field) -> "Poly":
@@ -110,7 +299,9 @@ class Poly:
 
     @classmethod
     def from_ints(cls, field: Field, ints) -> "Poly":
-        return _poly(field, [field.canon(n) for n in ints])
+        if isinstance(field, GaussianRationals):
+            return _from_lift(field, [(n, 0) for n in map(index, ints)])
+        return _from_lift(field, list(map(index, ints)))
 
     # predicates --------------------------------------------------------
     @property
@@ -121,21 +312,26 @@ class Poly:
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.values) - 1
+        return len(self.u) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.values
+        return not self.u
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.values) and self.values[-1] == self.field.canon(1)
+        u = self.u
+        if not u:
+            return False
+        if isinstance(self.field, GaussianRationals):
+            return u[-1] == (self.den, 0)
+        return u[-1] == self.den
 
     @property
     def leading_coefficient(self) -> Scalar:
-        if not self.values:
+        if not self.u:
             raise ZeroDivisionError("zero polynomial has no leading coefficient")
-        return Scalar(self.field, self.values[-1])
+        return Scalar(self.field, _box(self.field, self.u[-1:], self.den)[0])
 
     def coefficient(self, k: int) -> Scalar:
         v = self.values
@@ -148,38 +344,66 @@ class Poly:
         if other.field is not self.field and other.field != self.field:
             raise TagMismatch("polynomials over different fields")
 
-    def _pairs(self, other: "Poly"):
+    def _aligned(self, other: "Poly"):
+        """(a, b, den, gaussian): the lifts of self and other over one den."""
         self._check(other)
-        return zip_longest(self.values, other.values, fillvalue=self.field.canon(0))
+        a, b, da, db = self.u, other.u, self.den, other.den
+        gaussian = isinstance(self.field, GaussianRationals)
+        if da == db:  # always over F_p
+            return a, b, da, gaussian
+        g = gcd(da, db)
+        return _times(a, db // g, gaussian), _times(b, da // g, gaussian), da // g * db, gaussian
 
     def __add__(self, other):
-        return _poly(self.field, [a + b for a, b in self._pairs(other)])
+        a, b, den, gaussian = self._aligned(other)
+        if gaussian:
+            u = [(x[0] + y[0], x[1] + y[1]) for x, y in zip_longest(a, b, fillvalue=(0, 0))]
+        else:
+            u = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+        return _from_lift(self.field, u, den)
 
     def __sub__(self, other):
-        return _poly(self.field, [a - b for a, b in self._pairs(other)])
+        a, b, den, gaussian = self._aligned(other)
+        if gaussian:
+            u = [(x[0] - y[0], x[1] - y[1]) for x, y in zip_longest(a, b, fillvalue=(0, 0))]
+        else:
+            u = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+        return _from_lift(self.field, u, den)
 
     def __neg__(self):
-        return _poly(self.field, [-c for c in self.values])
+        return _from_lift(self.field, _times(self.u, -1, isinstance(self.field, GaussianRationals)),
+                          self.den)
 
     def __mul__(self, other):
         self._check(other)
-        a, b = self.values, other.values
+        a, b, field = self.u, other.u, self.field
         if not a or not b:
-            return _poly(self.field, ())
+            return _from_lift(field, ())
         if len(a) > len(b):
             a, b = b, a
-        p = self.field.characteristic
+        p, n = field.characteristic, len(b)
         if p and len(a) >= _KRON_MIN and _packs(p, len(a)):
-            return _poly(self.field, _kron(a, b))
-        out = [self.field.canon(0)] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                out[i:i + len(b)] = [s + c * t for s, t in zip(out[i:i + len(b)], b)]
-        return _poly(self.field, out)
+            return _from_lift(field, _kron(a, b))
+        if isinstance(field, GaussianRationals):
+            out = [(0, 0)] * (len(a) + n - 1)
+            for i, (cr, ci) in enumerate(a):
+                if cr or ci:
+                    out[i:i + n] = [(s + cr * tr - ci * ti, t + cr * ti + ci * tr)
+                                    for (s, t), (tr, ti) in zip(out[i:i + n], b)]
+        else:
+            out = [0] * (len(a) + n - 1)
+            for i, c in enumerate(a):
+                if c:
+                    out[i:i + n] = [s + c * t for s, t in zip(out[i:i + n], b)]
+        return _from_lift(field, out, self.den * other.den)
 
     def scale(self, c: Scalar) -> "Poly":
-        v = _value(self.field, c)
-        return _poly(self.field, [a * v for a in self.values])
+        (k,), L = lift(self.field, [_value(self.field, c)])
+        if isinstance(self.field, GaussianRationals):
+            kr, ki = k
+            return _from_lift(self.field, [(kr * a - ki * b, kr * b + ki * a) for a, b in self.u],
+                              self.den * L)
+        return _from_lift(self.field, [k * a for a in self.u], self.den * L)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -196,22 +420,26 @@ class Poly:
 
     def __divmod__(self, other):
         self._check(other)
-        b, field = other.values, self.field
+        a, b, field = self.u, other.u, self.field
         if not b:
             raise DivisionByZero("polynomial division by zero")
-        db = len(b) - 1
-        if self.degree < db:
-            return _poly(field, ()), self
-        p, inv = field.characteristic, field.raw_inv(b[-1])
-        rem = list(self.values)
-        quot = [field.canon(0)] * (len(rem) - db)
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k] % p if p else rem[k]
-            if c:
-                q = quot[k - db] = c * inv % p if p else c * inv
-                # b's leading term cancels rem[k], which is not read again
-                rem[k - db:k] = [s - q * t for s, t in zip(rem[k - db:k], b)]
-        return _poly(field, quot), _poly(field, rem[:db])
+        if len(a) < len(b):
+            return _from_lift(field, ()), self
+        p = field.characteristic
+        if p:
+            q, r = _divmod_fp(a, b, p)
+            return _from_lift(field, q), _from_lift(field, r)
+        # with c b = b' and s a = q' b' + r: a / da = (q' c db / (s da)) (b / db) + r / (s da)
+        gaussian = isinstance(field, GaussianRationals)
+        c, b = _conj_lead(b, gaussian)
+        q, r, s = _pseudo_divmod(a, b, gaussian)
+        den = s * self.den
+        if gaussian:
+            cr, ci = c[0] * other.den, c[1] * other.den
+            q = [(x * cr - y * ci, x * ci + y * cr) for x, y in q]
+        else:
+            q = _times(q, c * other.den, False)
+        return _from_lift(field, q, den), _from_lift(field, r, den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -225,36 +453,61 @@ class Poly:
         return (other % self).is_zero
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        u, field = self.u, self.field
+        if not u:
             raise DivisionByZero("cannot rescale the zero polynomial")
         if self.is_monic:
             return self
-        inv = self.field.raw_inv(self.values[-1])
-        return _poly(self.field, [a * inv for a in self.values])
+        p = field.characteristic
+        if p:
+            inv = field.raw_inv(u[-1])
+            return _from_lift(field, [a * inv for a in u])
+        return _from_lift(field, u, None)  # u / den divided by u[-1] / den
 
     def derivative(self) -> "Poly":
-        canon = self.field.canon
-        return _poly(self.field, [c * canon(k) for k, c in enumerate(self.values)][1:])
+        if isinstance(self.field, GaussianRationals):
+            u = [(k * a, k * b) for k, (a, b) in enumerate(self.u)]
+        else:
+            u = [k * c for k, c in enumerate(self.u)]
+        return _from_lift(self.field, u[1:], self.den)
 
     def eval(self, s: Scalar) -> Scalar:
         return Scalar(self.field, self._at(_value(self.field, s)))
 
     def _at(self, x):
-        """The raw value at x, by Horner, reduced mod p at every step over F_p."""
-        p, acc = self.field.characteristic, self.field.canon(0)
-        for c in reversed(self.values):
-            acc = (acc * x + c) % p if p else acc * x + c
-        return acc
+        """The raw value at x: by Horner over F_p, reduced mod p at every
+        step; over Q and Q(i) by homogeneous Horner on u and the lift
+        (y, m) of x = y / m, sum_k u[k] y^k m^(deg - k), divided by
+        den m^deg once."""
+        field, u = self.field, self.u
+        p = field.characteristic
+        if p:
+            acc = 0
+            for c in reversed(u):
+                acc = (acc * x + c) % p
+            return acc
+        if not u:
+            return field.canon(0)
+        (y,), m = lift(field, [x])
+        if isinstance(field, GaussianRationals):
+            (yr, yi), re, im, mk = y, 0, 0, 1
+            for cr, ci in reversed(u):
+                re, im, mk = re * yr - im * yi + cr * mk, re * yi + im * yr + ci * mk, mk * m
+            return _box(field, [(re, im)], self.den * mk // m)[0]
+        acc, mk = 0, 1
+        for c in reversed(u):
+            acc, mk = acc * y + c * mk, mk * m
+        return _box(field, [acc], self.den * mk // m)[0]
 
     # comparison / rendering ----------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        return self.values == other.values
+        return self.u == other.u and self.den == other.den
 
     def __hash__(self):
-        return hash((self.field, self.values))
+        return hash((self.field, self.u))
 
     def sort_key(self):
         return (self.degree, self.values)
@@ -263,9 +516,10 @@ class Poly:
         if self.is_zero:
             return "0"
         parts = []
+        values = self.values
         one = self.field.canon(1)
-        for k in range(len(self.values) - 1, -1, -1):
-            c = self.values[k]
+        for k in range(len(values) - 1, -1, -1):
+            c = values[k]
             if not c:
                 continue
             text = str(c)
@@ -295,21 +549,44 @@ class Poly:
         return f"Poly({self.field.kind}, {self})"
 
 
+# Poly's slot descriptors set its attributes past the refusing __setattr__
+_set_field, _set_u, _set_den, _set_values = (
+    Poly.field.__set__, Poly.u.__set__, Poly.den.__set__, Poly.values.__set__
+)
+
+
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Euclidean division: f = q*g + r with deg r < deg g."""
     return divmod(f, g)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic greatest common divisor via the Euclidean algorithm."""
+    """Monic greatest common divisor via the Euclidean algorithm, run on
+    the lifts; one Poly is built, at the end.
+
+    A gcd is one up to a unit, so over Q and Q(i) the dens are dropped and
+    each remainder is kept as the canonical lift of its monic scaling: over
+    Q its primitive part with a positive lead N, over Q(i) with the lead
+    (N, 0).  That tames coefficient growth as monic remainders do over the
+    field, and each next pseudo-division has an int lead.  Residues cannot
+    grow, so over F_p the remainders are left as they come.
+    """
     f._check(g)
     if f.is_zero and g.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
-    a, b, p = f, g, f.field.characteristic
-    while not b.is_zero:
-        # keeping remainders monic tames coefficient growth over the
-        # rationals; residues cannot grow
-        a, b = b, (a % b)
-        if not (p or b.is_zero):
-            b = b.monic()
-    return a.monic()
+    field, a, b = f.field, f.u, g.u
+    p = field.characteristic
+    if p:
+        while b:
+            r = [x % p for x in _divmod_fp(a, b, p)[1]] if len(a) >= len(b) else list(a)
+            while r and not r[-1]:
+                r.pop()
+            a, b = b, r
+        inv = pow(a[-1], -1, p)
+        return _from_lift(field, [x * inv for x in a])
+    gaussian = isinstance(field, GaussianRationals)
+    while b:
+        _, b = _conj_lead(b, gaussian)
+        r = _pseudo_divmod(a, b, gaussian)[1] if len(a) >= len(b) else a
+        a, b = b, _canonical(r, None, gaussian)[0]
+    return _from_lift(field, a, None)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .errors import NonSquare, TagMismatch
 from .fields import Field, Scalar
-from .matrix import DenseMatrix, Matrix, _box, _Lifted
-from .poly import Poly, _poly, _value
+from .matrix import DenseMatrix, Matrix, _Lifted
+from .poly import Poly, _from_lift, _poly, _value
 
 
 class PolyMatrix(DenseMatrix):
@@ -97,7 +97,8 @@ def charpoly(A: Matrix) -> Poly:
     Only ring operations run, all through `matrix._Lifted`, so one path
     serves ints, Gaussian-integer pairs and residues, and over F_p each
     inner product is reduced once.  The coefficient at x^j of
-    det(x*I - L*A) is divided by L^(n-j) as `matrix._box` boxes it, once.
+    det(x*I - L*A) is divided by L^(n-j): the result is the lift whose
+    numerator at x^j is that coefficient times L^j, over L^n.
     The CLI uses it to check invariant factors, so it shares no
     elimination with their Krylov computation.
     """
@@ -114,7 +115,7 @@ def charpoly(A: Matrix) -> Poly:
             v = [ring.dot(M[i], v) for i in range(k)]
         p = [ring.dot(t[j::-1], p) for j in range(k + 2)]
     # p[m] is at x^(n-m) of det(x*I - L*A)
-    return _poly(field, [_box(field, [c], L**m)[0] for m, c in enumerate(p)][::-1])
+    return _from_lift(field, [ring.scale(L ** (n - m), c) for m, c in enumerate(p)][::-1], L**n)
 
 
 @dataclass(frozen=True)

@@ -49,16 +49,14 @@ from .matrix import (
     Echelon,
     Matrix,
     Vector,
-    _box,
     _Lifted,
     _vector,
-    lift,
     poly_eval_operator,
     rref,
     sylvester_operator,
 )
 from .modules import _krylov_chains
-from .poly import Poly
+from .poly import Poly, _box, lift
 
 
 # -- tensor elements ----------------------------------------------------------
@@ -201,7 +199,7 @@ class RelationSubspace:
     the coset map reads.  W^perp has one row for each of the q
     `canonical_indices` I, equal to D there and zero on the rest of I; X is
     the q x (nm - q) matrix of their entries on W's `pivots` P, the other
-    coordinates.  The entries of X are lifted values (see `matrix.lift`) and
+    coordinates.  The entries of X are lifted values (see `poly.lift`) and
     D is a positive integer (1 over F_p), so the class of v = u / L has the
     coordinates (D u_I + X u_P) / (D L) on I.
     """
@@ -271,7 +269,7 @@ class RelationSubspace:
         return not any(self._checked_coordinates(coords))
 
     def coset_coordinates(self, lifted) -> Matrix:
-        """The coset map on lifted vectors (see `matrix.lift`): column c is
+        """The coset map on lifted vectors (see `poly.lift`): column c is
         the coordinates on `canonical_indices` of the class of u / L, for the
         c-th pair (u, L) of `lifted`."""
         columns = [self._coordinates(u, L) for u, L in lifted]

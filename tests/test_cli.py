@@ -759,6 +759,23 @@ def _fp7(rows, cols, entries):
     return {"field": "fp", "p": 7, "rows": rows, "cols": cols, "entries": entries}
 
 
+def _qi(rows, cols, entries):
+    return {"field": "qi", "rows": rows, "cols": cols, "entries": entries}
+
+
+def _g(re, im):
+    return {"re": re, "im": im}
+
+
+# over qi with non-integral gaussian coefficients: a dense 2x2 matrix
+# [[x/2 + 1, 1 - i/3], [x^2 - 2i, 3i/4 x + 1/5]], and diag(x - i/2, x - 1/3),
+# which needs the divisibility repair
+SNF_QI_DENSE = _qi(2, 2, [[[_g("1", "0"), _g("1/2", "0")], [_g("1", "-1/3")]],
+                          [[_g("0", "-2"), _g("0", "0"), _g("1", "0")], [_g("1/5", "0"), _g("0", "3/4")]]])
+SNF_QI_REPAIR = _qi(2, 2, [[[_g("0", "-1/2"), _g("1", "0")], []],
+                           [[], [_g("-1/3", "0"), _g("1", "0")]]])
+
+
 @pytest.mark.parametrize(
     "flags,payload,expected",
     [
@@ -784,8 +801,34 @@ def _fp7(rows, cols, entries):
             "V": _fp7(2, 2, [[["1"], ["5", "1"]], [["1"], ["6", "1"]]]),
             "diagonal": [["1"], ["2", "4", "1"]],
             "invariant_factors": [["2", "4", "1"]], "self_check": "ok"}),
+        ([], SNF_QI_DENSE, {
+            "command": "snf", "field": "qi", "rows": 2, "cols": 2,
+            "U": _qi(2, 2, [[[_g("9/10", "3/10")], []],
+                            [[_g("-576/4325", "-408/4325"), _g("306/865", "-432/865")],
+                             [_g("712/865", "216/865")]]]),
+            "D": _qi(2, 2, [[[_g("1", "0")], []],
+                            [[], [_g("1584/4325", "-7528/4325"), _g("1242/4325", "-2364/4325"),
+                                  _g("1", "0")]]]),
+            "V": _qi(2, 2, [[[], [_g("1", "0")]],
+                            [[_g("1", "0")], [_g("-9/10", "-3/10"), _g("-9/20", "-3/20")]]]),
+            "diagonal": [[_g("1", "0")], [_g("1584/4325", "-7528/4325"),
+                                          _g("1242/4325", "-2364/4325"), _g("1", "0")]],
+            "invariant_factors": [[_g("1584/4325", "-7528/4325"), _g("1242/4325", "-2364/4325"),
+                                   _g("1", "0")]],
+            "self_check": "ok"}),
+        ([], SNF_QI_REPAIR, {
+            "command": "snf", "field": "qi", "rows": 2, "cols": 2,
+            "U": _qi(2, 2, [[[_g("12/13", "18/13")], [_g("-12/13", "-18/13")]],
+                            [[_g("1/3", "0"), _g("-1", "0")], [_g("0", "-1/2"), _g("1", "0")]]]),
+            "D": _qi(2, 2, [[[_g("1", "0")], []],
+                            [[], [_g("0", "1/6"), _g("-1/3", "-1/2"), _g("1", "0")]]]),
+            "V": _qi(2, 2, [[[_g("1", "0")], [_g("-4/13", "-6/13"), _g("12/13", "18/13")]],
+                            [[_g("1", "0")], [_g("9/13", "-6/13"), _g("12/13", "18/13")]]]),
+            "diagonal": [[_g("1", "0")], [_g("0", "1/6"), _g("-1/3", "-1/2"), _g("1", "0")]],
+            "invariant_factors": [[_g("0", "1/6"), _g("-1/3", "-1/2"), _g("1", "0")]],
+            "self_check": "ok"}),
     ],
-    ids=["repair", "2x3", "repair-fp7"],
+    ids=["repair", "2x3", "repair-fp7", "dense-qi", "repair-qi"],
 )
 def test_snf_transforms_are_pinned(capsys, tmp_path, flags, payload, expected):
     # the exact stdout, transforms included, of the reduction without a border

@@ -193,7 +193,8 @@ def test_every_route_to_a_gaussian_scalar_gives_a_gaussian_value():
     from ximod import charpoly, poly_eval_operator, rref
     from ximod.fields import Gaussian
     from ximod.jsonio import parse_scalar_json
-    from ximod.matrix import Echelon, _box, lift
+    from ximod.matrix import Echelon
+    from ximod.poly import _box, lift
 
     a = parse_scalar_text(QI, "1/2-3i")
     b = parse_scalar_json(QI, {"re": "2", "im": "-1/3"}, "$")
@@ -223,7 +224,8 @@ def test_every_route_to_a_residue_gives_a_reduced_int():
     # over F_p a value outside [0, p) would break equality and printing;
     # p is large so that unreduced sums and products would show
     from ximod import charpoly, poly_eval_operator, rref
-    from ximod.matrix import Echelon, _box, lift
+    from ximod.matrix import Echelon
+    from ximod.poly import _box, lift
 
     F = PrimeField(10**18 + 3)
     p = F.p

@@ -27,7 +27,8 @@ from ximod import (
     sylvester_operator,
     unit_vector,
 )
-from ximod.matrix import Echelon, _box, _Lifted, lift
+from ximod.matrix import Echelon, _Lifted
+from ximod.poly import _box, lift
 from oracles import (
     naive_charpoly,
     rand_big_scalar,

@@ -366,8 +366,9 @@ def test_krylov_chain_record_holds_its_relations_and_the_inverse_basis(field):
     # random operators, integral and with denominators, and conjugated block
     # diagonals of equal blocks: several chains, whose closing relations
     # reach back into the earlier chains
-    from ximod.matrix import _box, _Lifted
+    from ximod.matrix import _Lifted
     from ximod.modules import _krylov_chains
+    from ximod.poly import _box
 
     rng = random.Random(f"chain-record-{field.describe()}")
     one, ring = field.one(), _Lifted(field)

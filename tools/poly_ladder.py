@@ -9,8 +9,11 @@ distinct-degree factoring on a general residue), and of `factor_irreducible`
 on a random monic polynomial of degree d.  Then, over q and qi at the
 degrees of ROOT_DEGREES, the same for `squarefree_decomposition` and
 `factor_irreducible` on a product of d distinct integral linear factors
-(gaussian integers over qi).  Inputs depend only on the field and d, so two
-checkouts' tables compare line by line.
+(gaussian integers over qi), and for `divmod` and `poly_gcd` on a pair of
+degree d with coefficients a / b, a in [-9, 9] and b in [1, 9] (real and
+imaginary parts over qi), that share a factor c of degree d / 2, mostly
+non-monic; `divmod` divides the first of the pair by c.  Inputs depend
+only on the field and d, so two checkouts' tables compare line by line.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import random
 import statistics
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT_DEGREES = (8, 16, 24, 32)
@@ -39,7 +43,7 @@ def main() -> None:
     parser.add_argument("--degrees", nargs="+", type=int, default=[12, 24, 36, 72, 144])
     args = parser.parse_args()
     sys.path.insert(0, str(args.root.resolve() / "src"))
-    from ximod import QI, QQ, Poly, PrimeField, factor
+    from ximod import QI, QQ, Poly, PrimeField, factor, poly_gcd
 
     # checkouts with a fixed-modulus reducer take it in place of the Poly
     modulus = getattr(factor, "_Modulus", lambda m: m)
@@ -68,6 +72,24 @@ def main() -> None:
                 f = f * Poly(field, (-field.scalar(r), field.one()))
             cells = (median_ms(lambda: factor.squarefree_decomposition(f)),
                      median_ms(lambda: factor.factor_irreducible(f)))
+            print(f"{field.kind:>6} {d:>4} " + " ".join(f"{c:>9.3f}" for c in cells))
+    print(f"{'field':>6} {'deg':>4} {'divmod':>9} {'gcd':>9}")
+    for field in (QQ, QI):
+        for d in ROOT_DEGREES:
+            rng = random.Random(f"ladder-gcd-{field.kind}-{d}")
+
+            def coeff():
+                parts = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)]
+                return field.scalar(parts[0] if field is QQ else tuple(parts))
+
+            def rand(n):
+                return Poly(field, [coeff() for _ in range(n)] + [coeff() or field.one()])
+
+            common = rand(d // 2)
+            a, b = common * rand(d - d // 2), common * rand(d - d // 2)
+            if poly_gcd(a, b) != common.monic():
+                raise SystemExit(f"poly_gcd over {field.kind} at degree {d} missed the shared factor")
+            cells = (median_ms(lambda: divmod(a, common)), median_ms(lambda: poly_gcd(a, b)))
             print(f"{field.kind:>6} {d:>4} " + " ".join(f"{c:>9.3f}" for c in cells))
 
 
