@@ -5,9 +5,23 @@ equal-degree splitting).  Everything here computes with `Poly`'s
 arithmetic (`divmod`, `poly_gcd` and `_pow_mod` below): on residues over
 F_p, reducing each coefficient mod p once, when it is final, and on the
 integral lift over Q and Q(i).  Powers mod a fixed modulus (`_pow_mod`,
-the characteristic-2 trace map) run through `_Modulus`, which reduces
-packed products with a precomputed inverse where `Poly`'s packed lanes
-fit, and takes Poly's schoolbook a * b % m for larger primes.
+the characteristic-2 trace map) run through `_Modulus` on reduced residue
+lists, boxed into a `Poly` once per power: it reduces packed products in
+the modulus' lane (`poly._lane`) with a precomputed inverse, and runs the
+schoolbook product and division where no lane fits.
+
+Distinct-degree and equal-degree splitting take p-th powers mod a
+squarefree part g.  h -> h^p mod g is F_p-linear, so where it saves
+products it is a matrix (`_Frobenius`), built once per g: its rows
+x^(ip) mod g cost one p-th power and deg g - 2 products.  Distinct-degree
+splitting takes at most deg g // 2 p-th powers; it builds the map where
+the later ones would cost more products by squaring than the rows
+(`_factor_squarefree_fp`), never at p = 2 or 3.  With the map, h stays
+reduced mod the first g, which every later g divides, and equal-degree
+splitting at degree d computes h^((p^d - 1)/2) as u phi(u) ...
+phi^(d-1)(u) with u = h^((p-1)/2).  Both give the same residues as
+repeated squaring, and the random draws are the same, so the splits and
+the factors are exactly those of repeated squaring.
 
 Over the rational and gaussian-rational fields it is deliberately partial,
 and works on the integral form h = L^n g(x/L) of a monic g and on its
@@ -33,7 +47,8 @@ from itertools import islice
 
 from .errors import FactorizationIncomplete, ZeroPolynomial
 from .fields import GaussianRationals, PrimeField, Rationals, Scalar, _is_prime
-from .poly import Poly, _from_lift, _kron, _packs, _poly, poly_gcd
+from .poly import (Poly, _divmod_fp, _from_lift, _kron, _lane, _pack, _poly, _schoolbook,
+                   _unpack, poly_gcd)
 
 # fixed seed: equal-degree splitting must be reproducible run to run
 _SPLIT_SEED = 0x5EED
@@ -325,104 +340,170 @@ def _lift(f: list[int], a: int, p: int, modulus: int) -> int:
 # -- prime fields: distinct-degree + equal-degree splitting ------------------
 
 class _Modulus:
-    """Products mod a fixed polynomial m of degree n over F_p.
+    """Products mod a fixed polynomial m of degree n over F_p, on reduced
+    residue lists: at most n entries, each in [0, p).
 
-    Where `_kron`'s lanes fit, the product of two residues mod m costs
-    three packed products: c = a*b, the quotient q from the top n - 1
+    Where m's lane (`_lane(p, n)`) exists, a product costs three packed
+    products in it: c = a*b, the quotient q from the top n - 1
     coefficients of c times the inverse of the reversal of m, and q*m
     (von zur Gathen & Gerhard, *Modern Computer Algebra*, 9.1).  The
     inverse is computed once per modulus, when first needed.  Otherwise
-    the product is Poly's a * b % m.
+    it is the schoolbook product and division.
     """
 
     def __init__(self, m: Poly):
         self.poly = m
-        self.packed = m.degree > 1 and _packs(m.field.characteristic, m.degree)
+        self.lane = _lane(m.field.characteristic, m.degree)
 
     @cached_property
     def inverse(self) -> list[int]:
         """The inverse of the reversal R of m mod x^(n - 1), reversed; that
         is the quotient of x^(2n - 2) by m.  Newton iteration doubles the
         precision k to t with I <- I - I*(R*I - 1), since R*I = 1 mod x^k."""
-        m = self.poly
-        p, r = m.field.characteristic, m.values[::-1]
+        m, lane = self.poly, self.lane
+        p, r = m.field.characteristic, m.u[::-1]
         inv = [m.field.raw_inv(r[0])]
         while len(inv) < m.degree - 1:
             k, t = len(inv), min(2 * len(inv), m.degree - 1)
-            e = [v % p for v in _kron(r[:t], inv)[k:t]]
-            inv += [-v % p for v in _kron(inv, e)[:t - k]]
+            e = [v % p for v in _kron(r[:t], inv, lane)[k:t]]
+            inv += [-v % p for v in _kron(inv, e, lane)[:t - k]]
         return inv[::-1]
 
-    def mul(self, a: Poly, b: Poly) -> Poly:
-        """a * b mod m, for a and b of degree below n."""
+    def reduce(self, a) -> list[int]:
+        """The reduced residue list of the int list a mod m."""
         m = self.poly
-        if not (self.packed and a.values and b.values):
-            return a * b % m
-        field, p, n = m.field, m.field.characteristic, m.degree
-        c = _kron(a.values, b.values)
+        p = m.field.characteristic
+        if len(a) > m.degree:
+            a = _divmod_fp(a, m.u, p)[1]
+        return [v % p for v in a]
+
+    def mul(self, a, b) -> list[int]:
+        """a * b mod m, for reduced residue lists a and b."""
+        if not (a and b):
+            return []
+        m, lane = self.poly, self.lane
+        if not lane:
+            return self.reduce(_schoolbook(a, b))
+        p, n = m.field.characteristic, m.degree
+        c = _kron(a, b, lane)
         if len(c) <= n:
-            return _poly(field, c)
+            return [v % p for v in c]
         # c = q*m + r with deg q <= n - 2: q is the top n - 1 coefficients
         # of (c div x^n) times the reversed inverse
-        q = [v % p for v in _kron([v % p for v in c[n:]], self.inverse)[n - 2:]]
-        return _poly(field, [u - v for u, v in zip(c[:n], _kron(q, m.values))])
+        q = [v % p for v in _kron([v % p for v in c[n:]], self.inverse, lane)[n - 2:]]
+        return [(u - v) % p for u, v in zip(c[:n], _kron(q, m.u, lane))]
 
 
 def _pow_mod(base: Poly, exp: int, mod: _Modulus) -> Poly:
-    """base^exp mod mod.poly, by left-to-right repeated squaring."""
-    base = base % mod.poly
+    """base^exp mod mod.poly, by left-to-right repeated squaring on the
+    reduced residue lists."""
     if not exp:
         return Poly.one(base.field) % mod.poly
-    result = base
+    b = result = mod.reduce(base.u)
     for bit in bin(exp)[3:]:
         result = mod.mul(result, result)
         if bit == "1":
-            result = mod.mul(result, base)
-    return result
+            result = mod.mul(result, b)
+    return _from_lift(base.field, result)
+
+
+class _Frobenius:
+    """The Frobenius map h -> h^p mod g, which is F_p-linear, for a modulus
+    g of degree n whose lane exists (von zur Gathen & Shoup, "Computing
+    Frobenius maps and factoring polynomials", 1992).  Row i is x^(ip) mod
+    g, padded to n entries and packed into one int in g's lane: one p-th
+    power and n - 2 products build the rows, once per g.  Then h^p is the
+    sum of h_i times row i, n small-int by packed-int products and one
+    unpacking; no lane overflows, since each sums at most n products of
+    residues, as in a product whose shorter factor has length n.
+    """
+
+    def __init__(self, mod: _Modulus):
+        g = mod.poly
+        self.p, self.n, self.lane = g.field.characteristic, g.degree, mod.lane
+        xp = _pow_mod(Poly.x(g.field), self.p, mod).u
+        rows = [[1], xp]
+        while len(rows) < self.n:
+            rows.append(mod.mul(rows[-1], xp))
+        self.rows = [_pack(list(r) + [0] * (self.n - len(r)), self.lane) for r in rows]
+
+    def __call__(self, h) -> list[int]:
+        """h^p mod g, reduced, for a residue list h of at most n entries."""
+        acc = 0
+        for c, row in zip(h, self.rows):
+            if c:
+                acc += c * row
+        p = self.p
+        return [v % p for v in _unpack(acc, self.n, self.lane)]
+
+    def half_power(self, h: Poly, d: int, mod: _Modulus) -> Poly:
+        """h^((p^d - 1)/2) mod mod.poly, for a mod.poly that divides g and
+        an odd p, as u phi(u) ... phi^(d-1)(u) with u = h^((p-1)/2): the
+        exponents (p - 1)/2 p^k for k < d sum to (p^d - 1)/2, and phi mod g
+        reduced mod a divisor of g is phi mod that divisor."""
+        u = _pow_mod(h, (self.p - 1) // 2, mod).u
+        w = u
+        for _ in range(d - 1):
+            u = mod.reduce(self(u))
+            w = mod.mul(w, u)
+        return _from_lift(h.field, w)
 
 
 def _factor_squarefree_fp(g: Poly) -> list[Poly]:
-    p = g.field.characteristic
+    field, p, n = g.field, g.field.characteristic, g.degree
     rng = random.Random(_SPLIT_SEED)
     out: list[Poly] = []
-    x = h = Poly.x(g.field)
+    x = h = Poly.x(field)
     mod, d = _Modulus(g), 0
+    # distinct-degree factoring takes at most n // 2 p-th powers, the first
+    # x^p, which is also row 1 of the map; by squaring each later one costs
+    # the products `_pow_mod` makes for the exponent p, against one product
+    # for each of rows 2 to n - 1 (the map's n small-int products per p-th
+    # power are not counted).  At p = 2 one squaring never loses.
+    squaring = p.bit_length() + bin(p).count("1") - 2
+    frobenius = _Frobenius(mod) if mod.lane and (n // 2 - 1) * squaring > n - 2 else None
     while g.degree >= 1:
         d += 1
         if g.degree < 2 * d:
             out.append(g)  # what is left is irreducible
             break
-        h = _pow_mod(h, p, mod)
+        # with the map, h stays reduced mod the first g, which every later g
+        # divides, so gcd(g, h - x) is the same
+        h = _from_lift(field, frobenius(h.u)) if frobenius else _pow_mod(h, p, mod)
         w = poly_gcd(g, h - x)
         if w.degree >= 1:
-            out.extend(_equal_degree_split(w, d, rng))
+            out.extend(_equal_degree_split(w, d, rng, frobenius))
             g = g // w
-            if g.degree >= 1:
+            if g.degree >= 1 and not frobenius:
                 h, mod = h % g, _Modulus(g)
     return out
 
 
-def _equal_degree_split(g: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Cantor-Zassenhaus: g is a monic product of irreducibles all of degree d."""
+def _equal_degree_split(g: Poly, d: int, rng: random.Random,
+                        frobenius: _Frobenius | None = None) -> list[Poly]:
+    """Cantor-Zassenhaus: g is a monic product of irreducibles all of degree
+    d, and divides the modulus of `frobenius` where one is given."""
     if g.degree == d:
         return [g]
-    p, mod = g.field.characteristic, _Modulus(g)
+    field, p, mod = g.field, g.field.characteristic, _Modulus(g)
     while True:
-        h = Poly.from_ints(g.field, [rng.randrange(p) for _ in range(g.degree)])
+        h = Poly.from_ints(field, [rng.randrange(p) for _ in range(g.degree)])
         if h.is_zero:
             continue
         if p == 2:
             # trace map works where the odd-characteristic exponent trick
-            # fails; in characteristic 2 subtraction is addition
-            t = w = h
+            # fails
+            t, w = h.u, h
             for _ in range(d - 1):
                 t = mod.mul(t, t)
-                w = w - t
+                w = w + _from_lift(field, t)
+        elif frobenius:
+            w = frobenius.half_power(h, d, mod) - Poly.one(field)
         else:
-            w = _pow_mod(h, (p**d - 1) // 2, mod) - Poly.one(g.field)
+            w = _pow_mod(h, (p**d - 1) // 2, mod) - Poly.one(field)
         if w.is_zero:
             continue
         split = poly_gcd(g, w)
         if 0 < split.degree < g.degree:
-            left = _equal_degree_split(split, d, rng)
-            return left + _equal_degree_split(g // split, d, rng)
+            left = _equal_degree_split(split, d, rng, frobenius)
+            return left + _equal_degree_split(g // split, d, rng, frobenius)

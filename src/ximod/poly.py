@@ -18,9 +18,11 @@ operation reads it: printing, ordering and the Scalar readers (`coeffs`,
 values and lifts, for vectors and matrices (`matrix`) as for polynomials.
 
 Over F_p, a product whose shorter factor has `_KRON_MIN` coefficients or
-more is one integer product (Kronecker substitution, `_kron`), where every
-coefficient of the product fits a 64-bit lane (`_packs`): at p = 10007 for
-any length, never from p = 2^31 up.  Where they do not fit, shorter
+more is one integer product (Kronecker substitution, `_kron`) in the
+narrowest native lane of 8, 16, 32 or 64 bits that holds every coefficient
+of the product (`_lane`): 8 bits at p = 2 up to length 63, 32 bits at
+p = 101 and at p = 10007 up to length 15, 64 bits at p = 10007 from
+length 16, none from p = 2^31 up.  Where no lane holds them, shorter
 factors and the other fields run the schoolbook loop.
 """
 from __future__ import annotations
@@ -221,36 +223,61 @@ def _divmod_fp(a, b, p: int) -> tuple[list, list]:
     return quot, rem[:m]
 
 
-# Kronecker substitution packs residues into the 64-bit lanes of one int;
-# lanes are native words, so products fall back to schoolbook where they
-# are not 64 bits wide
-_LANE_BITS = 64 if array("Q").itemsize == 8 else 0
+# Kronecker substitution packs residues into the lanes of one int, native
+# unsigned array items of 8, 16, 32 or 64 bits; a narrower lane makes the
+# packed ints, their product and the unpacking shorter
+_LANES = sorted({8 * array(t).itemsize: t for t in "QLIHB"}.items())
+_WIDTH = {lane: width // 8 for width, lane in _LANES}
 # a packed product beats schoolbook from a shorter factor of length 2 to 4
 # on CPython 3.11, x86-64; at 2 and 3 by about 1 us, at 12 by 2-3x
 _KRON_MIN = 4
 
 
-def _packs(p: int, n: int) -> bool:
-    """Whether `_kron`'s lanes hold every coefficient of a product of
-    residues mod p whose shorter factor has length n: a sum of at most n
-    terms below (p - 1)^2."""
-    return 2 * (p - 1).bit_length() + n.bit_length() <= _LANE_BITS
+def _lane(p: int, n: int) -> str | None:
+    """The typecode of the narrowest lane that holds every coefficient of a
+    product of residues mod p whose shorter factor has length n, a sum of
+    at most n terms up to (p - 1)^2, so below 2^(2 bitlen(p - 1) + bitlen(n));
+    None where no native lane is that wide."""
+    bits = 2 * (p - 1).bit_length() + n.bit_length()
+    for width, lane in _LANES:
+        if bits <= width:
+            return lane
+    return None
 
 
-def _kron(a, b) -> list[int]:
+def _pack(a, lane: str) -> int:
+    """The residues a as one int, one lane per entry, entry 0 in the lowest
+    lane on a little-endian host and in the highest on a big-endian one."""
+    return int.from_bytes(array(lane, a).tobytes(), sys.byteorder)
+
+
+def _unpack(x: int, n: int, lane: str) -> list[int]:
+    """The n lanes of x, the inverse of `_pack` on n entries."""
+    return memoryview(x.to_bytes(n * _WIDTH[lane], sys.byteorder)).cast(lane).tolist()
+
+
+def _kron(a, b, lane: str) -> list[int]:
     """The unreduced coefficients of the product of the nonempty residue
-    lists a and b, where `_packs` holds: each list is packed into one int,
-    one lane per coefficient, and the two ints are multiplied once.
+    lists a and b, in a lane `_lane` gives for them: each list is packed
+    into one int and the two ints are multiplied once.
 
-    Lanes are read in native byte order.  On a big-endian host that packs
-    the reversed lists, whose product is the reversed product, and the
-    unpacking restores the order.
+    On a big-endian host `_pack` packs the reversed lists, whose product is
+    the reversed product, and the unpacking restores the order.
     """
-    order = sys.byteorder
-    x = int.from_bytes(array("Q", a).tobytes(), order)
-    y = x if b is a else int.from_bytes(array("Q", b).tobytes(), order)
-    size = 8 * (len(a) + len(b) - 1)
-    return memoryview((x * y).to_bytes(size, order)).cast("Q").tolist()
+    x = _pack(a, lane)
+    y = x if b is a else _pack(b, lane)
+    return _unpack(x * y, len(a) + len(b) - 1, lane)
+
+
+def _schoolbook(a, b) -> list[int]:
+    """The product of the nonempty int lists a and b, one pass over a; the
+    shorter list should be a."""
+    n = len(b)
+    out = [0] * (len(a) + n - 1)
+    for i, c in enumerate(a):
+        if c:
+            out[i:i + n] = [s + c * t for s, t in zip(out[i:i + n], b)]
+    return out
 
 
 class Poly:
@@ -382,8 +409,10 @@ class Poly:
         if len(a) > len(b):
             a, b = b, a
         p, n = field.characteristic, len(b)
-        if p and len(a) >= _KRON_MIN and _packs(p, len(a)):
-            return _from_lift(field, _kron(a, b))
+        if p and len(a) >= _KRON_MIN:
+            lane = _lane(p, len(a))
+            if lane:
+                return _from_lift(field, _kron(a, b, lane))
         if isinstance(field, GaussianRationals):
             out = [(0, 0)] * (len(a) + n - 1)
             for i, (cr, ci) in enumerate(a):
@@ -391,10 +420,7 @@ class Poly:
                     out[i:i + n] = [(s + cr * tr - ci * ti, t + cr * ti + ci * tr)
                                     for (s, t), (tr, ti) in zip(out[i:i + n], b)]
         else:
-            out = [0] * (len(a) + n - 1)
-            for i, c in enumerate(a):
-                if c:
-                    out[i:i + n] = [s + c * t for s, t in zip(out[i:i + n], b)]
+            out = _schoolbook(a, b)
         return _from_lift(field, out, self.den * other.den)
 
     def scale(self, c: Scalar) -> "Poly":

@@ -238,6 +238,8 @@ def test_factor_fp_matches_sympy(p):
     (10007, (1, 1, 2, 3, 4, 4, 5, 6, 7, 8, 9, 10)),
     (10**18 + 3, (1, 2, 3, 4, 5, 9)),
     (10007, (1, 2, 3, 5, 8, 13, 21, 34, 57)),
+    (101, (1, 2, 3, 5, 8, 13, 21, 34, 57)),
+    (2, (1, 2, 3, 5, 8, 13, 21, 34, 57)),
 ])
 def test_factor_fp_runs_in_polynomial_time(p, degrees):
     # 60, 24 and 144 in all; splitting on boxed scalars took several times the
@@ -299,7 +301,7 @@ def test_prime_field_arithmetic_matches_sympy(p):
         for lead in (1, p - 1):
             m = rand(degree, lead)
             mod = _Modulus(m)
-            if mod.packed:  # the reversed inverse is the quotient of x^(2n - 2) by m
+            if mod.lane and degree > 1:  # the reversed inverse is the quotient of x^(2n - 2) by m
                 assert mod.inverse == list((Poly.from_ints(field, [0] * (2 * degree - 2) + [1]) // m).values)
             for base, e in [(rand(degree + 3), 0), (rand(degree - 1), 1),
                             (rand(degree - 1), rng.randrange(2, 200)),
@@ -307,6 +309,75 @@ def test_prime_field_arithmetic_matches_sympy(p):
                 expected = gf_pow_mod([c.value for c in reversed(base.coeffs)], e,
                                       [c.value for c in reversed(m.coeffs)], p, ZZ)
                 assert _pow_mod(base, e, mod) == from_sympy(sympy.Poly(expected or [0], x, modulus=p))
+
+
+@pytest.mark.parametrize("p, n", [(3, 12), (5, 12), (101, 36), (10007, 36), (2**30 - 35, 15)])
+def test_frobenius_map_matches_pow_mod_and_sympy(p, n):
+    # at 2^30 - 35 and degree 15 the map's lane sums need 2*30 + 4 = 64 bits,
+    # the top of the widest lane; all-(p - 1) residues give the largest sums
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+    from ximod.factor import _Frobenius, _Modulus, _pow_mod
+
+    field = PrimeField(p)
+    rng = random.Random(f"frobenius-{p}-{n}")
+    g = Poly.from_ints(field, [rng.randrange(p) for _ in range(n)] + [1])
+    mod = _Modulus(g)
+    assert mod.lane is not None
+    frobenius = _Frobenius(mod)
+    bases = [Poly.x(field), Poly.one(field), Poly.from_ints(field, [p - 1] * n)]
+    bases += [Poly.from_ints(field, [rng.randrange(p) for _ in range(rng.randint(1, n))])
+              for _ in range(8)]
+    for h in bases:
+        image = Poly.from_ints(field, frobenius(h.u))
+        assert image == _pow_mod(h, p, mod)
+        expected = gf_pow_mod(list(reversed(h.u)), p, list(reversed(g.u)), p, ZZ)
+        assert image == Poly.from_ints(field, [int(c) for c in reversed(expected)])
+
+
+@pytest.mark.parametrize("p", [3, 5, 101, 10007])
+def test_half_power_through_the_map_is_the_power_by_squaring(p):
+    # equal-degree splitting reads h^((p^d - 1)/2) mod w as u phi(u) ... phi^(d-1)(u),
+    # with u = h^((p-1)/2) and phi the map mod a g that w divides
+    from ximod.factor import _Frobenius, _Modulus, _pow_mod
+
+    field = PrimeField(p)
+    rng = random.Random(f"half-power-{p}")
+
+    def rand(degree, lead=None):
+        return Poly.from_ints(field, [rng.randrange(p) for _ in range(degree)] + [lead or rng.randrange(1, p)])
+
+    w = rand(4, 1) * rand(4, 1)
+    g = w * rand(6, 1)
+    frobenius = _Frobenius(_Modulus(g))
+    for target in (g, w):
+        mod = _Modulus(target)
+        for d in (1, 2, 3, 5):
+            h = rand(target.degree - 1)
+            assert frobenius.half_power(h, d, mod) == _pow_mod(h, (p**d - 1) // 2, mod)
+
+
+def test_frobenius_map_is_built_only_where_it_saves_products(monkeypatch):
+    # by squaring a p-th power costs one product at p = 2 and two at p = 3,
+    # never more than the map's rows; without a lane there is no map
+    built = []
+    frobenius = factor._Frobenius
+
+    def record(mod):
+        built.append((mod.poly.field.characteristic, mod.poly.degree))
+        return frobenius(mod)
+
+    monkeypatch.setattr(factor, "_Frobenius", record)
+    rng = random.Random("frobenius-rule")
+    cases = [(2, 64), (3, 64), (2**61 - 1, 8), (5, 3), (5, 4), (101, 36)]
+    for p, n in cases:
+        field = PrimeField(p)
+        g = Poly.x(field) ** 2
+        while poly_gcd(g, g.derivative()).degree:  # the splitter takes squarefree input
+            g = Poly.from_ints(field, [rng.randrange(p) for _ in range(n)] + [1])
+        assert remultiply(field, [(q, 1) for q in factor._factor_squarefree_fp(g)]) == g
+    assert built == [(5, 4), (101, 36)]
 
 
 def test_factor_rational_remultiplies():

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -180,22 +181,37 @@ def test_fp_products_match_schoolbook(p):
 
 @pytest.mark.parametrize("p, n, bits", [
     (2**31 - 1, 3, 64), (2**31 - 1, 7, 65), (2**30 - 35, 15, 64), (2**30 - 35, 16, 65),
+    (3, 15, 8), (3, 16, 9), (31, 63, 16), (31, 64, 17), (8191, 63, 32), (8191, 64, 33),
 ])
 def test_fp_products_on_both_sides_of_the_lane_bound(p, n, bits):
     # 2*bitlen(p - 1) + bitlen(n) is the width a product's coefficients need
-    # when the shorter factor has length n; at 65 bits a lane of (2^31 - 2)^2 * 7
-    # overflows, so a packed product there would be wrong
-    from ximod.poly import _kron, _packs
+    # when the shorter factor has length n; each case is at the top of a lane
+    # width w or one bit above it, where the next wider lane must be taken,
+    # and none above 64: at 65 bits a lane of (2^31 - 2)^2 * 7 overflows, so a
+    # packed product there would be wrong
+    from ximod.factor import _Modulus
+    from ximod.poly import _kron, _lane
 
     assert 2 * (p - 1).bit_length() + n.bit_length() == bits
-    assert _packs(p, n) == (bits <= 64)
+    lane = _lane(p, n)
+    assert (lane is not None) == (bits <= 64)
+    if lane:
+        assert 8 * array(lane).itemsize == min(w for w in (8, 16, 32, 64) if w >= bits)
     field = PrimeField(p)
     a, b = [p - 1] * n, [p - 1] * (n + 5)
     expected = schoolbook_mod_p(a, b, p)
     assert list((Poly.from_ints(field, a) * Poly.from_ints(field, b)).values) == expected
     assert list((Poly.from_ints(field, b) * Poly.from_ints(field, a)).values) == expected
-    if bits <= 64:
-        assert [c % p for c in _kron(a, b)] == expected
+    if lane:
+        assert [c % p for c in _kron(a, b, lane)] == expected
+    # products mod a modulus of degree n take the same lane
+    rng = random.Random(f"lane-{p}-{n}")
+    m = Poly.from_ints(field, [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)])
+    mod = _Modulus(m)
+    assert mod.lane == lane
+    c = [rng.randrange(p) for _ in range(n)]
+    for x, y in ((a, a), (a, c), (c, c)):
+        assert Poly.from_ints(field, mod.mul(x, y)) == Poly.from_ints(field, schoolbook_mod_p(x, y, p)) % m
 
 
 def test_gcd_with_shared_constructed_factor():

@@ -3,8 +3,9 @@
     python3 tools/decompose_ladder.py --root <checkout> [--sizes 8 16 24 32]
 
 For each field of q, qi and fp:101 and each n of --sizes, prints the median
-process time in ms of `decompose_operator_module` and of `charpoly` on two
-n x n operators:
+process time in ms, over at least 7 runs, with its interquartile range in
+parentheses, of `decompose_operator_module` and of `charpoly` on two n x n
+operators:
 
   * dense: entries drawn from [-9, 9] (real and imaginary parts over qi),
     one Krylov chain for a generic operator;
@@ -13,7 +14,7 @@ n x n operators:
     closing relations reach back into the earlier chains.
 
 After each field's rungs it prints the local slope of each column between
-neighbouring sizes, log(t2 / t1) / log(n2 / n1), and over q and qi one rung
+neighbouring sizes, log(t2 / t1) / log(n2 / n1) of the medians, and over q and qi one rung
 with denominators: a dense operator at n = FRACTION_SIZE whose entries are
 a / b with a in [-9, 9] and b in [1, 9].  Inputs depend only on the field
 and n, so two checkouts' tables compare line by line.  The timings are
@@ -34,13 +35,21 @@ BLOCK = 4
 FRACTION_SIZE = 16
 
 
-def median_ms(fn, budget: float = 0.3) -> float:
+def median_ms(fn, budget: float = 0.3) -> tuple[float, float]:
+    """The median and the interquartile range of fn's process time in ms,
+    over at least 7 runs, and more up to 100 while they fit the budget."""
     times: list[float] = []
-    while len(times) < 3 or (sum(times) < budget and len(times) < 100):
+    while len(times) < 7 or (sum(times) < budget and len(times) < 100):
         start = time.process_time()
         fn()
         times.append(time.process_time() - start)
-    return 1e3 * statistics.median(times)
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return 1e3 * statistics.median(times), 1e3 * (q3 - q1)
+
+
+def cell(timing: tuple[float, float], width: int = 0) -> str:
+    """A median with its interquartile range in parentheses."""
+    return f"{timing[0]:.3f} ({timing[1]:.3f})".rjust(width)
 
 
 def main() -> None:
@@ -52,7 +61,7 @@ def main() -> None:
     from ximod import QI, QQ, Matrix, OperatorModule, PrimeField, charpoly, modules
 
     def timed(A):
-        """(median ms of decompose, median ms of charpoly, number of invariant factors)."""
+        """((median, IQR) ms of decompose, the same of charpoly, number of invariant factors)."""
         module = OperatorModule(A.field, A.rows, A)
         t_dec = median_ms(lambda: modules.decompose_operator_module(module))
         factors = modules.decompose_operator_module(module).invariant_factors
@@ -75,10 +84,10 @@ def main() -> None:
             S, inv = ([list(col) for col in zip(*M)] for M in (S, inv))
         return Matrix.from_ints(field, S), Matrix.from_ints(field, inv)
 
-    print(f"ximod from {Path(modules.__file__).parent}; median process ms of "
-          "decompose_operator_module (dec) and charpoly (cp), k invariant factors")
-    print(f"{'field':>6} {'n':>3} {'dense dec':>10} {'cp':>9} {'k':>3} "
-          f"{'derog dec':>10} {'cp':>9} {'k':>3}")
+    print(f"ximod from {Path(modules.__file__).parent}; median process ms (interquartile "
+          "range) of decompose_operator_module (dec) and charpoly (cp), k invariant factors")
+    print(f"{'field':>6} {'n':>3} {'dense dec':>19} {'cp':>19} {'k':>3} "
+          f"{'derog dec':>19} {'cp':>19} {'k':>3}")
     for field in (QQ, QI, PrimeField(101)):
 
         def dense(n, rng, den=1):
@@ -100,9 +109,9 @@ def main() -> None:
             (L, L_inv), (U, U_inv) = shear(field, n, rng, True), shear(field, n, rng, False)
             derogatory = L @ U @ D @ U_inv @ L_inv
             cells = timed(dense(n, rng)) + timed(derogatory)
-            rows.append((n, cells[0], cells[1], cells[3], cells[4]))
-            print(f"{field.kind:>6} {n:>3} {cells[0]:>10.3f} {cells[1]:>9.3f} {cells[2]:>3} "
-                  f"{cells[3]:>10.3f} {cells[4]:>9.3f} {cells[5]:>3}")
+            rows.append((n, cells[0][0], cells[1][0], cells[3][0], cells[4][0]))
+            print(f"{field.kind:>6} {n:>3} {cell(cells[0], 19)} {cell(cells[1], 19)} {cells[2]:>3} "
+                  f"{cell(cells[3], 19)} {cell(cells[4], 19)} {cells[5]:>3}")
         for (n1, *t1), (n2, *t2) in zip(rows, rows[1:]):
             slopes = [math.log(b / a) / math.log(n2 / n1) for a, b in zip(t1, t2)]
             print(f"{field.kind:>6} slope {n1}->{n2}: dense dec {slopes[0]:.2f}, "
@@ -110,8 +119,8 @@ def main() -> None:
         if not field.characteristic:
             rng = random.Random(f"decompose-ladder-{field.describe()}-fraction")
             t_dec, t_cp, k = timed(dense(FRACTION_SIZE, rng, den=9))
-            print(f"{field.kind:>6} {FRACTION_SIZE:>3} with denominators: dec {t_dec:.3f}, "
-                  f"cp {t_cp:.3f}, k {k}")
+            print(f"{field.kind:>6} {FRACTION_SIZE:>3} with denominators: dec {cell(t_dec)}, "
+                  f"cp {cell(t_cp)}, k {k}")
 
 
 if __name__ == "__main__":

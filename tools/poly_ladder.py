@@ -3,7 +3,8 @@
     python3 tools/poly_ladder.py --root <checkout> [--degrees 12 24 36 72 144]
 
 For p in {2, 101, 10007} and each degree d of --degrees, prints the median
-process time in ms of a `Poly` product of two degree-d polynomials, of
+process time in ms, over at least 7 runs, with its interquartile range in
+parentheses, of a `Poly` product of two degree-d polynomials, of
 `_pow_mod(a, p, m)` for a monic m of degree d (one Frobenius step of
 distinct-degree factoring on a general residue), and of `factor_irreducible`
 on a random monic polynomial of degree d.  Then, over q and qi at the
@@ -14,6 +15,10 @@ degree d with coefficients a / b, a in [-9, 9] and b in [1, 9] (real and
 imaginary parts over qi), that share a factor c of degree d / 2, mostly
 non-monic; `divmod` divides the first of the pair by c.  Inputs depend
 only on the field and d, so two checkouts' tables compare line by line.
+
+It checks what it times and exits non-zero on a mismatch: each F_p product
+against schoolbook, each `factor_irreducible` result remultiplied, and each
+gcd against the shared factor.
 """
 from __future__ import annotations
 
@@ -28,13 +33,37 @@ from pathlib import Path
 ROOT_DEGREES = (8, 16, 24, 32)
 
 
-def median_ms(fn, budget: float = 0.2) -> float:
+def median_ms(fn, budget: float = 0.2) -> tuple[float, float]:
+    """The median and the interquartile range of fn's process time in ms,
+    over at least 7 runs, and more up to 200 while they fit the budget."""
     times: list[float] = []
-    while len(times) < 3 or (sum(times) < budget and len(times) < 200):
+    while len(times) < 7 or (sum(times) < budget and len(times) < 200):
         start = time.process_time()
         fn()
         times.append(time.process_time() - start)
-    return 1e3 * statistics.median(times)
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return 1e3 * statistics.median(times), 1e3 * (q3 - q1)
+
+
+def cells(*fns) -> str:
+    """Each fn's median with its interquartile range in parentheses."""
+    return " ".join(f"{m:.3f} ({iqr:.3f})".rjust(19) for m, iqr in map(median_ms, fns))
+
+
+def header(*names) -> str:
+    return " ".join(f"{name:>19}" for name in names)
+
+
+def schoolbook(a: list[int], b: list[int], p: int) -> list[int]:
+    """The product of two residue lists mod p, trailing zeros stripped."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    out = [c % p for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def main() -> None:
@@ -45,21 +74,30 @@ def main() -> None:
     sys.path.insert(0, str(args.root.resolve() / "src"))
     from ximod import QI, QQ, Poly, PrimeField, factor, poly_gcd
 
+    def check_factors(f, field, where):
+        product = Poly.one(field)
+        for q, m in factor.factor_irreducible(f):
+            product = product * q**m
+        if product != f.monic():
+            raise SystemExit(f"factor_irreducible over {where} does not remultiply to its input")
+
     # checkouts with a fixed-modulus reducer take it in place of the Poly
     modulus = getattr(factor, "_Modulus", lambda m: m)
-    print(f"ximod from {Path(factor.__file__).parent}; median process ms")
-    print(f"{'p':>6} {'deg':>4} {'mul':>9} {'pow_mod':>9} {'factor':>9}")
+    print(f"ximod from {Path(factor.__file__).parent}; median process ms (interquartile range)")
+    print(f"{'p':>6} {'deg':>4} " + header("mul", "pow_mod", "factor"))
     for p in (2, 101, 10007):
         field = PrimeField(p)
         for d in args.degrees:
             rng = random.Random(f"ladder-{p}-{d}")
             a, b, m, f = (Poly.from_ints(field, [rng.randrange(p) for _ in range(d)] + [1])
                           for _ in range(4))
+            if list((a * b).values) != schoolbook(list(a.values), list(b.values), p):
+                raise SystemExit(f"the product over fp:{p} at degree {d} differs from schoolbook")
+            check_factors(f, field, f"fp:{p} at degree {d}")
             mod = modulus(m)
-            cells = (median_ms(lambda: a * b), median_ms(lambda: factor._pow_mod(a, p, mod)),
-                     median_ms(lambda: factor.factor_irreducible(f)))
-            print(f"{p:>6} {d:>4} " + " ".join(f"{c:>9.3f}" for c in cells))
-    print(f"{'field':>6} {'deg':>4} {'sqfree':>9} {'factor':>9}")
+            print(f"{p:>6} {d:>4} " + cells(lambda: a * b, lambda: factor._pow_mod(a, p, mod),
+                                            lambda: factor.factor_irreducible(f)))
+    print(f"{'field':>6} {'deg':>4} " + header("sqfree", "factor"))
     for field in (QQ, QI):
         for d in ROOT_DEGREES:
             rng = random.Random(f"ladder-{field.kind}-{d}")
@@ -70,10 +108,10 @@ def main() -> None:
             f = Poly.one(field)
             for r in roots:
                 f = f * Poly(field, (-field.scalar(r), field.one()))
-            cells = (median_ms(lambda: factor.squarefree_decomposition(f)),
-                     median_ms(lambda: factor.factor_irreducible(f)))
-            print(f"{field.kind:>6} {d:>4} " + " ".join(f"{c:>9.3f}" for c in cells))
-    print(f"{'field':>6} {'deg':>4} {'divmod':>9} {'gcd':>9}")
+            check_factors(f, field, f"{field.kind} at degree {d}")
+            print(f"{field.kind:>6} {d:>4} " + cells(lambda: factor.squarefree_decomposition(f),
+                                                    lambda: factor.factor_irreducible(f)))
+    print(f"{'field':>6} {'deg':>4} " + header("divmod", "gcd"))
     for field in (QQ, QI):
         for d in ROOT_DEGREES:
             rng = random.Random(f"ladder-gcd-{field.kind}-{d}")
@@ -89,8 +127,8 @@ def main() -> None:
             a, b = common * rand(d - d // 2), common * rand(d - d // 2)
             if poly_gcd(a, b) != common.monic():
                 raise SystemExit(f"poly_gcd over {field.kind} at degree {d} missed the shared factor")
-            cells = (median_ms(lambda: divmod(a, common)), median_ms(lambda: poly_gcd(a, b)))
-            print(f"{field.kind:>6} {d:>4} " + " ".join(f"{c:>9.3f}" for c in cells))
+            print(f"{field.kind:>6} {d:>4} " + cells(lambda: divmod(a, common),
+                                                    lambda: poly_gcd(a, b)))
 
 
 if __name__ == "__main__":
