@@ -47,8 +47,8 @@ from itertools import islice
 
 from .errors import FactorizationIncomplete, ZeroPolynomial
 from .fields import GaussianRationals, PrimeField, Rationals, Scalar, _is_prime
-from .poly import (Poly, _divmod_fp, _from_lift, _kron, _lane, _pack, _poly, _schoolbook,
-                   _unpack, poly_gcd)
+from .poly import (Poly, _divmod_fp, _from_lift, _kron, _lane, _pack, _poly, _power,
+                   _schoolbook, _unpack, poly_gcd)
 
 # fixed seed: equal-degree splitting must be reproducible run to run
 _SPLIT_SEED = 0x5EED
@@ -395,16 +395,11 @@ class _Modulus:
 
 
 def _pow_mod(base: Poly, exp: int, mod: _Modulus) -> Poly:
-    """base^exp mod mod.poly, by left-to-right repeated squaring on the
-    reduced residue lists."""
+    """base^exp mod mod.poly for exp >= 0: `poly._power` under `mod.mul`
+    on the reduced residue lists, so one Poly is built, at the end."""
     if not exp:
         return Poly.one(base.field) % mod.poly
-    b = result = mod.reduce(base.u)
-    for bit in bin(exp)[3:]:
-        result = mod.mul(result, result)
-        if bit == "1":
-            result = mod.mul(result, b)
-    return _from_lift(base.field, result)
+    return _from_lift(base.field, _power(mod.reduce(base.u), exp, mod.mul))
 
 
 class _Frobenius:

@@ -26,7 +26,7 @@ from .errors import (
     TagMismatch,
 )
 from .fields import Field, GaussianRationals, Scalar, _scalar
-from .poly import Poly, _box, _value, lift
+from .poly import Poly, _box, _power, _value, lift
 
 Vector = tuple[Scalar, ...]
 
@@ -213,16 +213,14 @@ class Matrix(DenseMatrix):
         return not any(map(any, self.values))
 
     def __pow__(self, n: int) -> "Matrix":
+        """self^n for n >= 0, the identity at n = 0, by `poly._power`."""
         if not self.is_square:
             raise NonSquare("powers need a square matrix")
-        result = Matrix.identity(self.field, self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result @ base
-            base = base @ base
-            n >>= 1
-        return result
+        if n < 0:
+            raise ValueError("negative matrix power")
+        if not n:
+            return Matrix.identity(self.field, self.rows)
+        return _power(self, n, Matrix.__matmul__)
 
 
 @dataclass(frozen=True)
@@ -465,25 +463,16 @@ def solve_linear(M: Matrix, b: Vector) -> Vector:
     return _vector(field, x)
 
 
-def kronecker_column(A: Matrix, B: Matrix, k: int) -> list:
-    """The raw column k = i*m + j of A (x) B, which is (A e_i) (x) (B f_j).
-    Zero factors are skipped, not multiplied: one side is often an
-    identity."""
-    i, j = divmod(k, B.cols)
-    zero, p = A.field.canon(0), A.field.characteristic
-    b_col = [row[j] for row in B.values]
-    col = [a * b if a and b else zero for a in (row[i] for row in A.values) for b in b_col]
-    return [c % p for c in col] if p else col
-
-
 def kronecker(A: Matrix, B: Matrix) -> Matrix:
-    """Kronecker product in the fixed basis order e_i (x) f_j -> i*m + j."""
+    """Kronecker product in the fixed basis order e_i (x) f_j -> i*m + j:
+    row (i, j) is each entry of row i of A times row j of B.  Zero factors
+    are skipped, not multiplied: one side is often an identity."""
     if A.field != B.field:
         raise TagMismatch("kronecker requires a common field")
-    columns = [kronecker_column(A, B, k) for k in range(A.cols * B.cols)]
-    rows = A.rows * B.rows
-    return Matrix._make(A.field, ([c[r] for c in columns] for r in range(rows)),
-                        (rows, len(columns)))
+    zero = A.field.canon(0)
+    rows = ([a * b if a and b else zero for a in ra for b in rb]
+            for ra in A.values for rb in B.values)
+    return Matrix._make(A.field, rows, (A.rows * B.rows, A.cols * B.cols))
 
 
 def sylvester_operator(A: Matrix, B: Matrix) -> Matrix:

@@ -73,7 +73,7 @@ def _box(field: Field, u, L) -> list:
     if isinstance(field, GaussianRationals):
         if isinstance(L, tuple):  # (a + bi) / L = (a + bi) conj(L) / |L|^2
             lr, li = L
-            u, L = [(a * lr + b * li, b * lr - a * li) for a, b in u], lr * lr + li * li
+            u, L = _times(u, (lr, -li), True), lr * lr + li * li
         return [Gaussian((Fraction(a, L), Fraction(b, L))) if a or b else zero for a, b in u]
     return [Fraction(a, L) if a else zero for a in u]
 
@@ -97,7 +97,7 @@ def _canonical(u, den, gaussian: bool) -> tuple[tuple, int]:
                 g = gcd(dr, di, *chain.from_iterable(u))
                 if g != 1:
                     u, dr, di = [(a // g, b // g) for a, b in u], dr // g, di // g
-                u, den = [(a * dr + b * di, b * dr - a * di) for a, b in u], dr * dr + di * di
+                u, den = _times(u, (dr, -di), True), dr * dr + di * di
             else:
                 den = dr
         if den < 0:
@@ -144,11 +144,30 @@ def _poly(field: Field, values) -> "Poly":
     return _from_lift(field, *lift(field, values))
 
 
-def _times(u, k: int, gaussian: bool) -> list:
-    """The lifted values u times the integer k."""
-    if gaussian:
-        return [(k * a, k * b) for a, b in u]
-    return [k * a for a in u]
+def _times(u, k, gaussian: bool) -> list:
+    """The lifted values u (see `lift`) times k: an int, or over Q(i) also
+    a Gaussian integer (re, im).  Only the fused loops (`Poly.__mul__`,
+    `_pseudo_divmod`, `Echelon`, `_Lifted.dot`) scale by one elsewhere."""
+    if not gaussian:
+        return [k * a for a in u]
+    if isinstance(k, tuple):
+        kr, ki = k
+        if ki:
+            return [(kr * a - ki * b, kr * b + ki * a) for a, b in u]
+        k = kr
+    return [(k * a, k * b) for a, b in u]
+
+
+def _power(x, n: int, mul):
+    """x^n for n >= 1 under the product mul, by left-to-right
+    square-and-multiply: one squaring per bit of n after the leading one,
+    then a product by x where that bit is set."""
+    result = x
+    for bit in bin(n)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
 
 
 def _conj_lead(b, gaussian: bool):
@@ -156,12 +175,12 @@ def _conj_lead(b, gaussian: bool):
     lead over Q, and its conjugate over Q(i) (or its sign where it is
     real), so that b's lead becomes a positive int N, stored as (N, 0)
     over Q(i)."""
-    if not gaussian:
-        return (1, b) if b[-1] > 0 else (-1, [-a for a in b])
-    lr, li = b[-1]
-    if not li:
-        return ((1, 0), b) if lr > 0 else ((-1, 0), [(-a, -c) for a, c in b])
-    return (lr, -li), [(a * lr + c * li, c * lr - a * li) for a, c in b]
+    if gaussian:
+        lr, li = b[-1]
+        c = (lr, -li) if li else ((1, 0) if lr > 0 else (-1, 0))
+    else:
+        c = 1 if b[-1] > 0 else -1
+    return c, (b if c in (1, (1, 0)) else _times(b, c, gaussian))
 
 
 def _pseudo_divmod(a, b, gaussian: bool) -> tuple[list, list, int]:
@@ -425,24 +444,16 @@ class Poly:
 
     def scale(self, c: Scalar) -> "Poly":
         (k,), L = lift(self.field, [_value(self.field, c)])
-        if isinstance(self.field, GaussianRationals):
-            kr, ki = k
-            return _from_lift(self.field, [(kr * a - ki * b, kr * b + ki * a) for a, b in self.u],
-                              self.den * L)
-        return _from_lift(self.field, [k * a for a in self.u], self.den * L)
+        gaussian = isinstance(self.field, GaussianRationals)
+        return _from_lift(self.field, _times(self.u, k, gaussian), self.den * L)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
         if not n:
             return Poly.one(self.field)
-        # left to right: one squaring per bit after the leading one
-        result = self
-        for bit in bin(n)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        # looked up per call, so that a wrapper set on the class sees each product
+        return _power(self, n, Poly.__mul__)
 
     def __divmod__(self, other):
         self._check(other)
@@ -460,11 +471,8 @@ class Poly:
         c, b = _conj_lead(b, gaussian)
         q, r, s = _pseudo_divmod(a, b, gaussian)
         den = s * self.den
-        if gaussian:
-            cr, ci = c[0] * other.den, c[1] * other.den
-            q = [(x * cr - y * ci, x * ci + y * cr) for x, y in q]
-        else:
-            q = _times(q, c * other.den, False)
+        (k,) = _times([c], other.den, gaussian)  # c db
+        q = _times(q, k, gaussian)
         return _from_lift(field, q, den), _from_lift(field, r, den)
 
     def __floordiv__(self, other):

@@ -56,7 +56,7 @@ from .matrix import (
     sylvester_operator,
 )
 from .modules import _krylov_chains
-from .poly import Poly, _box, lift
+from .poly import Poly, _box, _times, lift
 
 
 # -- tensor elements ----------------------------------------------------------
@@ -361,8 +361,7 @@ def relation_subspace(kind: TensorKind, n: int, m: int) -> RelationSubspace:
     pivots = tuple(sorted(set(range(nm)) - set(indices)))
     X, D = [[r[p] for p in pivots] for _, r in rows], echelon.D
     if isinstance(D, tuple):  # over Q(i), multiply every row by conj(D) to make D an integer
-        conj = D[0], -D[1]
-        X, D = [[ring.dot((a,), (conj,)) for a in x] for x in X], D[0] ** 2 + D[1] ** 2
+        X, D = [_times(x, (D[0], -D[1]), True) for x in X], D[0] ** 2 + D[1] ** 2
     if not field.characteristic:  # take out the content that D shares with every row
         g = gcd(D, *(c for x in X for a in x for c in (a if ring.gaussian else (a,))))
         g = g if D > 0 else -g

@@ -201,6 +201,97 @@ def test_tensor_check_rejects_a_tampered_annihilator_row(capsys, tmp_path, monke
     assert "fails A^T Y = Y B" in err
 
 
+def _run_tampered_decompose(capsys, tmp_path, monkeypatch, operator, tamper, primary=False):
+    """`ximod decompose` on the rational operator with the given rows, with
+    the decomposition dec of an operator A replaced by tamper(A, dec)."""
+    import ximod.cli as cli
+
+    decompose = cli._decompose_operator
+    monkeypatch.setattr(cli, "_decompose_operator", lambda A: tamper(A, decompose(A)))
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(json.dumps({"operator": _matrix(operator)}))
+    argv = ["decompose", *(["--primary"] if primary else []), "--input", str(payload_file)]
+    return run_main(capsys, argv)
+
+
+def _invariant_factors(*factors):
+    """A tamper that keeps the free rank and sets the invariant factors."""
+    return lambda A, dec: dataclasses.replace(dec, invariant_factors=factors)
+
+
+def test_decompose_check_catches_factors_off_the_charpoly(capsys, tmp_path, monkeypatch):
+    # a Jordan block of 1, (x - 1)^2, decomposed as R/(x - 1)
+    x_1 = Poly.from_ints(QQ, [-1, 1])
+    tamper = _invariant_factors(x_1)
+    jordan = [[1, 1], [0, 1]]
+    code, out, err = _run_tampered_decompose(capsys, tmp_path, monkeypatch, jordan, tamper)
+    assert (code, out) == (3, "")
+    assert "invariant factors do not multiply to the charpoly" in err
+
+
+def test_decompose_check_catches_a_last_factor_that_does_not_annihilate(
+    capsys, tmp_path, monkeypatch
+):
+    # R/(x - 1) (+) R/(x - 1) multiplies to the charpoly of the Jordan block,
+    # but x - 1 does not annihilate it
+    x_1 = Poly.from_ints(QQ, [-1, 1])
+    tamper = _invariant_factors(x_1, x_1)
+    jordan = [[1, 1], [0, 1]]
+    code, out, err = _run_tampered_decompose(capsys, tmp_path, monkeypatch, jordan, tamper)
+    assert (code, out) == (3, "")
+    assert "last invariant factor does not annihilate the operator" in err
+
+
+def test_decompose_check_catches_elementary_divisors_that_do_not_recombine(
+    capsys, tmp_path, monkeypatch
+):
+    # diag(1, 1) is R/(x - 1) (+) R/(x - 1); one exponent raised to 2
+    import ximod.cli as cli
+    from ximod.modules import PrimaryDecomposition
+
+    primary = cli.primary_decomposition
+
+    def raised(dec):
+        (prime, exps), *rest = primary(dec).components
+        return PrimaryDecomposition(((prime, exps[:-1] + (exps[-1] + 1,)), *rest))
+
+    monkeypatch.setattr(cli, "primary_decomposition", raised)
+    code, out, err = _run_tampered_decompose(
+        capsys, tmp_path, monkeypatch, [[1, 0], [0, 1]], lambda A, dec: dec, primary=True
+    )
+    assert (code, out) == (3, "")
+    assert "elementary divisors do not recombine" in err
+
+
+def test_tensor_check_rejects_annihilator_rows_that_are_not_independent(
+    capsys, tmp_path, monkeypatch
+):
+    # the stored rows of W^perp claim a zero D
+    code, out, err = _run_tampered_opair(
+        capsys, tmp_path, monkeypatch, lambda W: dataclasses.replace(W, D=0)
+    )
+    assert (code, out) == (3, "")
+    assert "stored rows of the relation annihilator are not independent" in err
+
+
+def test_tensor_check_rejects_tampered_induced_invariant_factors(capsys, tmp_path, monkeypatch):
+    # the quotient of A = diag(1, 2), B = diag(1, 3) is K[x]/(x - 1), whose
+    # induced operator, the only 1x1 one decomposed, is given R/(x - 2)
+    import ximod.cli as cli
+
+    x_2 = Poly.from_ints(QQ, [-2, 1])
+    decompose = cli._decompose_operator
+
+    def tampered(A):
+        dec = decompose(A)
+        return dataclasses.replace(dec, invariant_factors=(x_2,)) if A.rows == 1 else dec
+
+    monkeypatch.setattr(cli, "_decompose_operator", tampered)
+    code, out, err = _run_tampered_opair(capsys, tmp_path, monkeypatch, lambda W: W)
+    assert (code, out) == (3, "")
+    assert "induced invariant factors disagree with those of A and B" in err
+
+
 def _matrix(rows):
     return {"field": "q", "rows": len(rows), "cols": len(rows),
             "entries": [[str(a) for a in row] for row in rows]}
@@ -395,6 +486,97 @@ def test_golden_runs_byte_identical(args, stdin_text):
     assert second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout  # nonempty output
+
+
+# text renderings of the paths no other test renders, byte for byte
+SPLIT_TEXT = (
+    'module decomposition over rationals\n'
+    'M ~= R/(x - 2) (+) R/(x^5 - 3*x^4 + x^3 + x^2 + 4)\n'
+    'free rank: 0\n'
+    'invariant factors: x - 2, x^5 - 3*x^4 + x^3 + x^2 + 4\n'
+    'flags: torsion=True torsion-free=False free=False\n'
+    'minimal generators: 2\n'
+    'elementary divisors:\n'
+    '  (x - 2) with exponents 1, 2\n'
+    '  (x + 1) with exponents 1\n'
+    '  (x^2 + 1) with exponents 1\n'
+    'self-check: ok\n'
+)
+QUARTIC_TEXT = (
+    'module decomposition over rationals\n'
+    'M ~= R/(x^4 + 1)\n'
+    'free rank: 0\n'
+    'invariant factors: x^4 + 1\n'
+    'flags: torsion=True torsion-free=False free=False\n'
+    'minimal generators: 1\n'
+    'warning: factorization incomplete on x^4 + 1\n'
+    'self-check: ok\n'
+)
+EX61_TEXT = (
+    'two-qubit diagonal operator-pair simplification demo\n'
+    'A = diag(-2/3, 1), B = diag(-1/3, 0), pi = -2/3, x = (1, 1), y = (3/2, -1/3)\n'
+    '  (pi(A) x) (x) y = (-1, 2/9, -1, 2/9)\n'
+    '  x (x) (pi(B) y) = (-1, 2/9, -1, 2/9)\n'
+    '  both plain tensors project to the same coset: difference in relations = True, '
+    'already equal as plain tensors = True\n'
+    'A = diag(1, 0), B = diag(2, -2/3), pi = -3/2*x + 1, x = (-2/3, 0), y = (-1, 3)\n'
+    '  (pi(A) x) (x) y = (-1/3, 1, 0, 0)\n'
+    '  x (x) (pi(B) y) = (-4/3, -4, 0, 0)\n'
+    '  both plain tensors project to the same coset: difference in relations = True, '
+    'already equal as plain tensors = False\n'
+    'A = diag(3, 3/2), B = diag(0, 1), pi = -x^2 - x - 3, x = (1, 0), y = (1, 0)\n'
+    '  (pi(A) x) (x) y = (-15, 0, 0, 0)\n'
+    '  x (x) (pi(B) y) = (-3, 0, 0, 0)\n'
+    '  both plain tensors project to the same coset: difference in relations = True, '
+    'already equal as plain tensors = False\n'
+    'A = diag(1, 1), B = diag(3/2, 0), pi = -3/2*x - 1/3, x = (3/2, 1/2), y = (1/3, 0)\n'
+    '  (pi(A) x) (x) y = (-11/12, 0, -11/36, 0)\n'
+    '  x (x) (pi(B) y) = (-31/24, 0, -31/72, 0)\n'
+    '  both plain tensors project to the same coset: difference in relations = True, '
+    'already equal as plain tensors = False\n'
+    'A = diag(1/3, 2), B = diag(1, 1/3), pi = x^2 - 3/2*x - 1, x = (1, 2/3), y = (-2/3, 1)\n'
+    '  (pi(A) x) (x) y = (25/27, -25/18, 0, 0)\n'
+    '  x (x) (pi(B) y) = (1, -25/18, 2/3, -25/27)\n'
+    '  both plain tensors project to the same coset: difference in relations = True, '
+    'already equal as plain tensors = False\n'
+    'self-check: ok\n'
+)
+BRANCHING_TEXT = (
+    'one-dimensional branching tensor products with twisted scalar moves\n'
+    'a = 1: quotient dimension 1\n'
+    'a = 0: quotient dimension 0\n'
+    'a = 2: quotient dimension 0\n'
+    'a = -1: quotient dimension 0\n'
+    'a = 1/2: quotient dimension 0\n'
+    'caveat: the scalar map c -> a*c is not multiplicative unless a is 0 or 1; '
+    'the quotient is computed from the literal relation span\n'
+    'self-check: ok\n'
+)
+
+# a 6x6 operator whose elementary divisors group by three primes, one of
+# them quadratic, and the companion matrix of x^4 + 1, a quartic without
+# rational roots whose splitting into quadratics stays undecided
+SPLIT_OPERATOR = [[2, 1, 0, 0, 0, 0], [0, 2, 0, 0, 0, 0], [0, 0, 2, 0, 0, 0],
+                  [0, 0, 0, -1, 0, 0], [0, 0, 0, 0, 0, -1], [0, 0, 0, 0, 1, 0]]
+QUARTIC_OPERATOR = [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "args,operator,expected",
+    [
+        (["decompose", "--primary"], SPLIT_OPERATOR, SPLIT_TEXT),
+        (["decompose", "--primary"], QUARTIC_OPERATOR, QUARTIC_TEXT),
+        (["demo", "example61", "--random", "--seed", "3"], None, EX61_TEXT),
+        (["demo", "branching"], None, BRANCHING_TEXT),
+    ],
+    ids=["primary-split", "primary-incomplete", "ex61-random", "branching"],
+)
+def test_text_rendering_matches_its_golden(capsys, tmp_path, args, operator, expected):
+    if operator is not None:
+        payload_file = tmp_path / "p.json"
+        payload_file.write_text(json.dumps({"operator": _matrix(operator)}))
+        args = [*args, "--input", str(payload_file)]
+    assert run_main(capsys, args) == (0, expected, "")
 
 
 # -- command behaviour ------------------------------------------------------------------

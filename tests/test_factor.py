@@ -311,6 +311,21 @@ def test_prime_field_arithmetic_matches_sympy(p):
                 assert _pow_mod(base, e, mod) == from_sympy(sympy.Poly(expected or [0], x, modulus=p))
 
 
+@pytest.mark.parametrize("p", [2, 101, 2**31 + 11])
+def test_pow_mod_is_the_power_reduced_once(p):
+    # 2^31 + 11 is a prime with no native lane for its products
+    from ximod.factor import _Modulus, _pow_mod
+
+    field = PrimeField(p)
+    rng = random.Random(f"pow-mod-{p}")
+    for degree in (1, 2, 5, 9):
+        m = rand_poly(field, degree, rng, nonzero=True, min_degree=degree)
+        mod = _Modulus(m)
+        for b in (rand_poly(field, degree - 1, rng), rand_poly(field, degree + 3, rng)):
+            for e in range(41):
+                assert _pow_mod(b, e, mod) == (b**e) % m, (degree, e)
+
+
 @pytest.mark.parametrize("p, n", [(3, 12), (5, 12), (101, 36), (10007, 36), (2**30 - 35, 15)])
 def test_frobenius_map_matches_pow_mod_and_sympy(p, n):
     # at 2^30 - 35 and degree 15 the map's lane sums need 2*30 + 4 = 64 bits,

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -350,6 +352,62 @@ def test_kronecker_is_bilinear():
     A, A2, B = (rand_matrix(QQ, 2, 2, rng) for _ in range(3))
     assert kronecker(A + A2, B) == kronecker(A, B) + kronecker(A2, B)
     assert kronecker(B, A + A2) == kronecker(B, A) + kronecker(B, A2)
+
+
+# Q, Q(i), F_2 and F_101
+FOUR_FIELDS = [QQ, QI, PrimeField(2), PrimeField(101)]
+FOUR_IDS = ["q", "qi", "fp2", "fp101"]
+
+
+def _vec(Y: Matrix) -> tuple:
+    """The entries of Y row by row: entry (i, j) at i * Y.cols + j."""
+    return tuple(c for row in Y.entries for c in row)
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=FOUR_IDS)
+def test_kronecker_acts_on_row_major_vec_as_a_y_b_transpose(field):
+    # (A (x) B) vec(Y) = vec(A Y B^T) for rectangular A, B and Y
+    rng = random.Random(f"kronecker-vec-{field.kind}")
+    for a, b, c, d in [(2, 3, 4, 1), (3, 2, 2, 5), (1, 4, 3, 3), (3, 3, 2, 2)]:
+        A, B = rand_matrix(field, a, b, rng), rand_matrix(field, c, d, rng)
+        Y = rand_matrix(field, b, d, rng)
+        K = kronecker(A, B)
+        assert (K.rows, K.cols) == (a * c, b * d)
+        assert K.matvec(_vec(Y)) == _vec(A @ Y @ B.transpose())
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=FOUR_IDS)
+def test_sylvester_operator_acts_on_row_major_vec_as_a_y_minus_y_b_transpose(field):
+    rng = random.Random(f"sylvester-vec-{field.kind}")
+    for n, m in [(1, 1), (2, 3), (3, 2), (4, 4)]:
+        A, B = rand_matrix(field, n, n, rng), rand_matrix(field, m, m, rng)
+        Y = rand_matrix(field, n, m, rng)
+        assert sylvester_operator(A, B).matvec(_vec(Y)) == _vec(A @ Y - Y @ B.transpose())
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=FOUR_IDS)
+def test_matrix_power_is_the_repeated_product(field):
+    rng = random.Random(f"matrix-power-{field.kind}")
+    for n in (1, 2, 3):
+        A = rand_matrix(field, n, n, rng)
+        expected = Matrix.identity(field, n)
+        for k in range(6):
+            assert A**k == expected, k
+            expected = expected @ A
+
+
+def test_negative_matrix_power_is_refused():
+    # in a child process under a timeout: a power loop that shifts a negative
+    # exponent right stays at -1 and never returns
+    code = (
+        "from ximod import Matrix, PrimeField\n"
+        "try:\n"
+        "    Matrix.from_ints(PrimeField(5), [[2]]) ** -1\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (0, b"negative matrix power\n"), proc.stderr
 
 
 def test_kronecker_tag_mismatch():

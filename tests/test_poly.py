@@ -79,7 +79,8 @@ def test_divmod_property(field):
         assert r.degree < g.degree
 
 
-@pytest.mark.parametrize("field", ALL_FIELDS, ids=["q", "qi", "fp5"])
+@pytest.mark.parametrize("field", [*ALL_FIELDS, PrimeField(2), PrimeField(101)],
+                         ids=["q", "qi", "fp5", "fp2", "fp101"])
 def test_power_matches_repeated_products(field):
     rng = random.Random(23)
     for _ in range(10):

@@ -4,8 +4,8 @@
 
 For each field of q, qi and fp:101 and each n of --sizes, prints the median
 process time in ms, over at least 7 runs, with its interquartile range in
-parentheses, of `decompose_operator_module` and of `charpoly` on two n x n
-operators:
+parentheses (`timing.median_ms`), of `decompose_operator_module` and of
+`charpoly` on two n x n operators:
 
   * dense: entries drawn from [-9, 9] (real and imaginary parts over qi),
     one Krylov chain for a generic operator;
@@ -23,33 +23,15 @@ information only.
 from __future__ import annotations
 
 import argparse
-import math
 import random
-import statistics
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
+from timing import cell, header, median_ms, slope_lines
+
 BLOCK = 4
 FRACTION_SIZE = 16
-
-
-def median_ms(fn, budget: float = 0.3) -> tuple[float, float]:
-    """The median and the interquartile range of fn's process time in ms,
-    over at least 7 runs, and more up to 100 while they fit the budget."""
-    times: list[float] = []
-    while len(times) < 7 or (sum(times) < budget and len(times) < 100):
-        start = time.process_time()
-        fn()
-        times.append(time.process_time() - start)
-    q1, _, q3 = statistics.quantiles(times, n=4)
-    return 1e3 * statistics.median(times), 1e3 * (q3 - q1)
-
-
-def cell(timing: tuple[float, float], width: int = 0) -> str:
-    """A median with its interquartile range in parentheses."""
-    return f"{timing[0]:.3f} ({timing[1]:.3f})".rjust(width)
 
 
 def main() -> None:
@@ -86,8 +68,8 @@ def main() -> None:
 
     print(f"ximod from {Path(modules.__file__).parent}; median process ms (interquartile "
           "range) of decompose_operator_module (dec) and charpoly (cp), k invariant factors")
-    print(f"{'field':>6} {'n':>3} {'dense dec':>19} {'cp':>19} {'k':>3} "
-          f"{'derog dec':>19} {'cp':>19} {'k':>3}")
+    print(f"{'field':>6} {'n':>3} {header('dense dec', 'cp')} {'k':>3} "
+          f"{header('derog dec', 'cp')} {'k':>3}")
     for field in (QQ, QI, PrimeField(101)):
 
         def dense(n, rng, den=1):
@@ -110,17 +92,16 @@ def main() -> None:
             derogatory = L @ U @ D @ U_inv @ L_inv
             cells = timed(dense(n, rng)) + timed(derogatory)
             rows.append((n, cells[0][0], cells[1][0], cells[3][0], cells[4][0]))
-            print(f"{field.kind:>6} {n:>3} {cell(cells[0], 19)} {cell(cells[1], 19)} {cells[2]:>3} "
-                  f"{cell(cells[3], 19)} {cell(cells[4], 19)} {cells[5]:>3}")
-        for (n1, *t1), (n2, *t2) in zip(rows, rows[1:]):
-            slopes = [math.log(b / a) / math.log(n2 / n1) for a, b in zip(t1, t2)]
-            print(f"{field.kind:>6} slope {n1}->{n2}: dense dec {slopes[0]:.2f}, "
-                  f"cp {slopes[1]:.2f}; derog dec {slopes[2]:.2f}, cp {slopes[3]:.2f}")
+            print(f"{field.kind:>6} {n:>3} {cell(cells[0])} {cell(cells[1])} {cells[2]:>3} "
+                  f"{cell(cells[3])} {cell(cells[4])} {cells[5]:>3}")
+        names = ("dense dec", "dense cp", "derog dec", "derog cp")
+        for line in slope_lines(field.kind, names, rows):
+            print(line)
         if not field.characteristic:
             rng = random.Random(f"decompose-ladder-{field.describe()}-fraction")
             t_dec, t_cp, k = timed(dense(FRACTION_SIZE, rng, den=9))
-            print(f"{field.kind:>6} {FRACTION_SIZE:>3} with denominators: dec {cell(t_dec)}, "
-                  f"cp {cell(t_cp)}, k {k}")
+            print(f"{field.kind:>6} {FRACTION_SIZE:>3} with denominators: dec {cell(t_dec, 0)}, "
+                  f"cp {cell(t_cp, 0)}, k {k}")
 
 
 if __name__ == "__main__":

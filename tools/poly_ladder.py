@@ -4,11 +4,11 @@
 
 For p in {2, 101, 10007} and each degree d of --degrees, prints the median
 process time in ms, over at least 7 runs, with its interquartile range in
-parentheses, of a `Poly` product of two degree-d polynomials, of
-`_pow_mod(a, p, m)` for a monic m of degree d (one Frobenius step of
-distinct-degree factoring on a general residue), and of `factor_irreducible`
-on a random monic polynomial of degree d.  Then, over q and qi at the
-degrees of ROOT_DEGREES, the same for `squarefree_decomposition` and
+parentheses (`timing.median_ms`), of a `Poly` product of two degree-d
+polynomials, of `_pow_mod(a, p, m)` for a monic m of degree d (one
+Frobenius step of distinct-degree factoring on a general residue), and of
+`factor_irreducible` on a random monic polynomial of degree d.  Then, over
+q and qi at the degrees of ROOT_DEGREES, the same for `squarefree_decomposition` and
 `factor_irreducible` on a product of d distinct integral linear factors
 (gaussian integers over qi), and for `divmod` and `poly_gcd` on a pair of
 degree d with coefficients a / b, a in [-9, 9] and b in [1, 9] (real and
@@ -24,34 +24,13 @@ from __future__ import annotations
 
 import argparse
 import random
-import statistics
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
+from timing import cells, header
+
 ROOT_DEGREES = (8, 16, 24, 32)
-
-
-def median_ms(fn, budget: float = 0.2) -> tuple[float, float]:
-    """The median and the interquartile range of fn's process time in ms,
-    over at least 7 runs, and more up to 200 while they fit the budget."""
-    times: list[float] = []
-    while len(times) < 7 or (sum(times) < budget and len(times) < 200):
-        start = time.process_time()
-        fn()
-        times.append(time.process_time() - start)
-    q1, _, q3 = statistics.quantiles(times, n=4)
-    return 1e3 * statistics.median(times), 1e3 * (q3 - q1)
-
-
-def cells(*fns) -> str:
-    """Each fn's median with its interquartile range in parentheses."""
-    return " ".join(f"{m:.3f} ({iqr:.3f})".rjust(19) for m, iqr in map(median_ms, fns))
-
-
-def header(*names) -> str:
-    return " ".join(f"{name:>19}" for name in names)
 
 
 def schoolbook(a: list[int], b: list[int], p: int) -> list[int]:
