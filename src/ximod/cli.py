@@ -40,7 +40,7 @@ from .jsonio import (
     scalar_to_json,
     vector_to_json,
 )
-from .matrix import Matrix, _Lifted, poly_eval_operator
+from .matrix import Matrix, poly_eval_operator
 from .modules import (
     ModuleDecomposition,
     OperatorModule,
@@ -65,6 +65,7 @@ from .tensor import (
     project_to_quotient,
     quotient_dim,
     relation_subspace,
+    right_induced_operator,
     scalar_branching_report,
     schmidt_rank,
     simplification_report,
@@ -342,21 +343,12 @@ def _check_tensor(W, induced) -> ModuleDecomposition | None:
     # each stored row Y of W^perp, n x m, must satisfy A^T Y = Y B; the rows
     # are independent (D at distinct coordinates), so with the count below
     # they span W^perp, and W is its annihilator
-    ring, nm = _Lifted(W.field), W.n * W.m
-    if not W.D or sorted(W.canonical_indices + W.pivots) != list(range(nm)):
+    if not W.D or sorted(W.canonical_indices + W.pivots) != list(range(W.n * W.m)):
         raise SelfCheckFailed("the stored rows of the relation annihilator are not independent")
     if not W.contains_image(W.kind.A, W.kind.B):
         raise SelfCheckFailed("a stored row Y of the relation annihilator fails A^T Y = Y B")
     # x acts through A (x) I; on the quotient it must agree with I (x) B
-    B, d = ring.rows(W.kind.B)
-
-    def right(k):  # (I (x) B) e_k for k = i m + j: column j of B on the coordinates i m + s
-        i, j = divmod(k, W.m)
-        u = [ring.zero] * nm
-        u[i * W.m : (i + 1) * W.m] = [row[j] for row in B]
-        return u, d
-
-    if W.coset_coordinates(map(right, W.canonical_indices)) != induced:
+    if right_induced_operator(W) != induced:
         raise SelfCheckFailed("left and right actions disagree on the quotient")
     # K[x]/(a) (x) K[x]/(b) = K[x]/gcd(a, b), over the invariant factors of A and B
     a_factors = _decompose_operator(W.kind.A).invariant_factors

@@ -4,24 +4,21 @@ Factorisation is complete over prime fields (distinct-degree plus
 equal-degree splitting).  Everything here computes with `Poly`'s
 arithmetic (`divmod`, `poly_gcd` and `_pow_mod` below): on residues over
 F_p, reducing each coefficient mod p once, when it is final, and on the
-integral lift over Q and Q(i).  Powers mod a fixed modulus (`_pow_mod`,
-the characteristic-2 trace map) run through `_Modulus` on reduced residue
-lists, boxed into a `Poly` once per power: it reduces packed products in
-the modulus' lane (`poly._lane`) with a precomputed inverse, and runs the
-schoolbook product and division where no lane fits.
+integral lift over Q and Q(i).  Powers mod a fixed modulus run through
+`_Modulus` on reduced residue lists, boxed into a `Poly` once per power:
+it reduces packed products in the modulus' lane (`poly._lane`) with a
+precomputed inverse, and runs the schoolbook product and division where
+no lane fits.
 
-Distinct-degree and equal-degree splitting take p-th powers mod a
-squarefree part g.  h -> h^p mod g is F_p-linear, so where it saves
-products it is a matrix (`_Frobenius`), built once per g: its rows
-x^(ip) mod g cost one p-th power and deg g - 2 products.  Distinct-degree
-splitting takes at most deg g // 2 p-th powers; it builds the map where
-the later ones would cost more products by squaring than the rows
-(`_factor_squarefree_fp`), never at p = 2 or 3.  With the map, h stays
-reduced mod the first g, which every later g divides, and equal-degree
-splitting at degree d computes h^((p^d - 1)/2) as u phi(u) ...
-phi^(d-1)(u) with u = h^((p-1)/2).  Both give the same residues as
-repeated squaring, and the random draws are the same, so the splits and
-the factors are exactly those of repeated squaring.
+Distinct-degree and equal-degree splitting take every p-th power mod a
+squarefree part g through one operator phi: h -> h^p mod g (`_Frobenius`).
+It is F_p-linear, so where it saves products it is a matrix, whose rows
+x^(ip) mod g are built when phi is first applied; elsewhere, always at
+p = 2 and 3, it squares.  Equal-degree splitting at degree d reads the
+orbit of a random h under phi mod its own factor (`_split_witness`): the
+trace at p = 2, and at odd p the norm of h^((p-1)/2), which is
+h^((p^d - 1)/2).  Every route gives the residues of repeated squaring and
+the random draws are the same, so the splits and factors are too.
 
 Over the rational and gaussian-rational fields it is deliberately partial,
 and works on the integral form h = L^n g(x/L) of a monic g and on its
@@ -43,7 +40,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import islice, zip_longest
 
 from .errors import FactorizationIncomplete, ZeroPolynomial
 from .fields import GaussianRationals, PrimeField, Rationals, Scalar, _is_prime
@@ -312,11 +309,11 @@ def _sqrt_minus_one(p: int) -> int:
 
 def _roots_mod_p(f: Poly) -> list[int]:
     """The roots of the squarefree monic f over F_p."""
-    p, x = f.field.characteristic, Poly.x(f.field)
-    w = poly_gcd(f, _pow_mod(x, p, _Modulus(f)) - x)  # the product of f's linear factors
+    p, x, mod = f.field.characteristic, Poly.x(f.field), _Modulus(f)
+    w = poly_gcd(f, _pow_mod(x, p, mod) - x)  # the product of f's linear factors
     if w.degree < 1:
         return []
-    linear = _equal_degree_split(w, 1, random.Random(_SPLIT_SEED))
+    linear = _equal_degree_split(w, 1, random.Random(_SPLIT_SEED), _Frobenius(mod))
     return [-q.values[0] % p for q in linear]
 
 
@@ -403,102 +400,98 @@ def _pow_mod(base: Poly, exp: int, mod: _Modulus) -> Poly:
 
 
 class _Frobenius:
-    """The Frobenius map h -> h^p mod g, which is F_p-linear, for a modulus
-    g of degree n whose lane exists (von zur Gathen & Shoup, "Computing
-    Frobenius maps and factoring polynomials", 1992).  Row i is x^(ip) mod
-    g, padded to n entries and packed into one int in g's lane: one p-th
-    power and n - 2 products build the rows, once per g.  Then h^p is the
-    sum of h_i times row i, n small-int by packed-int products and one
-    unpacking; no lane overflows, since each sums at most n products of
-    residues, as in a product whose shorter factor has length n.
-    """
+    """The Frobenius map phi: h -> h^p mod g, F_p-linear, for a modulus g
+    of degree n (von zur Gathen & Shoup, "Computing Frobenius maps and
+    factoring polynomials", 1992).  With `rows`, h^p is the sum of h_i
+    times row i, n small-int by packed-int products and one unpacking; no
+    lane overflows, since each sums at most n products of residues, as in a
+    product whose shorter factor has length n.  Otherwise it squares."""
 
     def __init__(self, mod: _Modulus):
-        g = mod.poly
-        self.p, self.n, self.lane = g.field.characteristic, g.degree, mod.lane
-        xp = _pow_mod(Poly.x(g.field), self.p, mod).u
+        self.mod, self.p = mod, mod.poly.field.characteristic
+
+    @cached_property
+    def rows(self) -> list[int] | None:
+        """Row i is x^(ip) mod g, padded to n entries and packed in g's lane,
+        for one p-th power and n - 2 products; built where the at most
+        n // 2 - 1 later p-th powers of distinct-degree splitting would cost
+        more products by squaring (`_pow_mod` for the exponent p), else None,
+        as always at p = 2 and 3 and where g has no lane."""
+        mod, p, n = self.mod, self.p, self.mod.poly.degree
+        squaring = p.bit_length() + bin(p).count("1") - 2
+        if not mod.lane or (n // 2 - 1) * squaring <= n - 2:
+            return None
+        xp = _pow_mod(Poly.x(mod.poly.field), p, mod).u
         rows = [[1], xp]
-        while len(rows) < self.n:
+        while len(rows) < n:
             rows.append(mod.mul(rows[-1], xp))
-        self.rows = [_pack(list(r) + [0] * (self.n - len(r)), self.lane) for r in rows]
+        return [_pack(list(r) + [0] * (n - len(r)), mod.lane) for r in rows]
 
-    def __call__(self, h) -> list[int]:
-        """h^p mod g, reduced, for a residue list h of at most n entries."""
-        acc = 0
-        for c, row in zip(h, self.rows):
-            if c:
-                acc += c * row
-        p = self.p
-        return [v % p for v in _unpack(acc, self.n, self.lane)]
-
-    def half_power(self, h: Poly, d: int, mod: _Modulus) -> Poly:
-        """h^((p^d - 1)/2) mod mod.poly, for a mod.poly that divides g and
-        an odd p, as u phi(u) ... phi^(d-1)(u) with u = h^((p-1)/2): the
-        exponents (p - 1)/2 p^k for k < d sum to (p^d - 1)/2, and phi mod g
-        reduced mod a divisor of g is phi mod that divisor."""
-        u = _pow_mod(h, (self.p - 1) // 2, mod).u
-        w = u
-        for _ in range(d - 1):
-            u = mod.reduce(self(u))
-            w = mod.mul(w, u)
-        return _from_lift(h.field, w)
+    def __call__(self, h, mod: _Modulus) -> list[int]:
+        """h^p mod mod.poly, a divisor of g, for a residue list h reduced
+        mod it: phi mod g reduced mod a divisor of g is phi mod that."""
+        rows = self.rows
+        if rows is None:
+            return _power(h, self.p, mod.mul)
+        acc = sum(c * row for c, row in zip(h, rows) if c)
+        return mod.reduce(_unpack(acc, self.mod.poly.degree, self.mod.lane))
 
 
 def _factor_squarefree_fp(g: Poly) -> list[Poly]:
-    field, p, n = g.field, g.field.characteristic, g.degree
-    rng = random.Random(_SPLIT_SEED)
-    out: list[Poly] = []
-    x = h = Poly.x(field)
-    mod, d = _Modulus(g), 0
-    # distinct-degree factoring takes at most n // 2 p-th powers, the first
-    # x^p, which is also row 1 of the map; by squaring each later one costs
-    # the products `_pow_mod` makes for the exponent p, against one product
-    # for each of rows 2 to n - 1 (the map's n small-int products per p-th
-    # power are not counted).  At p = 2 one squaring never loses.
-    squaring = p.bit_length() + bin(p).count("1") - 2
-    frobenius = _Frobenius(mod) if mod.lane and (n // 2 - 1) * squaring > n - 2 else None
+    field, rng, out = g.field, random.Random(_SPLIT_SEED), []
+    x, mod = Poly.x(field), _Modulus(g)
+    phi, h, d = _Frobenius(mod), x.u, 0
     while g.degree >= 1:
         d += 1
         if g.degree < 2 * d:
             out.append(g)  # what is left is irreducible
             break
-        # with the map, h stays reduced mod the first g, which every later g
-        # divides, so gcd(g, h - x) is the same
-        h = _from_lift(field, frobenius(h.u)) if frobenius else _pow_mod(h, p, mod)
-        w = poly_gcd(g, h - x)
+        h = phi(h, mod)
+        w = poly_gcd(g, _from_lift(field, h) - x)
         if w.degree >= 1:
-            out.extend(_equal_degree_split(w, d, rng, frobenius))
+            out.extend(_equal_degree_split(w, d, rng, phi))
             g = g // w
-            if g.degree >= 1 and not frobenius:
-                h, mod = h % g, _Modulus(g)
+            # with rows, h stays reduced mod the first g, which every later g
+            # divides, so gcd(g, h - x) is the same; squaring is cheaper mod g
+            if g.degree >= 1 and phi.rows is None:
+                mod = _Modulus(g)
+                h = mod.reduce(h)
     return out
 
 
-def _equal_degree_split(g: Poly, d: int, rng: random.Random,
-                        frobenius: _Frobenius | None = None) -> list[Poly]:
+def _split_witness(h, d: int, phi: _Frobenius, mod: _Modulus) -> Poly:
+    """At p = 2 the trace h + phi(h) + ... + phi^(d-1)(h), at odd p the norm
+    u phi(u) ... phi^(d-1)(u) of u = h^((p-1)/2), which is h^((p^d - 1)/2);
+    h is a residue list reduced mod mod.poly, a divisor of phi's modulus."""
+    if phi.p == 2:
+        u, combine = h, lambda a, b: [s + t for s, t in zip_longest(a, b, fillvalue=0)]
+    else:
+        u, combine = _power(h, (phi.p - 1) // 2, mod.mul), mod.mul
+    w = u
+    for _ in range(d - 1):
+        u = phi(u, mod)
+        w = combine(w, u)
+    return _from_lift(mod.poly.field, w)
+
+
+def _equal_degree_split(g: Poly, d: int, rng: random.Random, phi: _Frobenius) -> list[Poly]:
     """Cantor-Zassenhaus: g is a monic product of irreducibles all of degree
-    d, and divides the modulus of `frobenius` where one is given."""
+    d, and divides the modulus of phi."""
     if g.degree == d:
         return [g]
     field, p, mod = g.field, g.field.characteristic, _Modulus(g)
     while True:
-        h = Poly.from_ints(field, [rng.randrange(p) for _ in range(g.degree)])
-        if h.is_zero:
+        h = [rng.randrange(p) for _ in range(g.degree)]
+        if not any(h):
             continue
-        if p == 2:
-            # trace map works where the odd-characteristic exponent trick
-            # fails
-            t, w = h.u, h
-            for _ in range(d - 1):
-                t = mod.mul(t, t)
-                w = w + _from_lift(field, t)
-        elif frobenius:
-            w = frobenius.half_power(h, d, mod) - Poly.one(field)
-        else:
-            w = _pow_mod(h, (p**d - 1) // 2, mod) - Poly.one(field)
+        # mod each irreducible factor of g the trace is 0 or 1, the norm 0, 1
+        # or -1, so gcd(g, w) can split g
+        w = _split_witness(h, d, phi, mod)
+        if p > 2:
+            w = w - Poly.one(field)
         if w.is_zero:
             continue
         split = poly_gcd(g, w)
         if 0 < split.degree < g.degree:
-            left = _equal_degree_split(split, d, rng, frobenius)
-            return left + _equal_degree_split(g // split, d, rng, frobenius)
+            left = _equal_degree_split(split, d, rng, phi)
+            return left + _equal_degree_split(g // split, d, rng, phi)

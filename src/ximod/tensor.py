@@ -402,15 +402,29 @@ def induced_operator(W: RelationSubspace) -> Matrix:
     quotient it agrees with I (x) B by construction.  The resulting matrix
     feeds straight into the operator-module decomposition.
     """
+    return _quotient_action(W, left=True)
+
+
+def right_induced_operator(W: RelationSubspace) -> Matrix:
+    """Matrix of I (x) B on the operator-pair quotient, which equals
+    `induced_operator(W)`; the CLI self-check compares the two."""
+    return _quotient_action(W, left=False)
+
+
+def _quotient_action(W: RelationSubspace, left: bool) -> Matrix:
+    """A (x) I (left) or I (x) B on the quotient, from the lift of A or B."""
     if not isinstance(W.kind, OperatorPairKind):
         raise WrongKind("induced operator is defined for the operator-pair kind")
     ring, m = _Lifted(W.field), W.m
-    A, d = ring.rows(W.kind.A)
+    M, d = ring.rows(W.kind.A if left else W.kind.B)
 
-    def column(k):  # (A (x) I) e_k for k = i m + j: column i of A on the coordinates r m + j
+    def column(k):  # k = i m + j
         i, j = divmod(k, m)
         u = [ring.zero] * (W.n * m)
-        u[j::m] = [row[i] for row in A]
+        if left:  # (A (x) I) e_k: column i of A on the coordinates r m + j
+            u[j::m] = [row[i] for row in M]
+        else:  # (I (x) B) e_k: column j of B on the coordinates i m + s
+            u[i * m:(i + 1) * m] = [row[j] for row in M]
         return u, d
 
     return W.coset_coordinates(map(column, W.canonical_indices))

@@ -152,6 +152,68 @@ def test_smith_check_rejects_a_transform_that_is_not_unimodular():
         _check_smith(P, SmithForm(U=U, D=U @ P @ V, V=V))
 
 
+def _run_tampered_snf(capsys, tmp_path, monkeypatch, entries, U, D, V):
+    """`ximod snf` on the 2x2 rational polynomial matrix with the given
+    entries, answered by the tampered Smith form (U, D, V)."""
+    monkeypatch.setattr("ximod.cli.smith_normal_form", lambda P: SmithForm(U=U, D=D, V=V))
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(json.dumps({"field": "q", "rows": 2, "cols": 2, "entries": entries}))
+    return run_main(capsys, ["snf", "--input", str(payload_file)])
+
+
+@pytest.mark.parametrize("tamper, message", [
+    ("scaled", "diagonal entries must be monic"),
+    ("zero first", "zero diagonal entries must trail"),
+    ("swapped", "divisibility chain broken"),
+])
+def test_smith_check_rejects_a_tampered_diagonal(capsys, tmp_path, monkeypatch, tamper, message):
+    # each tampered (U, D, V) still has U P V = D with unimodular U and V, so
+    # only the shape of the diagonal can catch it: diag(2x, x^2) from
+    # U = diag(2, 1), and diag(0, x) or diag(x^2, x) from swapping both the
+    # rows and the columns of diag(x, 0) or diag(x, x^2)
+    x, one, zero = Poly.x(QQ), Poly.one(QQ), Poly.zero(QQ)
+    swap = PolyMatrix(QQ, ((zero, one), (one, zero)))
+    second = zero if tamper == "zero first" else x * x
+    P = PolyMatrix.diagonal(QQ, (x, second))
+    U = PolyMatrix.diagonal(QQ, (one.scale(QQ.from_int(2)), one)) if tamper == "scaled" else swap
+    V = PolyMatrix.identity(QQ, 2) if tamper == "scaled" else swap
+    entries = [[["0", "1"], []], [[], [str(c) for c in second.values]]]
+    code, out, err = _run_tampered_snf(capsys, tmp_path, monkeypatch, entries, U, U @ P @ V, V)
+    assert (code, out) == (3, "")
+    assert message in err
+
+
+def test_branching_check_rejects_a_tampered_literal_span(capsys, monkeypatch):
+    import ximod.cli as cli
+
+    report = cli.scalar_branching_report
+    monkeypatch.setattr(cli, "scalar_branching_report",
+                        lambda a: dataclasses.replace(report(a), literal_span_agrees=False))
+    code, out, err = run_main(capsys, ["tensor", "--kind", "branching", "--scalar-a", "2"])
+    assert (code, out) == (3, "")
+    assert "literal relation span disagrees with the kind span" in err
+
+
+def test_schmidt_check_rejects_a_rank_above_both_dimensions(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("ximod.cli.schmidt_rank", lambda t: min(t.n, t.m) + 1)
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(json.dumps({"field": "q", "n": 2, "m": 2, "coords": ["1", "0", "0", "1"]}))
+    code, out, err = run_main(capsys, ["schmidt", "--input", str(payload_file)])
+    assert (code, out) == (3, "")
+    assert "rank exceeds both factor dimensions" in err
+
+
+def test_example61_check_rejects_classes_that_differ(capsys, monkeypatch):
+    import ximod.cli as cli
+
+    report = cli.simplification_report
+    monkeypatch.setattr(cli, "simplification_report",
+                        lambda *args: dataclasses.replace(report(*args), classes_equal=False))
+    code, out, err = run_main(capsys, ["demo", "example61"])
+    assert (code, out) == (3, "")
+    assert "the two sides do not agree in the quotient" in err
+
+
 def test_tensor_check_rejects_a_tampered_induced_operator():
     A = Matrix.from_ints(QQ, [[1, 0], [0, 2]])
     B = Matrix.from_ints(QQ, [[1, 0], [0, 3]])

@@ -259,7 +259,8 @@ def test_factor_fp_runs_in_polynomial_time(p, degrees):
 @pytest.mark.parametrize("p", [2, 3, 101, 10007, 2**31 - 1, 2**61 - 1])
 def test_prime_field_arithmetic_matches_sympy(p):
     # 2^31 - 1 reduces packed products mod moduli of degree <= 3 and takes
-    # Poly's a * b % m above that; 2^61 - 1 always takes the fallback
+    # `_schoolbook` and `_divmod_fp` above that, where it has no lane;
+    # 2^61 - 1 always takes them
     sympy = pytest.importorskip("sympy")
     from sympy.polys.domains import ZZ
     from sympy.polys.galoistools import gf_pow_mod
@@ -329,7 +330,8 @@ def test_pow_mod_is_the_power_reduced_once(p):
 @pytest.mark.parametrize("p, n", [(3, 12), (5, 12), (101, 36), (10007, 36), (2**30 - 35, 15)])
 def test_frobenius_map_matches_pow_mod_and_sympy(p, n):
     # at 2^30 - 35 and degree 15 the map's lane sums need 2*30 + 4 = 64 bits,
-    # the top of the widest lane; all-(p - 1) residues give the largest sums
+    # the top of the widest lane; all-(p - 1) residues give the largest sums.
+    # At p = 3 the map has no rows and squares.
     sympy = pytest.importorskip("sympy")
     from sympy.polys.domains import ZZ
     from sympy.polys.galoistools import gf_pow_mod
@@ -341,21 +343,24 @@ def test_frobenius_map_matches_pow_mod_and_sympy(p, n):
     mod = _Modulus(g)
     assert mod.lane is not None
     frobenius = _Frobenius(mod)
+    assert (frobenius.rows is None) == (p == 3)
     bases = [Poly.x(field), Poly.one(field), Poly.from_ints(field, [p - 1] * n)]
     bases += [Poly.from_ints(field, [rng.randrange(p) for _ in range(rng.randint(1, n))])
               for _ in range(8)]
     for h in bases:
-        image = Poly.from_ints(field, frobenius(h.u))
+        image = Poly.from_ints(field, frobenius(h.u, mod))
         assert image == _pow_mod(h, p, mod)
         expected = gf_pow_mod(list(reversed(h.u)), p, list(reversed(g.u)), p, ZZ)
         assert image == Poly.from_ints(field, [int(c) for c in reversed(expected)])
 
 
-@pytest.mark.parametrize("p", [3, 5, 101, 10007])
-def test_half_power_through_the_map_is_the_power_by_squaring(p):
-    # equal-degree splitting reads h^((p^d - 1)/2) mod w as u phi(u) ... phi^(d-1)(u),
-    # with u = h^((p-1)/2) and phi the map mod a g that w divides
-    from ximod.factor import _Frobenius, _Modulus, _pow_mod
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 10007, 2**31 + 11])
+def test_split_witness_is_the_power_by_squaring(p):
+    # equal-degree splitting reads h^((p^d - 1)/2) mod w as the norm
+    # u phi(u) ... phi^(d-1)(u), with u = h^((p-1)/2) and phi the map mod a g
+    # that w divides, and at p = 2 the trace h + h^2 + ... + h^(2^(d-1));
+    # phi has rows at 5, 101 and 10007 and squares at 2, 3 and 2^31 + 11
+    from ximod.factor import _Frobenius, _Modulus, _pow_mod, _split_witness
 
     field = PrimeField(p)
     rng = random.Random(f"half-power-{p}")
@@ -366,22 +371,27 @@ def test_half_power_through_the_map_is_the_power_by_squaring(p):
     w = rand(4, 1) * rand(4, 1)
     g = w * rand(6, 1)
     frobenius = _Frobenius(_Modulus(g))
+    assert (frobenius.rows is None) == (p in (2, 3, 2**31 + 11))
     for target in (g, w):
         mod = _Modulus(target)
         for d in (1, 2, 3, 5):
             h = rand(target.degree - 1)
-            assert frobenius.half_power(h, d, mod) == _pow_mod(h, (p**d - 1) // 2, mod)
+            if p == 2:
+                expected = sum((_pow_mod(h, 2**k, mod) for k in range(d)), Poly.zero(field))
+            else:
+                expected = _pow_mod(h, (p**d - 1) // 2, mod)
+            assert _split_witness(list(h.u), d, frobenius, mod) == expected, (target.degree, d)
 
 
 def test_frobenius_map_is_built_only_where_it_saves_products(monkeypatch):
     # by squaring a p-th power costs one product at p = 2 and two at p = 3,
-    # never more than the map's rows; without a lane there is no map
+    # never more than the map's rows; without a lane there are no rows
     built = []
     frobenius = factor._Frobenius
 
     def record(mod):
-        built.append((mod.poly.field.characteristic, mod.poly.degree))
-        return frobenius(mod)
+        built.append(frobenius(mod))
+        return built[-1]
 
     monkeypatch.setattr(factor, "_Frobenius", record)
     rng = random.Random("frobenius-rule")
@@ -392,7 +402,21 @@ def test_frobenius_map_is_built_only_where_it_saves_products(monkeypatch):
         while poly_gcd(g, g.derivative()).degree:  # the splitter takes squarefree input
             g = Poly.from_ints(field, [rng.randrange(p) for _ in range(n)] + [1])
         assert remultiply(field, [(q, 1) for q in factor._factor_squarefree_fp(g)]) == g
-    assert built == [(5, 4), (101, 36)]
+    # one map per squarefree part; the rows are built by the first p-th power
+    assert [(phi.p, phi.mod.poly.degree) for phi in built] == cases
+    assert [(phi.p, phi.mod.poly.degree) for phi in built if vars(phi).get("rows")] \
+        == [(5, 4), (101, 36)]
+    # the root search splits at degree 1, which never applies its map, so
+    # at p = 101 and degree 8 the rows it would have stay unbuilt; x^2 + 2
+    # is irreducible mod 101, since -2 is a non-residue
+    built.clear()
+    field = PrimeField(101)
+    f = Poly.from_ints(field, [2, 0, 1])
+    for r in (1, 2, 3, 5, 8, 13):
+        f = f * Poly.from_ints(field, [-r, 1])
+    assert sorted(factor._roots_mod_p(f)) == [1, 2, 3, 5, 8, 13]
+    assert len(built) == 1 and "rows" not in vars(built[0])
+    assert built[0].rows is not None
 
 
 def test_factor_rational_remultiplies():

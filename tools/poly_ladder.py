@@ -2,12 +2,15 @@
 
     python3 tools/poly_ladder.py --root <checkout> [--degrees 12 24 36 72 144]
 
-For p in {2, 101, 10007} and each degree d of --degrees, prints the median
-process time in ms, over at least 7 runs, with its interquartile range in
-parentheses (`timing.median_ms`), of a `Poly` product of two degree-d
-polynomials, of `_pow_mod(a, p, m)` for a monic m of degree d (one
-Frobenius step of distinct-degree factoring on a general residue), and of
-`factor_irreducible` on a random monic polynomial of degree d.  Then, over
+For p in {2, 3, 101, 10007} and each degree d of --degrees, prints the
+median process time in ms, over at least 7 runs, with its interquartile
+range in parentheses (`timing.median_ms`), of a `Poly` product of two
+degree-d polynomials, of `_pow_mod(a, p, m)` for a monic m of degree d (one
+p-th power by squaring on a general residue), and of `factor_irreducible`
+on a random monic polynomial of degree d.  Factoring at p = 2 and 3 never
+packs the Frobenius map's rows, so it takes every p-th power by squaring,
+and p = 3 times the odd-characteristic equal-degree splitting on that
+route; at 101 and 10007 it takes them through the rows.  Then, over
 q and qi at the degrees of ROOT_DEGREES, the same for `squarefree_decomposition` and
 `factor_irreducible` on a product of d distinct integral linear factors
 (gaussian integers over qi), and for `divmod` and `poly_gcd` on a pair of
@@ -64,7 +67,7 @@ def main() -> None:
     modulus = getattr(factor, "_Modulus", lambda m: m)
     print(f"ximod from {Path(factor.__file__).parent}; median process ms (interquartile range)")
     print(f"{'p':>6} {'deg':>4} " + header("mul", "pow_mod", "factor"))
-    for p in (2, 101, 10007):
+    for p in (2, 3, 101, 10007):
         field = PrimeField(p)
         for d in args.degrees:
             rng = random.Random(f"ladder-{p}-{d}")
