@@ -148,6 +148,9 @@ def _check_smith(P: PolyMatrix, snf) -> None:
 def cmd_snf(args):
     payload = _load_payload(args)
     P = parse_polymatrix_json(payload, "$", _ambient_field(args))
+    if not P.rows and P.cols * P.cols > STANDARD_MAX_COORDINATES:  # V = I_cols
+        raise InputValidationError(
+            "$.cols", f"a matrix without rows needs cols^2 <= {STANDARD_MAX_COORDINATES}")
     snf = smith_normal_form(P)
     _check_smith(P, snf)
     report = {
@@ -298,7 +301,9 @@ def cmd_decompose(args):
 # -- tensor ----------------------------------------------------------------------
 
 # the largest n*m a standard payload may declare: W = 0 takes no work, but
-# the report lists every one of the n*m canonical indices
+# the report lists every one of the n*m canonical indices; also the most
+# entries of V = I_cols for an `snf` payload without rows, whose cols no
+# entry bounds
 STANDARD_MAX_COORDINATES = 1 << 16
 
 # kind name -> (kind class, names of its polynomial payload fields)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from operator import add, eq, mul, neg, sub, truediv
 
 from .errors import DivisionByZero, TagMismatch
 
@@ -345,30 +346,25 @@ def _scalar(field: Field, value) -> Scalar:
     return s
 
 
+_UNARY = {"neg": neg, "inv": Scalar.inv}
+_BINARY = {"add": add, "sub": sub, "mul": mul, "div": truediv, "eq": eq}
+
+
 def field_arithmetic(a: Scalar, b: Scalar | None, op: str):
     """Dispatch a field operation by name.
 
     ``op`` is one of add, sub, mul, div, neg, inv, eq.  Unary operations
-    ignore ``b``.  Raises TagMismatch for mixed fields and DivisionByZero
+    ignore ``b``; a missing ``b`` is a TypeError before an unknown name is
+    a ValueError.  Raises TagMismatch for mixed fields and DivisionByZero
     for div/inv by zero.
     """
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inv()
+    if op in _UNARY:
+        return _UNARY[op](a)
     if b is None:
         raise TypeError(f"operation {op!r} needs a second operand")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "eq":
-        return a == b
-    raise ValueError(f"unknown operation {op!r}")
+    if op not in _BINARY:
+        raise ValueError(f"unknown operation {op!r}")
+    return _BINARY[op](a, b)
 
 
 def parse_scalar_text(field: Field, text: str) -> Scalar:

@@ -287,6 +287,16 @@ class _Lifted:
         cols = list(zip(*Y))
         return [[self.dot(row, col) for col in cols] for row in X]
 
+    def powers(self, M: list, k: int) -> list:
+        """[I, M, M^2, ..., M^k] for a square lifted M, M itself second: k - 1
+        products for k >= 1."""
+        n = len(M)
+        identity = [[self.one if i == j else self.zero for j in range(n)] for i in range(n)]
+        powers = [identity, M][: k + 1]
+        while len(powers) <= k:
+            powers.append(self.matmul(powers[-1], M))
+        return powers
+
 
 class Echelon:
     """The one row elimination over K: fraction-free Gauss–Jordan on integral
@@ -476,30 +486,16 @@ def kronecker(A: Matrix, B: Matrix) -> Matrix:
 
 
 def sylvester_operator(A: Matrix, B: Matrix) -> Matrix:
-    """The map t -> (A (x) I - I (x) B) t on the nm coordinate space.  Its
-    image is the span of all vectors (A x) (x) y - x (x) (B y), hence the
-    relation subspace of the operator-pair tensor quotient.  Each column is
-    filled in directly from the nonzero entries of A and B: column k*m + l
-    is A[i][k] at i*m + l and -B[j][l] at k*m + j."""
+    """The map t -> (A (x) I - I (x) B) t on the nm coordinate space, built
+    as written from `kronecker`.  Its image is the span of all vectors
+    (A x) (x) y - x (x) (B y), hence the relation subspace of the
+    operator-pair tensor quotient."""
     if A.field != B.field:
         raise TagMismatch("sylvester operator requires a common field")
     if not A.is_square or not B.is_square:
         raise NonSquare("sylvester operator requires square factors")
-    n, m, p = A.rows, B.rows, A.field.characteristic
-    zero, b_cols = A.field.canon(0), list(zip(*B.values))
-    columns = []
-    for k, a_col in enumerate(zip(*A.values)):
-        for l, b_col in enumerate(b_cols):
-            col = [zero] * (n * m)
-            for i, a in enumerate(a_col):
-                if a:
-                    col[i * m + l] = a
-            for j, b in enumerate(b_col):
-                if b:
-                    c = col[k * m + j] - b
-                    col[k * m + j] = c % p if p else c
-            columns.append(col)
-    return Matrix._make(A.field, zip(*columns), (n * m, n * m))
+    return (kronecker(A, Matrix.identity(A.field, B.rows))
+            - kronecker(Matrix.identity(A.field, A.rows), B))
 
 
 def companion_matrix(p: Poly) -> Matrix:
@@ -539,9 +535,7 @@ def poly_eval_operator(pi: Poly, A: Matrix) -> Matrix:
     c, L = pi.u, pi.den
     g = [ring.scale(d ** (m - k), a) for k, a in enumerate(c)]  # g_k = c_k d^(m-k)
     s = max(1, isqrt(m + 1))
-    powers = [[[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)], M]
-    while len(powers) <= s:
-        powers.append(ring.matmul(powers[-1], M))
+    powers = ring.powers(M, s)
     # stacks[i][j] = (I[i][j], M[i][j], ..., M^s[i][j]); a block entry is one dot
     stacks = [list(zip(*(P[i] for P in powers))) for i in range(n)]
     acc = None

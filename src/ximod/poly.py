@@ -13,9 +13,10 @@ is the tuple of residues and `den` is 1.
 `values`, the raw coefficients as a `Scalar` holds them (Fractions over Q,
 `Gaussian` pairs of Fractions over Q(i), residues over F_p), is boxed from
 the lift on first read and cached; over F_p it is `u` itself.  No ring
-operation reads it: printing, ordering and the Scalar readers (`coeffs`,
-`leading_coefficient`) do.  `lift` and `_box` are the one way between raw
-values and lifts, for vectors and matrices (`matrix`) as for polynomials.
+operation reads it: printing, ordering, evaluation at a point (`eval`)
+and the Scalar readers (`coeffs`, `leading_coefficient`) do.  `lift` and
+`_box` are the one way between raw values and lifts, for vectors and
+matrices (`matrix`) as for polynomials.
 
 Over F_p, a product whose shorter factor has `_KRON_MIN` coefficients or
 more is one integer product (Kronecker substitution, `_kron`) in the
@@ -509,29 +510,13 @@ class Poly:
         return Scalar(self.field, self._at(_value(self.field, s)))
 
     def _at(self, x):
-        """The raw value at x: by Horner over F_p, reduced mod p at every
-        step; over Q and Q(i) by homogeneous Horner on u and the lift
-        (y, m) of x = y / m, sum_k u[k] y^k m^(deg - k), divided by
-        den m^deg once."""
-        field, u = self.field, self.u
-        p = field.characteristic
-        if p:
-            acc = 0
-            for c in reversed(u):
-                acc = (acc * x + c) % p
-            return acc
-        if not u:
-            return field.canon(0)
-        (y,), m = lift(field, [x])
-        if isinstance(field, GaussianRationals):
-            (yr, yi), re, im, mk = y, 0, 0, 1
-            for cr, ci in reversed(u):
-                re, im, mk = re * yr - im * yi + cr * mk, re * yi + im * yr + ci * mk, mk * m
-            return _box(field, [(re, im)], self.den * mk // m)[0]
-        acc, mk = 0, 1
-        for c in reversed(u):
-            acc, mk = acc * y + c * mk, mk * m
-        return _box(field, [acc], self.den * mk // m)[0]
+        """The raw value at the raw point x, by Horner on `values`: Fractions
+        over Q, `Gaussian`s over Q(i), residues reduced mod p at every step
+        over F_p."""
+        p, acc = self.field.characteristic, self.field.canon(0)
+        for c in reversed(self.values):
+            acc = (acc * x + c) % p if p else acc * x + c
+        return acc
 
     # comparison / rendering ----------------------------------------------
     def __eq__(self, other):

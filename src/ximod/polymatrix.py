@@ -58,7 +58,9 @@ class PolyMatrix(DenseMatrix):
         """Bareiss fraction-free elimination over K[x], O(n^3) ring operations.
 
         Each division by the previous pivot is exact (Sylvester's identity);
-        a zero pivot is replaced by a row swap, which flips the sign.  The
+        a zero pivot is replaced by a row swap, which flips the sign, and a
+        row with a zero lead under a pivot equal to the previous one is left
+        as it is, the update giving it back (as `Echelon.push` does).  The
         CLI uses it to test that Smith transforms are unimodular and to
         check the decomposition of a square presentation; `charpoly` does
         not go through it.
@@ -79,6 +81,8 @@ class PolyMatrix(DenseMatrix):
             pivot = a[k][k]
             for i in range(k + 1, n):
                 row, lead = a[i], a[i][k]
+                if lead.is_zero and pivot == prev:  # the update is the identity
+                    continue
                 for j in range(k + 1, n):
                     row[j] = (row[j] * pivot - lead * a[k][j]) // prev
             prev = pivot

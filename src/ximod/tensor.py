@@ -303,9 +303,7 @@ def _intertwiners(ring: _Lifted, M: list, N: list):
     chains, inverse = _krylov_chains(ring, N, 1)
     k, zero = len(chains), ring.zero
     lengths = [len(blocks[j]) - 1 for j, (blocks, _) in enumerate(chains)]
-    powers = [[[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]]
-    while len(powers) <= max(lengths):
-        powers.append(ring.matmul(powers[-1], M))
+    powers = ring.powers(M, max(lengths))
     system = Echelon(ring.field)
     for j, (blocks, _) in enumerate(chains):
         # the coefficients of r_ij, i <= j; chains after j do not occur

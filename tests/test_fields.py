@@ -107,6 +107,16 @@ def test_field_arithmetic_dispatch():
     assert field_arithmetic(a, b, "eq") is False
 
 
+def test_field_arithmetic_checks_the_operand_before_the_name():
+    # a missing second operand is a TypeError even when the name is unknown
+    a, b = QQ.from_int(3), QQ.from_int(2)
+    for op in ("add", "sub", "mul", "div", "eq", "pow"):
+        with pytest.raises(TypeError, match="needs a second operand"):
+            field_arithmetic(a, None, op)
+    with pytest.raises(ValueError, match="unknown operation 'pow'"):
+        field_arithmetic(a, b, "pow")
+
+
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=["q", "qi", "fp5"])
 def test_field_axioms_on_random_samples(field):
     rng = random.Random(11)

@@ -264,6 +264,26 @@ def test_echelon_basis_is_d_times_the_reduced_rows_and_its_kernel_is_annihilated
                 assert all(ring.dot(u, x) == ring.zero for u, _ in lifts)
 
 
+@pytest.mark.parametrize(
+    "field", [QQ, QI, PrimeField(2), PrimeField(101)], ids=["q", "qi", "fp2", "fp101"]
+)
+def test_lifted_powers_are_the_repeated_products_with_m_itself_second(field):
+    rng = random.Random(f"powers-{field.describe()}")
+    ring = _Lifted(field)
+    products = []
+    matmul = ring.matmul
+    ring.matmul = lambda X, Y: products.append(1) or matmul(X, Y)
+    for n in (1, 3):
+        M, _ = ring.rows(rand_matrix(field, n, n, rng))
+        B = Matrix(field, [[Scalar(field, a) for a in _box(field, row, 1)] for row in M])
+        for k in range(5):
+            products.clear()
+            powers = ring.powers(M, k)
+            assert len(products) == max(k - 1, 0)
+            assert powers == [ring.rows(B ** j)[0] for j in range(k + 1)]
+            assert k == 0 or powers[1] is M
+
+
 def test_box_over_qi_divides_by_a_gaussian_denominator():
     # (a + bi) / (dr + di i) = (a + bi)(dr - di i) / (dr^2 + di^2)
     rng = random.Random("box-gaussian")

@@ -5,7 +5,7 @@ from array import array
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ximod import (
@@ -15,6 +15,7 @@ from ximod import (
     DivisionByZero,
     Matrix,
     Poly,
+    PolyMatrix,
     PrimeField,
     charpoly,
     poly_divmod,
@@ -372,7 +373,15 @@ def test_lifted_ops_match_sympy(field):
         _assert_canonical(f)
         return [convert(c) for c in reversed(f.coeffs)] == g.rep.to_list()
 
+    # evaluation of the zero and of a constant polynomial, at points with
+    # denominators
+    half = field.scalar((Fraction(-1, 2), Fraction(2, 9)) if field is QI else Fraction(-1, 2))
+    b0, c0 = Poly.from_ints(field, [1, 3]), field.from_int(2)
+
     @LIFT_EXAMPLES
+    @example(Poly.zero(field), b0, c0, half, b0, 0)
+    @example(Poly(field, [half]), b0, c0, half, b0, 1)
+    @example(Poly(field, [c0, half, half]), b0, c0, half, b0, 2)
     @given(_polys(field), _nonzero(field), _scalar(field).filter(bool), _scalar(field),
            _nonzero(field, 2), st.integers(0, 3))
     def check(a, b, c, point, common, k):
@@ -389,6 +398,8 @@ def test_lifted_ops_match_sympy(field):
         for coefficient in sa.rep.to_list():  # Horner in the sympy domain
             value = value * y + coefficient
         assert convert(a.eval(point)) == value
+        assert PolyMatrix.diagonal(field, (a, b)).evaluate(point) == Matrix.diagonal(
+            field, (a.eval(point), b.eval(point)))
         assert a.degree == (sa.degree() if not sa.is_zero else -1)
         assert b.is_monic == (sb.LC() == domain.one)
         assert same(b.monic(), sb.monic())
@@ -409,7 +420,11 @@ def test_construction_routes_agree_on_equal_values(field):
     # values and text
     from ximod.poly import _from_lift, _poly
 
+    m0, c0 = Poly.from_ints(field, [1, 3]), field.from_int(3)
+
     @LIFT_EXAMPLES
+    @example([], m0, c0, 1)
+    @example([c0], m0, c0, 10**6)
     @given(st.lists(_scalar(field), max_size=6), _nonzero(field, 3), _scalar(field).filter(bool),
            st.integers(1, 10**6))
     def check(scalars, m, c, k):
@@ -437,6 +452,16 @@ def test_construction_routes_agree_on_equal_values(field):
         while raw and not raw[-1]:
             raw.pop()
         assert f.values == tuple(raw)
+        # every route evaluates at c to the power sum of the scalars, also
+        # over F_p from a lift of unreduced residues and at an unreduced point
+        value, power = field.zero(), field.one()
+        for s in scalars:
+            value, power = value + s * power, power * c
+        assert all(g.eval(c) == value for g in [f] + routes)
+        assert PolyMatrix.diagonal(field, routes[:2]).evaluate(c) == Matrix.diagonal(
+            field, (value, value))
+        if field.characteristic:
+            assert scaled._at(c.value + k * field.p) == value.value
         ints = [(k + i) % 7 - 3 for i in range(len(scalars))]
         g = Poly(field, [field.from_int(n) for n in ints])
         assert Poly.from_ints(field, ints) == g and hash(Poly.from_ints(field, ints)) == hash(g)
