@@ -76,14 +76,15 @@ from .tensor import (
 # -- plumbing -----------------------------------------------------------------
 
 def _load_payload(args) -> dict:
-    if getattr(args, "input", None):
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
+    path = getattr(args, "input", None)
+    try:
+        if path:
+            with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise InputValidationError("--input", str(exc))
-    else:
-        text = sys.stdin.read()
+        else:
+            text = sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8
+        raise InputValidationError("--input" if path else "$", str(exc))
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -6,15 +6,16 @@ each entry once, every matrix built inside the library goes through the
 unchecked `_make`, which reduces mod p once, and `entries` boxes on read.
 The eliminations and evaluations run on the integral lift of the values
 (`_Lifted`, `Echelon`, whose rows are read through `Echelon.basis` and
-`Echelon.kernel`).  `poly.lift` is the way in and `poly._box` the way back
-to raw values, the same pair by which a `Poly` over Q and Q(i) is stored
-and read; `poly_eval_operator` takes its polynomial's lift as it is
-stored.
+`Echelon.kernel`), in the one layout of `poly.lift`: ints over Q and F_p,
+(re, im) pairs of ints over Q(i).  `poly.lift` is the way in and
+`poly._box` the way back to raw values, the same pair by which a `Poly`
+over Q and Q(i) is stored and read; `poly_eval_operator` takes its
+polynomial's lift as it is stored.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from operator import add, mul, sub
 
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     TagMismatch,
 )
 from .fields import Field, GaussianRationals, Scalar, _scalar
-from .poly import Poly, _box, _power, _value, lift
+from .poly import Poly, _box, _lowest_terms, _power, _times, _value, lift
 
 Vector = tuple[Scalar, ...]
 
@@ -303,23 +304,25 @@ class Echelon:
     rows (Bareiss, Math. Comp. 22, 1968; Geddes, Czapor & Labahn,
     *Algorithms for Computer Algebra*, ch. 9).
 
-    Over Q a row is a list of ints; over Q(i) a Gaussian-integer row is a
-    pair (re, im) of int lists; over F_p a list of residues.  Each input
-    comes to `reduce_lifted` as a lift (u, L) (see `lift`), its
+    Rows, reduced vectors and D are lifted values in the one layout of
+    `lift` (ints over Q, (re, im) pairs of ints over Q(i), residues over
+    F_p), and what differs between the fields is read from the `_Lifted`
+    ring.  Each input comes to `reduce_lifted` as a lift (u, L), its
     denominators cleared once.  Every row equals D at its own pivot and
     zero at every other pivot, D being the latest pivot value (over F_p,
     D = 1), so each entry is a minor of the cleared inputs and every
     division in `push` is exact.  All vectors given to one `Echelon` have
     the same length.  `reduce_lifted` gives (w, den) with w integral, and
-    `_box(field, lifted(w), den)` takes it back to K.  The rows are read
-    only through `basis` and `kernel`, so that their layout stays here.
+    `_box(field, w, den)` takes it back to K.  The rows are read only
+    through `basis` and `kernel`.
     """
 
     def __init__(self, field: Field):
         self.field = field
+        self.ring = _Lifted(field)
         self.pivots: list[int] = []
         self.rows: list = []
-        self.D = (1, 0) if isinstance(field, GaussianRationals) else 1
+        self.D = self.ring.one
 
     def reduce_lifted(self, u, L: int):
         """(w, D L) with w = D u - sum_i u[p_i] r_i for the lift (u, L) of a
@@ -328,15 +331,18 @@ class Echelon:
         from the partly reduced w.  A lift whose L shares a factor with all
         of u is first put in lowest terms, as `lift` would give it: a
         scaled lift would carry that factor into every later pivot."""
-        D, p = self.D, self.field.characteristic
+        D, ring = self.D, self.ring
         if L != 1:
-            pairs = isinstance(D, tuple)
-            g = gcd(L, *(x for a in u for x in a)) if pairs else gcd(L, *u)
-            if g != 1:
-                L //= g
-                u = [(a // g, b // g) for a, b in u] if pairs else [a // g for a in u]
-        if isinstance(D, tuple):
-            return self._reduce_gaussian(u, L)
+            u, L = _lowest_terms(u, L, ring.gaussian)
+        if ring.gaussian:
+            w = _times(u, D, True)
+            for q, r in zip(self.pivots, self.rows):
+                fr, fi = u[q]
+                if fr or fi:
+                    w = [(a - fr * c + fi * d, b - fr * d - fi * c)
+                         for (a, b), (c, d) in zip(w, r)]
+            return w, ring.scale(L, D)
+        p = ring.p
         w = [D * a for a in u] if D != 1 else u
         for q, r in zip(self.pivots, self.rows):
             f = u[q]
@@ -344,42 +350,26 @@ class Echelon:
                 w = [a - f * b for a, b in zip(w, r)]
         return ([a % p for a in w] if p else w), D * L
 
-    def _reduce_gaussian(self, u, L):
-        dr, di = self.D
-        wr = [dr * a - di * b for a, b in u]
-        wi = [dr * b + di * a for a, b in u]
-        for q, (rr, ri) in zip(self.pivots, self.rows):
-            fr, fi = u[q]
-            if fr or fi:
-                wr = [a - fr * c + fi * d for a, c, d in zip(wr, rr, ri)]
-                wi = [b - fr * d - fi * c for b, c, d in zip(wi, rr, ri)]
-        return (wr, wi), (dr * L, di * L)
-
-    def lifted(self, w) -> list:
-        """A row or reduced vector w as a list of lifted values (see `lift`)."""
-        return list(zip(*w)) if isinstance(self.D, tuple) else w
-
     def leading(self, w) -> int | None:
         """The index of the first nonzero entry of w, None if w is zero."""
-        if isinstance(self.D, tuple):
-            return next((i for i, (a, b) in enumerate(zip(*w)) if a or b), None)
-        return next((i for i, a in enumerate(w) if a), None)
+        zero = self.ring.zero
+        return next((i for i, a in enumerate(w) if a != zero), None)
 
     def basis(self) -> list[tuple[int, list]]:
-        """(pivot, row) for every row, ordered by pivot, each row lifted (see
-        `lift`): divided by D, the rows are the reduced row echelon form."""
-        return sorted(zip(self.pivots, map(self.lifted, self.rows)))  # pivots are distinct
+        """(pivot, row) for every row, ordered by pivot: divided by D, the
+        rows are the reduced row echelon form."""
+        return sorted(zip(self.pivots, self.rows))  # pivots are distinct
 
     def kernel(self, length: int):
         """The kernel of the rows, one lifted vector of the given length per
         free coordinate f, in increasing order: D at f, -r[f] at the pivot of
         each row r, zero elsewhere."""
-        rows, gaussian = self.basis(), isinstance(self.D, tuple)
+        rows, ring = self.basis(), self.ring
         for f in sorted(set(range(length)) - set(self.pivots)):
-            x = [(0, 0) if gaussian else 0] * length
+            x = [ring.zero] * length
             x[f] = self.D
             for q, r in rows:
-                x[q] = (-r[f][0], -r[f][1]) if gaussian else -r[f]
+                x[q] = ring.neg(r[f])
             yield x
 
     def push(self, w) -> None:
@@ -389,9 +379,9 @@ class Echelon:
         q = self.leading(w)
         if q is None:
             return
-        D, p = self.D, self.field.characteristic
-        if isinstance(D, tuple):
-            return self._push_gaussian(q, *w)
+        D, p = self.D, self.ring.p
+        if self.ring.gaussian:
+            return self._push_gaussian(q, w)
         if p:
             inv = pow(w[q], -1, p)
             w = [a * inv % p for a in w]
@@ -406,25 +396,23 @@ class Echelon:
         self.pivots.append(q)
         self.rows.append(w)
 
-    def _push_gaussian(self, q, wr, wi):
+    def _push_gaussian(self, q, w):
         """As `push`, with the division by D made a division by |D|^2:
         (D' r - f w) / D = (D' conj(D) r - f conj(D) w) / |D|^2."""
-        (dr, di), nr, ni = self.D, wr[q], wi[q]
+        (dr, di), (nr, ni) = self.D, w[q]
         n2 = dr * dr + di * di
         ar, ai = nr * dr + ni * di, ni * dr - nr * di
-        for i, (rr, ri) in enumerate(self.rows):
-            fr, fi = rr[q], ri[q]
+        for i, r in enumerate(self.rows):
+            fr, fi = r[q]
             if not (fr or fi) and (nr, ni) == (dr, di):
                 continue
             br, bi = fr * dr + fi * di, fi * dr - fr * di
-            cols = list(zip(rr, ri, wr, wi))
-            self.rows[i] = (
-                [(ar * c - ai * d - br * a + bi * b) // n2 for c, d, a, b in cols],
-                [(ar * d + ai * c - br * b - bi * a) // n2 for c, d, a, b in cols],
-            )
-        self.D = (nr, ni)
+            self.rows[i] = [((ar * c - ai * d - br * a + bi * b) // n2,
+                             (ar * d + ai * c - br * b - bi * a) // n2)
+                            for (c, d), (a, b) in zip(r, w)]
+        self.D = w[q]
         self.pivots.append(q)
-        self.rows.append((wr, wi))
+        self.rows.append(w)
 
 
 def _row_echelon(M: Matrix) -> Echelon:

@@ -187,7 +187,7 @@ def _krylov_chains(ring: _Lifted, M: list, d: int) -> tuple[list, list]:
             s += 1
             v, scale = [ring.dot(row, v) for row in M], scale * d
         if s > start:  # else e_j is already in the span
-            c = echelon.lifted(w)[n:]
+            c = w[n:]
             starts.append(start)
             chains.append(([c[a:b] for a, b in zip(starts, starts[1:] + [s + 1])], den))
     return chains, list(zip(*(r[n : 2 * n] for _, r in echelon.basis())))

@@ -66,58 +66,55 @@ def lift(field: Field, values) -> tuple[list, int]:
 def _box(field: Field, u, L) -> list:
     """The raw values u / L over K for lifted values u, the inverse of
     `lift`; L is an integer, or over Q(i) a Gaussian integer (re, im) as an
-    `Echelon` gives it.  Over F_p, L = 1 and u is reduced mod p here."""
+    `Echelon` gives it, put in lowest terms first (`_lowest_terms`).  Over
+    F_p, L = 1 and u is reduced mod p here."""
     p = field.characteristic
     if p:
         return [a % p for a in u]
     zero = field.canon(0)
     if isinstance(field, GaussianRationals):
-        if isinstance(L, tuple):  # (a + bi) / L = (a + bi) conj(L) / |L|^2
-            lr, li = L
-            u, L = _times(u, (lr, -li), True), lr * lr + li * li
+        if isinstance(L, tuple):
+            u, L = _lowest_terms(u, L, True)
         return [Gaussian((Fraction(a, L), Fraction(b, L))) if a or b else zero for a, b in u]
     return [Fraction(a, L) if a else zero for a in u]
 
 
-def _canonical(u, den, gaussian: bool) -> tuple[tuple, int]:
-    """The canonical lift of u / den over Q or Q(i): no trailing zero, den
-    positive and gcd(den, every component of u) = 1.  den is a nonzero int,
-    over Q(i) also a Gaussian integer (re, im), divided out through its
-    conjugate as `_box` does, or None for the lead of u, which gives the
-    lift of u's monic scaling."""
-    u = list(u)
-    if gaussian:
-        while u and not (u[-1][0] or u[-1][1]):
-            u.pop()
-        if den is None:
-            den = u[-1] if u else 1
-        if isinstance(den, tuple):
-            dr, di = den
-            if di:
-                # the content shared with den first, while u is small
-                g = gcd(dr, di, *chain.from_iterable(u))
-                if g != 1:
-                    u, dr, di = [(a // g, b // g) for a, b in u], dr // g, di // g
-                u, den = _times(u, (dr, -di), True), dr * dr + di * di
-            else:
-                den = dr
-        if den < 0:
-            u, den = [(-a, -b) for a, b in u], -den
-        if den != 1:
-            g = gcd(den, *chain.from_iterable(u))
+def _lowest_terms(u, den, gaussian: bool) -> tuple[list, int]:
+    """(u', den') with u' / den' = u / den for lifted values u over Q or
+    Q(i), den' a positive int and gcd(den', every component of u') = 1: the
+    one form, so two lifts of one value come out equal.  den is a nonzero
+    int, or over Q(i) also a Gaussian integer (re, im), divided out through
+    its conjugate once the content it shares with u is out, while u is
+    small.  u comes back as given where nothing changes."""
+    if isinstance(den, tuple):
+        dr, di = den
+        if di:
+            g = gcd(dr, di, *chain.from_iterable(u))
             if g != 1:
-                u, den = [(a // g, b // g) for a, b in u], den // g
-        return tuple(u), den
-    while u and not u[-1]:
+                u, dr, di = [(a // g, b // g) for a, b in u], dr // g, di // g
+            u, dr = _times(u, (dr, -di), True), dr * dr + di * di
+        den = dr
+    if den < 0:
+        u, den = _times(u, -1, gaussian), -den
+    if den != 1:
+        g = gcd(den, *(chain.from_iterable(u) if gaussian else u))
+        if g != 1:
+            u = [(a // g, b // g) for a, b in u] if gaussian else [a // g for a in u]
+            den //= g
+    return u, den
+
+
+def _canonical(u, den, gaussian: bool) -> tuple[tuple, int]:
+    """The canonical lift of u / den over Q or Q(i): no trailing zero, then
+    `_lowest_terms`.  den is as `_lowest_terms` takes it, or None for the
+    lead of u, which gives the lift of u's monic scaling."""
+    u = list(u)
+    zero = (0, 0) if gaussian else 0
+    while u and u[-1] == zero:
         u.pop()
     if den is None:
         den = u[-1] if u else 1
-    if den < 0:
-        u, den = [-a for a in u], -den
-    if den != 1:
-        g = gcd(den, *u)
-        if g != 1:
-            u, den = [a // g for a in u], den // g
+    u, den = _lowest_terms(u, den, gaussian)
     return tuple(u), den
 
 

@@ -40,7 +40,6 @@ where they come in (`RelationSubspace.reduce` and `contains`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from math import gcd
 from typing import Union
 
 from .errors import DimensionMismatch, TagMismatch, WrongKind
@@ -56,7 +55,7 @@ from .matrix import (
     sylvester_operator,
 )
 from .modules import _krylov_chains
-from .poly import Poly, _box, _times, lift
+from .poly import Poly, _box, _lowest_terms, lift
 
 
 # -- tensor elements ----------------------------------------------------------
@@ -200,8 +199,9 @@ class RelationSubspace:
     `canonical_indices` I, equal to D there and zero on the rest of I; X is
     the q x (nm - q) matrix of their entries on W's `pivots` P, the other
     coordinates.  The entries of X are lifted values (see `poly.lift`) and
-    D is a positive integer (1 over F_p), so the class of v = u / L has the
-    coordinates (D u_I + X u_P) / (D L) on I.
+    D is a positive integer (1 over F_p), X / D in lowest terms
+    (`poly._lowest_terms`), so the class of v = u / L has the coordinates
+    (D u_I + X u_P) / (D L) on I.
     """
 
     kind: TensorKind
@@ -337,7 +337,9 @@ def relation_subspace(kind: TensorKind, n: int, m: int) -> RelationSubspace:
     reversed.  Read backwards, its pivots are the complement of W's pivots
     (the complement of a basis of a matroid is a basis of the dual, and
     greedy from the left picks the complement of greedy from the right),
-    and its rows, D on those coordinates, are W^perp in the stored form."""
+    and its rows, D on those coordinates, are W^perp in the stored form,
+    once X / D is put in lowest terms as one flat lift, which makes D a
+    positive int."""
     if n < 1 or m < 1:
         raise DimensionMismatch("factor dimensions must be positive")
     nm = n * m
@@ -357,14 +359,9 @@ def relation_subspace(kind: TensorKind, n: int, m: int) -> RelationSubspace:
     rows = [(nm - 1 - q, r[::-1]) for q, r in reversed(echelon.basis())]
     indices = tuple(i for i, _ in rows)
     pivots = tuple(sorted(set(range(nm)) - set(indices)))
-    X, D = [[r[p] for p in pivots] for _, r in rows], echelon.D
-    if isinstance(D, tuple):  # over Q(i), multiply every row by conj(D) to make D an integer
-        X, D = [_times(x, (D[0], -D[1]), True) for x in X], D[0] ** 2 + D[1] ** 2
-    if not field.characteristic:  # take out the content that D shares with every row
-        g = gcd(D, *(c for x in X for a in x for c in (a if ring.gaussian else (a,))))
-        g = g if D > 0 else -g
-        X = [[(a[0] // g, a[1] // g) if ring.gaussian else a // g for a in x] for x in X]
-        D //= g
+    k = len(pivots)
+    flat, D = _lowest_terms([r[p] for _, r in rows for p in pivots], echelon.D, ring.gaussian)
+    X = [flat[i * k : (i + 1) * k] for i in range(len(rows))]
     return RelationSubspace(kind, field, n, m, indices, pivots, tuple(map(tuple, X)), D)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import random
 import subprocess
 import sys
@@ -87,6 +88,22 @@ def test_deeply_nested_json_exits_two(capsys, tmp_path):
     code, out, err = run_main(capsys, ["decompose", "--input", str(payload_file)])
     assert (code, out) == (2, "")
     assert err.startswith("input error: $:") and "nested too deeply" in err
+
+
+def test_undecodable_input_file_exits_two(capsys, tmp_path):
+    payload_file = tmp_path / "bad.json"
+    payload_file.write_bytes(b"\xff")
+    code, out, err = run_main(capsys, ["snf", "--json", "--input", str(payload_file)])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: --input:") and "Traceback" not in err
+
+
+def test_undecodable_stdin_exits_two():
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict"}
+    proc = subprocess.run([sys.executable, "-m", "ximod", "snf", "--json"], input=b"\xff",
+                          capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"input error: $:") and b"Traceback" not in proc.stderr
 
 
 def test_schema_violation_reports_path(capsys, tmp_path):

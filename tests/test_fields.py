@@ -211,7 +211,7 @@ def test_every_route_to_a_gaussian_scalar_gives_a_gaussian_value():
     scalars += [c for row in rref(M).reduced.entries for c in row]
     echelon = Echelon(QI)
     w, den = echelon.reduce_lifted(*lift(QI, [a.value, b.value]))
-    values = _box(QI, echelon.lifted(w), den)
+    values = _box(QI, w, den)
     pi = Poly(QI, [a, b, a, b])
     for A in (M, Matrix.from_ints(QI, [[1, 2], [3, 4]])):  # with and without denominators
         scalars += charpoly(A).coeffs
@@ -244,7 +244,7 @@ def test_every_route_to_a_residue_gives_a_reduced_int():
     scalars += [c for row in rref(M).reduced.entries for c in row]
     echelon = Echelon(F)
     w, den = echelon.reduce_lifted(*lift(F, [a.value for a in entries[0]]))
-    values = _box(F, echelon.lifted(w), den)
+    values = _box(F, w, den)
     scalars += charpoly(M).coeffs
     pi = Poly(F, [F.from_int(rng.randrange(p // 2, p)) for _ in range(6)])
     scalars += [c for row in poly_eval_operator(pi, M).entries for c in row]

@@ -2,14 +2,15 @@
 
 Payloads are drawn from the JSON grammar of each command (fields q, qi and
 fp, small matrices and polynomials, malformed scalars, booleans where
-integers belong) and from mutations of golden payloads.  No exception may
-leave `main`, and each call stays within a process-time bound.  The
-example counts are fixed and derandomized, so a run is reproducible and
-short.
+integers belong) and from mutations of golden payloads, as text in a file
+or as bytes on stdin.  No exception may leave `main`, and each call stays
+within a process-time bound.  The example counts are fixed and
+derandomized, so a run is reproducible and short.
 """
 import contextlib
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -179,15 +180,22 @@ def payload_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "payload.json"
 
 
-def _call(argv, payload, payload_file) -> int:
-    """Run `main`; check the exit code, the streams and the time bound."""
-    if payload is not None:
+def _call(argv, payload, payload_file, stdin=None) -> int:
+    """Run `main`, with the payload in a file, or else on stdin if given;
+    check the exit code, the streams and the time bound."""
+    if payload is not None and stdin is None:
         payload_file.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         argv = [*argv, "--input", str(payload_file)]
     out, err = io.StringIO(), io.StringIO()
+    old_stdin = sys.stdin
+    if stdin is not None:
+        sys.stdin = stdin
     start = time.process_time()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = old_stdin
     elapsed = time.process_time() - start
     assert code in (0, 2, 3), (argv, payload, code, err.getvalue())
     assert elapsed < CALL_BOUND_S, (argv, payload, elapsed)
@@ -232,3 +240,38 @@ def test_bad_object_scalars_in_expressions_exit_2(payload_file, scalar):
 def test_mutated_goldens_exit_cleanly(payload_file, data, json_flag):
     argv, payload = data.draw(faulty(*data.draw(st.sampled_from(GOLDENS))))
     _call([*argv, *json_flag], payload, payload_file)
+
+
+# bytes that are not UTF-8 or not JSON: a stray continuation byte, a lead
+# byte without its continuation, an encoded surrogate, an overlong form, a
+# byte-order mark, NUL and a well-formed two-byte character
+BAD_BYTES = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf", b"\xef\xbb\xbf",
+             b"\x00", "\u00e9".encode()]
+
+
+@st.composite
+def mutated_bytes(draw, payload):
+    """The UTF-8 JSON text of payload with one byte-level fault: bad bytes
+    inserted or put in place of one byte, one bit flipped, the text cut
+    inside a two-byte character, or the whole text in UTF-16."""
+    data = json.dumps(payload).encode()
+    how = draw(st.sampled_from(["insert", "replace", "flip", "cut", "utf-16"]))
+    k = draw(st.integers(0, len(data) - 1))
+    if how == "insert":
+        return data[:k] + draw(st.sampled_from(BAD_BYTES)) + data[k:]
+    if how == "replace":
+        return data[:k] + draw(st.sampled_from(BAD_BYTES)) + data[k + 1:]
+    if how == "flip":
+        return data[:k] + bytes([data[k] ^ 1 << draw(st.integers(0, 7))]) + data[k + 1:]
+    if how == "cut":
+        return data[:k] + "\u00e9".encode()[:1]
+    return json.dumps(payload).encode("utf-16")
+
+
+@FUZZ
+@given(data=st.data(), json_flag=st.sampled_from([[], ["--json"]]))
+def test_byte_mutated_goldens_on_stdin_exit_cleanly(payload_file, data, json_flag):
+    argv, payload = data.draw(st.sampled_from(GOLDENS))
+    raw = data.draw(mutated_bytes(payload))
+    stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    _call([*argv, *json_flag], raw, payload_file, stdin)

@@ -176,7 +176,7 @@ def test_rref_and_coset_map_are_exact_on_large_entries(field):
             for v in (rand_vector(field, M.cols, rng), [rand_big_scalar(field, rng)
                                                        for _ in range(M.cols)]):
                 w, den = _reduce(ech, v)
-                r = Matrix(field, [[Scalar(field, a) for a in _box(field, ech.lifted(w), den)]])
+                r = Matrix(field, [[Scalar(field, a) for a in _box(field, w, den)]])
                 # a lift scaled by c reduces as the fresh lift does
                 u, L = lift(field, [a.value for a in v])
                 c = rng.randint(2, 10**6)
@@ -262,6 +262,33 @@ def test_echelon_basis_is_d_times_the_reduced_rows_and_its_kernel_is_annihilated
                 assert len(x) == cols and x[f] == ech.D
                 assert all(x[g] == ring.zero for g in free if g != f)
                 assert all(ring.dot(u, x) == ring.zero for u, _ in lifts)
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, QI, PrimeField(2), PrimeField(101)], ids=["q", "qi", "fp2", "fp101"]
+)
+def test_echelon_vectors_are_lists_of_lifted_values(field):
+    # the layout of `lift`: a list of (re, im) int pairs over Q(i), of ints otherwise
+    def lifted_value(a):
+        if field is QI:
+            return type(a) is tuple and len(a) == 2 and all(type(x) is int for x in a)
+        return type(a) is int
+
+    def layout(v):
+        return type(v) is list and all(map(lifted_value, v))
+
+    rng = random.Random(f"layout-{field.describe()}")
+    M = rand_matrix(field, 5, 2, rng) @ rand_matrix(field, 2, 6, rng)
+    M = Matrix(field, [*M.entries, rand_vector(field, 6, rng)])
+    ech, reduced = Echelon(field), []
+    for row in M.values:
+        w, _ = ech.reduce_lifted(*lift(field, row))
+        reduced.append(w)
+        ech.push(w)
+    kernel = list(ech.kernel(M.cols))
+    assert len(ech.rows) == 3 and len(kernel) == 3
+    assert lifted_value(ech.D)
+    assert all(map(layout, [*ech.rows, *reduced, *(r for _, r in ech.basis()), *kernel]))
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from ximod import (
     poly_eval_operator,
     poly_gcd,
 )
+from ximod.poly import _lowest_terms, _times
 from oracles import (
     naive_charpoly,
     naive_poly_eval,
@@ -407,6 +408,48 @@ def test_lifted_ops_match_sympy(field):
         assert same(poly_gcd(a, b), sb.gcd(sa).monic())
         assert same(poly_gcd(common * a, common * b), (sc * sa).gcd(sc * sb).monic())
         assert (a == b) == (sa == sb) and (a * b == b * a) and hash(a * b) == hash(b * a)
+
+    check()
+
+
+@st.composite
+def _unreduced_lift(draw, gaussian):
+    """(u, den) over Q or Q(i) with a common content c in u and den: den a
+    nonzero int, possibly negative, or over Q(i) also a Gaussian integer,
+    with or without an imaginary part."""
+    part = st.integers(-10**6, 10**6)
+    u = draw(st.lists(st.tuples(part, part) if gaussian else part, max_size=5))
+    c = draw(st.integers(1, 10**4))
+    den = draw(st.integers(-10**4, 10**4).filter(bool))
+    if gaussian and draw(st.booleans()):
+        return _times(u, c, True), (c * den, c * draw(st.integers(-10**4, 10**4)))
+    return _times(u, c, gaussian), c * den
+
+
+def _lift_values(u, den, gaussian):
+    if not gaussian:
+        return [Fraction(a, den) for a in u]
+    inv = QI.raw_inv(QI.canon(den))
+    return [QI.canon(a) * inv for a in u]
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["q", "qi"])
+def test_lowest_terms_is_the_one_reduced_lift_of_the_value(gaussian):
+    @LIFT_EXAMPLES
+    @example(([], -6))
+    @example(([(0, 0)] * 3 if gaussian else [0] * 3, (4, -6) if gaussian else -4))
+    @example(([(6, 8), (-4, 2)], (2, 4)) if gaussian else ([6, -4], -2))
+    @example(([(3, 0)], (0, -3)) if gaussian else ([3], 3))
+    @example(([(3, 9)], (-6, 0)) if gaussian else ([3, 9], -6))
+    @given(_unreduced_lift(gaussian))
+    def check(case):
+        u, den = case
+        w, d = _lowest_terms(u, den, gaussian)
+        assert type(d) is int and d > 0
+        assert _lift_values(w, d, gaussian) == _lift_values(u, den, gaussian)
+        components = [x for a in w for x in a] if gaussian else w
+        assert math.gcd(d, *components) == 1
+        assert _lowest_terms(w, d, gaussian) == (w, d)
 
     check()
 
