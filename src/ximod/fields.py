@@ -52,8 +52,18 @@ _MAX_LITERAL_DIGITS = 4300
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """The Fraction of a rational literal, as `Fraction(text)` reads it
+    once the text is stripped and a unicode minus is made ASCII.  An
+    integer "[+-]D" or a quotient "[+-]D/D", D digits that pass
+    `str.isdecimal` (the Unicode Nd digits of the `\\d` in `Fraction`'s
+    regex), is built from `int` without the regex; every other text goes
+    to `Fraction` through the exponent guard."""
     # accept the unicode minus sign alongside the ASCII one
     text = text.strip().replace("−", "-")
+    num, slash, den = text.partition("/")
+    unsigned = num[1:] if num[:1] in ("+", "-") else num
+    if unsigned.isdecimal() and (not slash or den.isdecimal()):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     # bound "1e10000000" before Fraction spends seconds building 10**exponent
     mantissa, e, exponent = text.lower().partition("e")
     if e:
@@ -172,11 +182,9 @@ class GaussianRationals(Field):
     def canon(self, value):
         if isinstance(value, tuple) and len(value) == 2:
             re, im = value
-            if isinstance(re, str):
-                re = _parse_fraction(re)
-            if isinstance(im, str):
-                im = _parse_fraction(im)
-            return Gaussian((Fraction(re), Fraction(im)))
+            re = _parse_fraction(re) if isinstance(re, str) else Fraction(re)
+            im = _parse_fraction(im) if isinstance(im, str) else Fraction(im)
+            return Gaussian((re, im))
         if isinstance(value, (int, Fraction)):
             return Gaussian((Fraction(value), Fraction(0)))
         if isinstance(value, str):

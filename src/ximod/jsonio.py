@@ -7,14 +7,17 @@ arrays, index = degree.  Matrices carry their own field declaration next
 to "rows", "cols" and a row-major "entries" array.
 
 Decoders validate as they walk the payload and report the JSON path of the
-first offending value.
+first offending value.  Each scalar is decoded once, straight to the raw
+value a `Matrix` or `Poly` stores (`_parse_value`); no `Scalar` is built
+for an entry of a matrix or a polynomial.  A Q(i) part is a string or an
+int: a JSON float would be read through a binary double.
 """
 from __future__ import annotations
 
 from .errors import InputValidationError
 from .fields import Field, GaussianRationals, PrimeField, Rationals, Scalar
 from .matrix import Matrix
-from .poly import Poly
+from .poly import Poly, _poly
 from .polymatrix import PolyMatrix
 
 _FIELD_NAMES = {"q": Rationals, "qi": GaussianRationals, "fp": PrimeField}
@@ -71,25 +74,39 @@ def scalar_to_json(s: Scalar):
     return str(s)
 
 
-def parse_scalar_json(field: Field, obj, path: str) -> Scalar:
+def _parse_value(field: Field, obj, path: str):
+    """The raw value of the JSON scalar obj, as `field.canon` gives it: a
+    string or an int; over Q(i) also an object whose "re" and "im" parts
+    (each "0" when absent) are each a string or an int.  `field.canon`
+    reads each literal once, and an integer or "a/b" literal skips
+    `Fraction`'s regex (`fields._parse_fraction`).  Anything else is a
+    "bad scalar" at path, or at path.re or path.im for a part."""
     try:
         if isinstance(obj, dict):
             if not isinstance(field, GaussianRationals):
                 raise InputValidationError(
                     path, "object scalars are only valid over the gaussian rationals"
                 )
-            return field.scalar((str(obj.get("re", "0")), str(obj.get("im", "0"))))
-        if isinstance(obj, bool):
-            raise TypeError("booleans are not scalars")
-        if isinstance(obj, int):
-            return field.from_int(obj)
-        if isinstance(obj, str):
-            return field.parse(obj)
+            return field.canon((_part(obj, "re", path), _part(obj, "im", path)))
+        if isinstance(obj, (str, int)) and not isinstance(obj, bool):
+            return field.canon(obj)
     except InputValidationError:
         raise
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputValidationError(path, f"bad scalar {obj!r}: {exc}")
     raise InputValidationError(path, f"bad scalar {obj!r}")
+
+
+def _part(obj: dict, key: str, path: str):
+    """The "re" or "im" part of a Q(i) object scalar, a string or an int."""
+    part = obj.get(key, "0")
+    if isinstance(part, bool) or not isinstance(part, (str, int)):
+        raise InputValidationError(f"{path}.{key}", f"bad scalar {part!r}")
+    return part
+
+
+def parse_scalar_json(field: Field, obj, path: str) -> Scalar:
+    return Scalar(field, _parse_value(field, obj, path))
 
 
 def poly_to_json(p: Poly) -> list:
@@ -99,9 +116,7 @@ def poly_to_json(p: Poly) -> list:
 def parse_poly_json(field: Field, arr, path: str) -> Poly:
     if not isinstance(arr, list):
         raise InputValidationError(path, "a polynomial is an array of scalars")
-    return Poly(
-        field, (parse_scalar_json(field, c, f"{path}[{k}]") for k, c in enumerate(arr))
-    )
+    return _poly(field, [_parse_value(field, c, f"{path}[{k}]") for k, c in enumerate(arr)])
 
 
 def _grid_to_json(M, entry_to_json) -> dict:
@@ -115,7 +130,8 @@ def _grid_to_json(M, entry_to_json) -> dict:
 
 
 def _parse_grid(obj, path: str, field: Field | None, cls, parse_entry, what: str):
-    """Decode a matrix object into `cls`, each entry via parse_entry."""
+    """Decode a matrix object into `cls`, each entry the value that
+    parse_entry gives, stored as it is (`DenseMatrix._checked`)."""
     if not isinstance(obj, dict):
         raise InputValidationError(path, f"a {what} is an object")
     declared = parse_field_declaration(obj, path) if "field" in obj else None
@@ -134,10 +150,10 @@ def _parse_grid(obj, path: str, field: Field | None, cls, parse_entry, what: str
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise InputValidationError(f"{path}.entries[{i}]", f"expected {cols} entries")
-    return cls(
+    return cls._checked(
         use,
         (
-            (parse_entry(use, e, f"{path}.entries[{i}][{j}]") for j, e in enumerate(row))
+            [parse_entry(use, e, f"{path}.entries[{i}][{j}]") for j, e in enumerate(row)]
             for i, row in enumerate(entries)
         ),
         (rows, cols),
@@ -149,7 +165,7 @@ def matrix_to_json(M: Matrix) -> dict:
 
 
 def parse_matrix_json(obj, path: str, field: Field | None = None) -> Matrix:
-    return _parse_grid(obj, path, field, Matrix, parse_scalar_json, "matrix")
+    return _parse_grid(obj, path, field, Matrix, _parse_value, "matrix")
 
 
 def polymatrix_to_json(P: PolyMatrix) -> dict:
@@ -167,6 +183,4 @@ def vector_to_json(v) -> list:
 def parse_vector_json(field: Field, arr, path: str):
     if not isinstance(arr, list):
         raise InputValidationError(path, "a vector is an array of scalars")
-    return tuple(
-        parse_scalar_json(field, c, f"{path}[{k}]") for k, c in enumerate(arr)
-    )
+    return tuple(Scalar(field, _parse_value(field, c, f"{path}[{k}]")) for k, c in enumerate(arr))

@@ -10,7 +10,9 @@ The eliminations and evaluations run on the integral lift of the values
 (re, im) pairs of ints over Q(i).  `poly.lift` is the way in and
 `poly._box` the way back to raw values, the same pair by which a `Poly`
 over Q and Q(i) is stored and read; `poly_eval_operator` takes its
-polynomial's lift as it is stored.
+polynomial's lift as it is stored.  A `Matrix` is lifted once: the first
+`_Lifted.rows` keeps its lift, and a matrix that `_make` derives from it
+starts without one.
 """
 from __future__ import annotations
 
@@ -173,9 +175,11 @@ class DenseMatrix:
 
 class Matrix(DenseMatrix):
     """An immutable rows x cols matrix over one field, whose `values` are raw:
-    Fractions over Q, `Gaussian` pairs over Q(i), residues over F_p."""
+    Fractions over Q, `Gaussian` pairs over Q(i), residues over F_p.  The
+    `lifted` slot is empty until the first `_Lifted.rows`, which keeps the
+    matrix's lift there."""
 
-    __slots__ = ()
+    __slots__ = ("lifted",)
 
     _unbox = staticmethod(_value)
     _of_int = staticmethod(lambda field, k: field.canon(k))
@@ -224,6 +228,10 @@ class Matrix(DenseMatrix):
         return _power(self, n, Matrix.__matmul__)
 
 
+# the slot's descriptor sets it past the refusing DenseMatrix.__setattr__
+_set_lifted = Matrix.lifted.__set__
+
+
 @dataclass(frozen=True)
 class EchelonResult:
     """Reduced row echelon form with its pivot bookkeeping."""
@@ -253,8 +261,14 @@ class _Lifted:
         return k % self.p if self.p else k
 
     def rows(self, A: "Matrix") -> tuple[list[list], int]:
-        """(M, d) with A = M / d, M a list of lifted rows."""
-        u, d = lift(self.field, [a for row in A.values for a in row])
+        """(M, d) with A = M / d, M a list of lifted rows.  The first call
+        on A lifts it and keeps (u, d) in `A.lifted`; each call cuts fresh
+        row lists from u, so no caller can change what the next one reads."""
+        try:
+            u, d = A.lifted
+        except AttributeError:
+            u, d = lift(self.field, [a for row in A.values for a in row])
+            _set_lifted(A, (u, d))
         return [u[i * A.cols : (i + 1) * A.cols] for i in range(A.rows)], d
 
     def add(self, x, y):

@@ -2,7 +2,8 @@
 
 Everything here recomputes results along a different route than the code
 under test: plain recursive cofactor determinants, power sums of matrices,
-Krylov annihilators, and exhaustive trial division over prime fields.
+Krylov annihilators, exhaustive trial division over prime fields, and the
+rational-literal parser without its fast path.
 """
 from __future__ import annotations
 
@@ -208,3 +209,23 @@ def rand_polymatrix(field, rows, cols, max_degree, rng) -> PolyMatrix:
             for _ in range(rows)
         ),
     )
+
+
+# the rational-literal parser as it stood before its integer and "a/b" fast
+# path, kept verbatim as the reference that path is tested against
+_MAX_LITERAL_DIGITS = 4300
+
+
+def reference_parse_fraction(text: str) -> Fraction:
+    # accept the unicode minus sign alongside the ASCII one
+    text = text.strip().replace("−", "-")
+    # bound "1e10000000" before Fraction spends seconds building 10**exponent
+    mantissa, e, exponent = text.lower().partition("e")
+    if e:
+        try:
+            digits = sum(ch.isdigit() for ch in mantissa) + abs(int(exponent))
+        except ValueError:
+            digits = 0  # not an exponent; Fraction rejects the text itself
+        if digits > _MAX_LITERAL_DIGITS:
+            raise ValueError(f"literal expands past {_MAX_LITERAL_DIGITS} digits")
+    return Fraction(text)

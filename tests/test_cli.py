@@ -1193,6 +1193,46 @@ def test_json_integer_past_the_str_limit_exits_two(capsys, tmp_path):
     assert err.startswith("input error:")
 
 
+@pytest.mark.parametrize("part", ["10000000000000000000000.5", "1.0000000000000001", "1.5",
+                                  "true", "null", "[1]"])
+def test_a_gaussian_part_that_is_a_json_float_bool_or_null_exits_two(capsys, tmp_path, part):
+    # a JSON float would be read through a double: 10^22 + 1/2 as 10^22
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text('{"operator": {"field": "qi", "rows": 1, "cols": 1, '
+                            f'"entries": [[{{"re": "1", "im": {part}}}]]}}}}')
+    code, out, err = run_main(capsys, ["decompose", "--json", "--input", str(payload_file)])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: $.operator.entries[0][0].im: bad scalar ")
+    assert "Traceback" not in err
+
+
+def _count_lifts(capsys, monkeypatch, tmp_path, argv, payload):
+    """How often one command lifts a matrix (`matrix.lift`), with its exit code."""
+    from ximod import matrix
+
+    calls, lift = [], matrix.lift
+    monkeypatch.setattr(matrix, "lift", lambda *a: calls.append(1) or lift(*a))
+    payload_file = tmp_path / "p.json"
+    payload_file.write_text(json.dumps(payload))
+    code, _, _ = run_main(capsys, [*argv, "--json", "--input", str(payload_file)])
+    return code, len(calls)
+
+
+def test_each_matrix_is_lifted_once_per_command(capsys, monkeypatch, tmp_path):
+    # decompose lifts A for the Krylov chains, charpoly and the annihilation
+    # check; opair lifts A and B for W, its check and the two quotient
+    # actions, and the induced operator for its decomposition
+    rng = random.Random(29)
+    A = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(6)]
+    count = _count_lifts(capsys, monkeypatch, tmp_path, ["decompose"], {"operator": _matrix(A)})
+    assert count == (0, 1)
+    A = [row[:4] for row in A[:4]]
+    B = [list(col) for col in zip(*A)]  # similar to A, so the quotient is not zero
+    count = _count_lifts(capsys, monkeypatch, tmp_path, ["tensor", "--kind", "opair", "--decompose"],
+                         {"A": _matrix(A), "B": _matrix(B)})
+    assert count == (0, 3)
+
+
 _OPERATOR_1x1 = {"field": "q", "rows": 1, "cols": 1, "entries": [["2"]]}
 _BOOLEAN_FIELDS = {
     # case: (argv, payload with the field at its accepted value, path of the field)

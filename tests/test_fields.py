@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ximod import (
     QI,
@@ -15,7 +17,8 @@ from ximod import (
     field_arithmetic,
     parse_scalar_text,
 )
-from oracles import rand_scalar
+from ximod.fields import _parse_fraction
+from oracles import rand_scalar, reference_parse_fraction
 
 F5 = PrimeField(5)
 ALL_FIELDS = [QQ, QI, F5]
@@ -270,3 +273,33 @@ def test_exponent_literals_stay_printable():
             parse_scalar_text(QQ, text)
     with pytest.raises(ValueError, match="4300 digits"):
         parse_scalar_text(QI, "1e5000i")
+
+
+# -- rational literals: the integer and "a/b" fast path ------------------------------
+
+LITERAL_ALPHABET = "0123456789٣²_+-−/.e "
+# no sign, "+" and "-" on the longest literal that prints and one digit past it
+LITERAL_EXAMPLES = [sign + "7" * k for sign in ("", "+", "-") for k in (4300, 4301)] + [
+    "1/0", "3/-4", "-0", "007", "1_000", "+", "", "1e5000"]
+
+
+def _outcome(parse, text):
+    """The Fraction parse gives, or the type and message of what it raises."""
+    try:
+        return parse(text)
+    except Exception as exc:  # the reference's own exception is the expectation
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.one_of(
+    st.text(alphabet=LITERAL_ALPHABET, max_size=12),
+    st.from_regex(r"[ ]?[+\-−]?[0-9٣_]{1,8}(/[0-9٣²_]{0,8})?[ ]?", fullmatch=True),
+))
+def test_literal_fast_path_is_the_reference_parser(text):
+    assert _outcome(_parse_fraction, text) == _outcome(reference_parse_fraction, text)
+
+
+@pytest.mark.parametrize("text", LITERAL_EXAMPLES, ids=lambda t: t if len(t) < 9 else f"{len(t)}-digits")
+def test_literal_fast_path_is_the_reference_parser_at_the_edges(text):
+    assert _outcome(_parse_fraction, text) == _outcome(reference_parse_fraction, text)

@@ -553,3 +553,25 @@ def test_the_checked_edges_refuse_entries_of_another_field():
     assert all(M != N for i, M in enumerate(grids) for N in grids[i + 1:])
     assert len(set(grids)) == 3
     assert len({Matrix.identity(QQ, 1), Matrix.identity(F5, 1), Matrix.identity(F7, 1)}) == 3
+
+
+def test_a_matrix_keeps_its_lift_and_hands_out_fresh_rows():
+    A = Matrix(QQ, [[QQ.scalar(Fraction(1, 2)), QQ.from_int(3)], [QQ.from_int(-1), QQ.zero()]])
+    ring = _Lifted(QQ)
+    first = ring.rows(A)
+    assert first == ([[1, 6], [-2, 0]], 2) and A.lifted == ([1, 6, -2, 0], 2)
+    second = ring.rows(A)
+    assert second == first and second[0] is not first[0]
+    assert all(r is not s for r, s in zip(first[0], second[0]))
+    first[0][0][0] = 99
+    first[0].append([0, 0])
+    assert ring.rows(A) == ([[1, 6], [-2, 0]], 2)
+
+
+def test_derived_matrices_start_without_a_lift():
+    A = Matrix.from_ints(QI, [[1, 2], [3, 4]])
+    _Lifted(QI).rows(A)
+    derived = (A @ A, A.transpose(), A + A, Matrix._make(QI, A.values, (2, 2)),
+               Matrix._checked(QI, A.values))
+    assert all(not hasattr(M, "lifted") for M in derived)
+    assert _Lifted(QI).rows(A @ A) == ([[(7, 0), (10, 0)], [(15, 0), (22, 0)]], 1)

@@ -5,7 +5,10 @@
 For each field of q, qi and fp:101 and each n of --sizes, prints the median
 process time in ms, over at least 7 runs, with its interquartile range in
 parentheses (`timing.median_ms`), of `decompose_operator_module` and of
-`charpoly` on two n x n operators:
+`charpoly` on two n x n operators, and on the dense one of the whole
+command as well: in-process ``cli.main(["decompose", "--json", "--input",
+f])`` on the operator written to a JSON file f by `jsonio.matrix_to_json`,
+so that parsing, the self-checks and rendering show too (cli):
 
   * dense: entries drawn from [-9, 9] (real and imaginary parts over qi),
     one Krylov chain for a generic operator;
@@ -23,8 +26,12 @@ information only.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import json
 import random
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,14 +47,31 @@ def main() -> None:
     parser.add_argument("--sizes", nargs="+", type=int, default=[8, 16, 24, 32])
     args = parser.parse_args()
     sys.path.insert(0, str(args.root.resolve() / "src"))
-    from ximod import QI, QQ, Matrix, OperatorModule, PrimeField, charpoly, modules
+    from ximod import QI, QQ, Matrix, OperatorModule, PrimeField, charpoly, cli, jsonio, modules
 
     def timed(A):
-        """((median, IQR) ms of decompose, the same of charpoly, number of invariant factors)."""
-        module = OperatorModule(A.field, A.rows, A)
-        t_dec = median_ms(lambda: modules.decompose_operator_module(module))
-        factors = modules.decompose_operator_module(module).invariant_factors
-        return t_dec, median_ms(lambda: charpoly(A)), len(factors)
+        """((median, IQR) ms of decompose, the same of charpoly, number of invariant factors),
+        each run on a fresh copy of A, which lifts itself as a parsed operator does."""
+        def fresh():
+            return Matrix._make(A.field, A.values, (A.rows, A.cols))
+
+        t_dec = median_ms(lambda: modules.decompose_operator_module(
+            OperatorModule(A.field, A.rows, fresh())))
+        factors = modules.decompose_operator_module(OperatorModule(A.field, A.rows, A)).invariant_factors
+        return t_dec, median_ms(lambda: charpoly(fresh())), len(factors)
+
+    def timed_cli(A):
+        """(median, IQR) ms of the whole decompose command on A, its output discarded."""
+        with tempfile.TemporaryDirectory() as folder:
+            payload = Path(folder) / "operator.json"
+            payload.write_text(json.dumps({"operator": jsonio.matrix_to_json(A)}))
+            argv = ["decompose", "--json", "--input", str(payload)]
+
+            def run():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    if cli.main(argv) != 0:
+                        sys.exit(f"decompose exited nonzero on the {A.rows} x {A.rows} operator")
+            return median_ms(run)
 
     def shear(field, n, rng, lower):
         """I + N and its inverse for N with random -1, 0, 1 next to the diagonal,
@@ -67,8 +91,9 @@ def main() -> None:
         return Matrix.from_ints(field, S), Matrix.from_ints(field, inv)
 
     print(f"ximod from {Path(modules.__file__).parent}; median process ms (interquartile "
-          "range) of decompose_operator_module (dec) and charpoly (cp), k invariant factors")
-    print(f"{'field':>6} {'n':>3} {header('dense dec', 'cp')} {'k':>3} "
+          "range) of decompose_operator_module (dec), charpoly (cp) and the whole decompose "
+          "command (cli), k invariant factors")
+    print(f"{'field':>6} {'n':>3} {header('dense dec', 'cp', 'cli')} {'k':>3} "
           f"{header('derog dec', 'cp')} {'k':>3}")
     for field in (QQ, QI, PrimeField(101)):
 
@@ -90,11 +115,12 @@ def main() -> None:
                                 else field.zero() for j in range(n)] for i in range(n)])
             (L, L_inv), (U, U_inv) = shear(field, n, rng, True), shear(field, n, rng, False)
             derogatory = L @ U @ D @ U_inv @ L_inv
-            cells = timed(dense(n, rng)) + timed(derogatory)
-            rows.append((n, cells[0][0], cells[1][0], cells[3][0], cells[4][0]))
-            print(f"{field.kind:>6} {n:>3} {cell(cells[0])} {cell(cells[1])} {cells[2]:>3} "
-                  f"{cell(cells[3])} {cell(cells[4])} {cells[5]:>3}")
-        names = ("dense dec", "dense cp", "derog dec", "derog cp")
+            A = dense(n, rng)
+            cells = timed(A) + timed(derogatory) + (timed_cli(A),)
+            rows.append((n, cells[0][0], cells[1][0], cells[6][0], cells[3][0], cells[4][0]))
+            print(f"{field.kind:>6} {n:>3} {cell(cells[0])} {cell(cells[1])} {cell(cells[6])} "
+                  f"{cells[2]:>3} {cell(cells[3])} {cell(cells[4])} {cells[5]:>3}")
+        names = ("dense dec", "dense cp", "dense cli", "derog dec", "derog cp")
         for line in slope_lines(field.kind, names, rows):
             print(line)
         if not field.characteristic:
