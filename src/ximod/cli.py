@@ -23,7 +23,8 @@ from .errors import (
     SelfCheckFailed,
     UnknownDemo,
 )
-from .fields import QQ, Field
+from .factor import _sqrt_minus_one
+from .fields import QQ, Field, PrimeField
 from .jsonio import (
     field_to_json,
     json_int,
@@ -40,7 +41,7 @@ from .jsonio import (
     scalar_to_json,
     vector_to_json,
 )
-from .matrix import Matrix, poly_eval_operator
+from .matrix import Echelon, Matrix, _Lifted, poly_eval_operator
 from .modules import (
     ModuleDecomposition,
     OperatorModule,
@@ -256,7 +257,62 @@ def _check_presentation(P: PolyMatrix, dec: ModuleDecomposition) -> None:
         raise SelfCheckFailed("invariant factors do not multiply to the determinant")
 
 
+# the prime at which `_check_operator` takes Krylov ranks over Q and Q(i):
+# below 2^30, and 1 mod 4, so that i -> s with s^2 = -1 is a ring map Z[i] -> F_p
+_CERTIFICATE_FIELD = PrimeField(1073741789)
+_CERTIFICATE_SQRT_MINUS_ONE = _sqrt_minus_one(_CERTIFICATE_FIELD.p)
+
+
+def _check_operator(A: Matrix, dec: ModuleDecomposition) -> None:
+    """Check the invariant factors of the n x n operator A on its kept lift
+    A = M / d.
+
+    Certified path, for a single factor f of degree n: the integral Krylov
+    vectors v_t = M^t e_1, t < n, are pushed into an `Echelon` mod p, over
+    F_p in the field itself, over Q and Q(i) at `_CERTIFICATE_FIELD` with
+    i -> s.  A minor that is nonzero mod p is nonzero over K, so rank n
+    proves e_1 cyclic: its minimal polynomial has degree n.  With f stored
+    as c / L, sum_k c_k d^(n-k) v_k is L d^n f(A) e_1, exactly; if it is
+    zero, that minimal polynomial divides f, and both are monic of degree
+    n, so f = mu_A = chi_A, which proves both checks of the general path.
+
+    General path, taken otherwise (more than one factor, deg f != n, or a
+    rank below n: e_1 is not cyclic, or p divides the Krylov determinant):
+    the invariant factors multiply to `charpoly(A)`, and the last one
+    annihilates A (`poly_eval_operator`).  Both pass the one-factor answer
+    chi_A for a derogatory A, whose minimal polynomial has degree below n.
+    """
+    factors, n = dec.invariant_factors, A.rows
+    if len(factors) == 1 and factors[0].degree == n:
+        ring = _Lifted(A.field)
+        M, d = ring.rows(A)
+        ech = Echelon(A.field if ring.p else _CERTIFICATE_FIELD)
+        p, s = ech.ring.p, _CERTIFICATE_SQRT_MINUS_ONE
+        v, krylov = [ring.one] + [ring.zero] * (n - 1), []
+        for t in range(n):
+            image = [(a + b * s) % p for a, b in v] if ring.gaussian else [a % p for a in v]
+            ech.push(ech.reduce_lifted(image, 1)[0])
+            if len(ech.pivots) == t:  # v_t lies in the span of the earlier v mod p
+                break
+            krylov.append(v)
+            v = [ring.dot(row, v) for row in M]
+        else:
+            krylov.append(v)
+            g = [ring.scale(d ** (n - k), c) for k, c in enumerate(factors[0].u)]
+            if any(ring.dot(g, column) != ring.zero for column in zip(*krylov)):
+                raise SelfCheckFailed("last invariant factor does not annihilate the operator")
+            return
+    if _product(factors, A.field) != charpoly(A):
+        raise SelfCheckFailed("invariant factors do not multiply to the charpoly")
+    if factors and not poly_eval_operator(factors[-1], A).is_zero:
+        raise SelfCheckFailed("last invariant factor does not annihilate the operator")
+
+
 def cmd_decompose(args):
+    """`ximod decompose`: the invariant factors (and with --primary the
+    elementary divisors) of an operator module K^n, checked by
+    `_check_operator`, or of a presented module, checked against the
+    presentation's determinant when it is square."""
     payload = _load_payload(args)
     ambient = _ambient_field(args)
     if ("operator" in payload) == ("presentation" in payload):
@@ -268,12 +324,7 @@ def cmd_decompose(args):
         if not A.is_square or A.rows < 1:
             raise InputValidationError("$.operator", "operator must be square, size >= 1")
         dec = _decompose_operator(A)
-        if _product(dec.invariant_factors, A.field) != charpoly(A):
-            raise SelfCheckFailed("invariant factors do not multiply to the charpoly")
-        if dec.invariant_factors and not poly_eval_operator(
-            dec.invariant_factors[-1], A
-        ).is_zero:
-            raise SelfCheckFailed("last invariant factor does not annihilate the operator")
+        _check_operator(A, dec)
         field = A.field
         source = {"kind": "operator", "dim": A.rows}
     else:

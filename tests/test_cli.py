@@ -5,15 +5,18 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from ximod import (
+    QI,
     QQ,
     Matrix,
     OperatorPairKind,
     Poly,
     PolyMatrix,
+    PrimeField,
     SelfCheckFailed,
     SmithForm,
     companion_matrix,
@@ -24,6 +27,8 @@ from ximod import (
 )
 from ximod.cli import STANDARD_MAX_COORDINATES, _check_smith, _check_tensor, build_parser, main
 from ximod.jsonio import matrix_to_json, poly_to_json
+
+from oracles import rand_invertible, rand_matrix, rand_scalar, sympy_domain
 
 
 def run_cli(args, stdin_text=""):
@@ -340,6 +345,168 @@ def test_decompose_check_catches_elementary_divisors_that_do_not_recombine(
     )
     assert (code, out) == (3, "")
     assert "elementary divisors do not recombine" in err
+
+
+def _count_operator_checks(monkeypatch):
+    """Wrap the general path's `charpoly` and `poly_eval_operator` in `cli`;
+    the dict returned counts their calls."""
+    import ximod.cli as cli
+
+    calls = {"charpoly": 0, "poly_eval_operator": 0}
+
+    def counted(name, check):
+        def wrapper(*args):
+            calls[name] += 1
+            return check(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    return calls
+
+
+def test_decompose_certificate_catches_a_cyclic_factor_that_does_not_annihilate(
+    capsys, tmp_path, monkeypatch
+):
+    # e_1 is cyclic for the swap, whose one invariant factor x^2 - 1 is
+    # given as x^2 - 2: the Krylov rank is 2 and f(A) e_1 = -e_1
+    calls = _count_operator_checks(monkeypatch)
+    tamper = _invariant_factors(Poly.from_ints(QQ, [-2, 0, 1]))
+    code, out, err = _run_tampered_decompose(capsys, tmp_path, monkeypatch, [[0, 1], [1, 0]], tamper)
+    assert (code, out) == (3, "")
+    assert "last invariant factor does not annihilate the operator" in err
+    assert calls == {"charpoly": 0, "poly_eval_operator": 0}
+
+
+def test_decompose_certificate_falls_back_when_e1_is_an_eigenvector(capsys, tmp_path, monkeypatch):
+    # diag(1, 2) is cyclic, but its Krylov vectors e_1, A e_1 = e_1 are not
+    calls = _count_operator_checks(monkeypatch)
+    code, out, err = _run_tampered_decompose(capsys, tmp_path, monkeypatch, [[1, 0], [0, 2]],
+                                             lambda A, dec: dec)
+    assert (code, err) == (0, "")
+    assert "R/(x^2 - 3*x + 2)" in out
+    assert calls == {"charpoly": 1, "poly_eval_operator": 1}
+
+
+def test_decompose_certificate_falls_back_at_its_unlucky_prime(capsys, tmp_path, monkeypatch):
+    # e_1, A e_1 = (1, 0), (0, p) are independent over Q, not mod p
+    import ximod.cli as cli
+
+    p = cli._CERTIFICATE_FIELD.p
+    calls = _count_operator_checks(monkeypatch)
+    code, out, err = _run_tampered_decompose(capsys, tmp_path, monkeypatch, [[0, 1], [p, 0]],
+                                             lambda A, dec: dec)
+    assert (code, err) == (0, "")
+    assert f"R/(x^2 - {p})" in out
+    assert calls == {"charpoly": 1, "poly_eval_operator": 1}
+
+
+def test_certified_decompose_calls_neither_charpoly_nor_poly_eval_operator(
+    capsys, tmp_path, monkeypatch
+):
+    calls = _count_operator_checks(monkeypatch)
+    identity = lambda A, dec: dec  # noqa: E731
+    code, _, _ = _run_tampered_decompose(capsys, tmp_path, monkeypatch, [[0, 1], [1, 0]], identity)
+    assert code == 0
+    assert calls == {"charpoly": 0, "poly_eval_operator": 0}
+    code, _, _ = _run_tampered_decompose(capsys, tmp_path, monkeypatch, [[1, 0], [0, 1]], identity)
+    assert code == 0
+    assert calls == {"charpoly": 1, "poly_eval_operator": 1}
+
+
+def test_operator_certificate_over_qi_maps_i_to_a_square_root_of_minus_one(monkeypatch):
+    # A is cyclic, chi_A = x (x - i)^2, and e_1, A e_1 = (0, 1, i) span
+    # A^2 e_1 = i A e_1; their real parts, the images under i -> 0 (no ring
+    # map), would be independent
+    import ximod.cli as cli
+
+    A = Matrix(QI, [[QI.scalar(c) for c in row]
+                    for row in [[0, 0, 0], [1, (0, 2), -1], [(0, 1), -1, 0]]])
+    dec = cli._decompose_operator(A)
+    assert [f.degree for f in dec.invariant_factors] == [3]
+    calls = _count_operator_checks(monkeypatch)
+    cli._check_operator(A, dec)
+    assert calls == {"charpoly": 1, "poly_eval_operator": 1}
+
+
+def _conjugated(D, rng):
+    """S D S^-1 for a random invertible S over D's field."""
+    field, n = D.field, D.rows
+    S = rand_invertible(field, n, rng)
+    columns = [solve_linear(S, unit_vector(field, n, j)) for j in range(n)]
+    return S @ D @ Matrix(field, ((column[i] for column in columns) for i in range(n)))
+
+
+def _certificate_operators(field, n, rng):
+    """Dense integral, dense with denominators (over Q and Q(i); rand_scalar
+    draws them), a companion matrix, for which e_1 is cyclic, a conjugated
+    diag(C, C) or diag(C, C, c), and diag(1, ..., n)."""
+    yield Matrix.from_ints(field, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+    yield rand_matrix(field, n, n, rng)
+    yield companion_matrix(Poly(field, [rand_scalar(field, rng) for _ in range(n)] + [field.one()]))
+    if n > 1:
+        C, c = rand_matrix(field, n // 2, n // 2, rng).entries, rand_scalar(field, rng)
+        zero = field.zero()
+        D = [[C[i % (n // 2)][j % (n // 2)] if i // (n // 2) == j // (n // 2) < 2 else zero
+              for j in range(n)] for i in range(n)]
+        if n % 2:
+            D[-1][-1] = c
+        yield _conjugated(Matrix(field, D), rng)
+    yield Matrix.diagonal(field, [field.from_int(k) for k in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("field", [QQ, QI, PrimeField(2), PrimeField(101)],
+                         ids=["q", "qi", "fp2", "fp101"])
+def test_operator_certificate_matches_sympy(field, monkeypatch):
+    # the certified path runs exactly when e_1's Krylov matrix has rank n,
+    # and then its one factor is the charpoly; a perturbed factor raises
+    pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    import ximod.cli as cli
+
+    domain, convert = sympy_domain(field)
+    rng = random.Random(f"operator-certificate-{field.describe()}")
+    calls = _count_operator_checks(monkeypatch)
+    certified = set()
+    for n in range(1, 7):
+        for A in _certificate_operators(field, n, rng):
+            S = DomainMatrix([[convert(a) for a in row] for row in A.entries], (n, n), domain)
+            v = DomainMatrix([[domain.one if i == 0 else domain.zero] for i in range(n)],
+                             (n, 1), domain)
+            krylov = [v]
+            for _ in range(n - 1):
+                krylov.append(S * krylov[-1])
+            cyclic = krylov[0].hstack(*krylov[1:]).rank() == n
+            dec = cli._decompose_operator(A)
+            calls["charpoly"] = 0
+            cli._check_operator(A, dec)
+            assert (calls["charpoly"] == 0) == cyclic, (n, A)
+            if cyclic:
+                certified.add(n)
+                (f,) = dec.invariant_factors
+                assert [convert(c) for c in reversed(f.coeffs)] == S.charpoly()
+            if len(dec.invariant_factors) == 1:
+                f = dec.invariant_factors[0]
+                perturbed = dataclasses.replace(dec, invariant_factors=(f + Poly.one(field),))
+                with pytest.raises(SelfCheckFailed):
+                    cli._check_operator(A, perturbed)
+    assert certified == set(range(1, 7))
+
+
+def test_operator_certificate_of_a_dense_qi_operator_runs_quickly():
+    # about 0.012 s of process time on a 2-vCPU VM; charpoly and
+    # Paterson-Stockmeyer took 0.19 s
+    import ximod.cli as cli
+
+    n, rng = 32, random.Random("operator-certificate-qi-32")
+    A = Matrix(QI, [[QI.scalar((Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))))
+                     for _ in range(n)] for _ in range(n)])
+    dec = cli._decompose_operator(A)
+    assert [f.degree for f in dec.invariant_factors] == [n]
+    start = time.process_time()
+    cli._check_operator(A, dec)
+    assert time.process_time() - start < 0.06
 
 
 def test_tensor_check_rejects_annihilator_rows_that_are_not_independent(
@@ -1219,9 +1386,10 @@ def _count_lifts(capsys, monkeypatch, tmp_path, argv, payload):
 
 
 def test_each_matrix_is_lifted_once_per_command(capsys, monkeypatch, tmp_path):
-    # decompose lifts A for the Krylov chains, charpoly and the annihilation
-    # check; opair lifts A and B for W, its check and the two quotient
-    # actions, and the induced operator for its decomposition
+    # decompose lifts A for the Krylov chains and the cyclic-vector
+    # certificate, whose mod-p image is no Matrix; opair lifts A and B for
+    # W, its check and the two quotient actions, and the induced operator
+    # for its decomposition
     rng = random.Random(29)
     A = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(6)]
     count = _count_lifts(capsys, monkeypatch, tmp_path, ["decompose"], {"operator": _matrix(A)})

@@ -1,20 +1,24 @@
-"""Time ximod's operator decomposition and characteristic polynomial over size ladders.
+"""Time ximod's operator decomposition, characteristic polynomial and operator check over size ladders.
 
     python3 tools/decompose_ladder.py --root <checkout> [--sizes 8 16 24 32]
 
 For each field of q, qi and fp:101 and each n of --sizes, prints the median
 process time in ms, over at least 7 runs, with its interquartile range in
-parentheses (`timing.median_ms`), of `decompose_operator_module` and of
-`charpoly` on two n x n operators, and on the dense one of the whole
-command as well: in-process ``cli.main(["decompose", "--json", "--input",
-f])`` on the operator written to a JSON file f by `jsonio.matrix_to_json`,
-so that parsing, the self-checks and rendering show too (cli):
+parentheses (`timing.median_ms`), of `decompose_operator_module`, of
+`charpoly` and of the command's self-check `cli._check_operator(A, dec)`
+(check, on the A that decompose lifted and its decomposition dec) on two
+n x n operators, and on the dense one of the whole command as well:
+in-process ``cli.main(["decompose", "--json", "--input", f])`` on the
+operator written to a JSON file f by `jsonio.matrix_to_json`, so that
+parsing, the self-checks and rendering show too (cli):
 
   * dense: entries drawn from [-9, 9] (real and imaginary parts over qi),
-    one Krylov chain for a generic operator;
+    one Krylov chain for a generic operator, whose check is the cyclic
+    vector certificate;
   * derogatory: S diag(C, ..., C) S^-1 for one dense 4 x 4 block C and an
     integral S with an integral inverse, so about n / 4 chains whose
-    closing relations reach back into the earlier chains.
+    closing relations reach back into the earlier chains, and whose check
+    falls back to `charpoly` and Paterson-Stockmeyer.
 
 After each field's rungs it prints the local slope of each column between
 neighbouring sizes, log(t2 / t1) / log(n2 / n1) of the medians, and over q and qi one rung
@@ -50,15 +54,18 @@ def main() -> None:
     from ximod import QI, QQ, Matrix, OperatorModule, PrimeField, charpoly, cli, jsonio, modules
 
     def timed(A):
-        """((median, IQR) ms of decompose, the same of charpoly, number of invariant factors),
-        each run on a fresh copy of A, which lifts itself as a parsed operator does."""
+        """((median, IQR) ms of decompose, the same of charpoly and of the check, number of
+        invariant factors): decompose and charpoly each run on a fresh copy of A, which
+        lifts itself as a parsed operator does, and the check on A, lifted by decompose
+        as in the command."""
         def fresh():
             return Matrix._make(A.field, A.values, (A.rows, A.cols))
 
         t_dec = median_ms(lambda: modules.decompose_operator_module(
             OperatorModule(A.field, A.rows, fresh())))
-        factors = modules.decompose_operator_module(OperatorModule(A.field, A.rows, A)).invariant_factors
-        return t_dec, median_ms(lambda: charpoly(fresh())), len(factors)
+        dec = modules.decompose_operator_module(OperatorModule(A.field, A.rows, A))
+        return (t_dec, median_ms(lambda: charpoly(fresh())),
+                median_ms(lambda: cli._check_operator(A, dec)), len(dec.invariant_factors))
 
     def timed_cli(A):
         """(median, IQR) ms of the whole decompose command on A, its output discarded."""
@@ -91,10 +98,10 @@ def main() -> None:
         return Matrix.from_ints(field, S), Matrix.from_ints(field, inv)
 
     print(f"ximod from {Path(modules.__file__).parent}; median process ms (interquartile "
-          "range) of decompose_operator_module (dec), charpoly (cp) and the whole decompose "
-          "command (cli), k invariant factors")
-    print(f"{'field':>6} {'n':>3} {header('dense dec', 'cp', 'cli')} {'k':>3} "
-          f"{header('derog dec', 'cp')} {'k':>3}")
+          "range) of decompose_operator_module (dec), charpoly (cp), cli._check_operator "
+          "(check) and the whole decompose command (cli), k invariant factors")
+    print(f"{'field':>6} {'n':>3} {header('dense dec', 'cp', 'check', 'cli')} {'k':>3} "
+          f"{header('derog dec', 'cp', 'check')} {'k':>3}")
     for field in (QQ, QI, PrimeField(101)):
 
         def dense(n, rng, den=1):
@@ -116,18 +123,20 @@ def main() -> None:
             (L, L_inv), (U, U_inv) = shear(field, n, rng, True), shear(field, n, rng, False)
             derogatory = L @ U @ D @ U_inv @ L_inv
             A = dense(n, rng)
-            cells = timed(A) + timed(derogatory) + (timed_cli(A),)
-            rows.append((n, cells[0][0], cells[1][0], cells[6][0], cells[3][0], cells[4][0]))
-            print(f"{field.kind:>6} {n:>3} {cell(cells[0])} {cell(cells[1])} {cell(cells[6])} "
-                  f"{cells[2]:>3} {cell(cells[3])} {cell(cells[4])} {cells[5]:>3}")
-        names = ("dense dec", "dense cp", "dense cli", "derog dec", "derog cp")
+            (d_dec, d_cp, d_check, d_k), (g_dec, g_cp, g_check, g_k) = timed(A), timed(derogatory)
+            d_cli = timed_cli(A)
+            rows.append((n, *(t[0] for t in (d_dec, d_cp, d_check, d_cli, g_dec, g_cp, g_check))))
+            print(f"{field.kind:>6} {n:>3} {cell(d_dec)} {cell(d_cp)} {cell(d_check)} {cell(d_cli)} "
+                  f"{d_k:>3} {cell(g_dec)} {cell(g_cp)} {cell(g_check)} {g_k:>3}")
+        names = ("dense dec", "dense cp", "dense check", "dense cli", "derog dec", "derog cp",
+                 "derog check")
         for line in slope_lines(field.kind, names, rows):
             print(line)
         if not field.characteristic:
             rng = random.Random(f"decompose-ladder-{field.describe()}-fraction")
-            t_dec, t_cp, k = timed(dense(FRACTION_SIZE, rng, den=9))
+            t_dec, t_cp, t_check, k = timed(dense(FRACTION_SIZE, rng, den=9))
             print(f"{field.kind:>6} {FRACTION_SIZE:>3} with denominators: dec {cell(t_dec, 0)}, "
-                  f"cp {cell(t_cp, 0)}, k {k}")
+                  f"cp {cell(t_cp, 0)}, check {cell(t_check, 0)}, k {k}")
 
 
 if __name__ == "__main__":
