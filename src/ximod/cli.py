@@ -15,6 +15,8 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import count
+from math import lcm, prod
 
 from .errors import (
     AlgebraError,
@@ -24,7 +26,7 @@ from .errors import (
     UnknownDemo,
 )
 from .factor import _sqrt_minus_one
-from .fields import QQ, Field, PrimeField
+from .fields import QQ, Field, PrimeField, _is_prime
 from .jsonio import (
     field_to_json,
     json_int,
@@ -41,7 +43,7 @@ from .jsonio import (
     scalar_to_json,
     vector_to_json,
 )
-from .matrix import Echelon, Matrix, _Lifted, poly_eval_operator
+from .matrix import Echelon, Matrix, _Lifted
 from .modules import (
     ModuleDecomposition,
     OperatorModule,
@@ -54,7 +56,7 @@ from .modules import (
     torsion_info,
 )
 from .poly import Poly, poly_gcd
-from .polymatrix import PolyMatrix, charpoly, smith_diagonal, smith_normal_form
+from .polymatrix import PolyMatrix, smith_diagonal, smith_normal_form
 from .rewrite import RuleSet, decide_equiv, format_sequence, parse_expression
 from .tensor import (
     BranchingKind,
@@ -257,55 +259,119 @@ def _check_presentation(P: PolyMatrix, dec: ModuleDecomposition) -> None:
         raise SelfCheckFailed("invariant factors do not multiply to the determinant")
 
 
-# the prime at which `_check_operator` takes Krylov ranks over Q and Q(i):
-# below 2^30, and 1 mod 4, so that i -> s with s^2 = -1 is a ring map Z[i] -> F_p
-_CERTIFICATE_FIELD = PrimeField(1073741789)
-_CERTIFICATE_SQRT_MINUS_ONE = _sqrt_minus_one(_CERTIFICATE_FIELD.p)
+# the primes at which `_check_operator` takes Krylov ranks over Q and Q(i):
+# p = 1 (mod 4) below 2^30, largest first, each with s, s^2 = -1 mod p, so
+# that i -> s is a ring map Z[i] -> F_p; found as the check asks for them
+_CERTIFICATE_PRIMES: list[tuple[PrimeField, int]] = []
+
+
+def _certificate_prime(i: int) -> tuple[PrimeField, int]:
+    """(F_p, s) for the i-th prime of `_CERTIFICATE_PRIMES`, found first if
+    the list is shorter."""
+    while len(_CERTIFICATE_PRIMES) <= i:
+        p = _CERTIFICATE_PRIMES[-1][0].p - 4 if _CERTIFICATE_PRIMES else 2**30 - 3
+        while not _is_prime(p):
+            p -= 4
+        _CERTIFICATE_PRIMES.append((PrimeField(p), _sqrt_minus_one(p)))
+    return _CERTIFICATE_PRIMES[i]
 
 
 def _check_operator(A: Matrix, dec: ModuleDecomposition) -> None:
-    """Check the invariant factors of the n x n operator A on its kept lift
-    A = M / d.
+    """Check the invariant factors f_1 | ... | f_r of the n x n operator A
+    on the Krylov presentation that `dec` keeps: chain starts g_j, unit
+    vectors, and a k x k upper-triangular P with a monic diagonal and
+    sum deg P_jj = n.  Everything runs on A's kept lift A = M / d, where
+    the integral M^t g_j stands for d^t A^t g_j.
 
-    Certified path, for a single factor f of degree n: the integral Krylov
-    vectors v_t = M^t e_1, t < n, are pushed into an `Echelon` mod p, over
-    F_p in the field itself, over Q and Q(i) at `_CERTIFICATE_FIELD` with
-    i -> s.  A minor that is nonzero mod p is nonzero over K, so rank n
-    proves e_1 cyclic: its minimal polynomial has degree n.  With f stored
-    as c / L, sum_k c_k d^(n-k) v_k is L d^n f(A) e_1, exactly; if it is
-    zero, that minimal polynomial divides f, and both are monic of degree
-    n, so f = mu_A = chi_A, which proves both checks of the general path.
+    The n vectors M^t g_j, t < deg P_jj, are pushed into an `Echelon` mod
+    p: over F_p in the field itself, where the rank is exact; over Q and
+    Q(i) at the primes of `_CERTIFICATE_PRIMES` with i -> s, until the rank
+    is n, or until the primes' product exceeds the Hadamard bound of their
+    determinant (of its norm over Q(i)), which every prime tried divides,
+    so that it is zero.  Each column's closing relation sum_i P_ij(A) g_i
+    = 0 is tested exactly, as an integral sum of such vectors.  Rank n
+    makes e_j -> g_j map K[x]^k onto K^n; it kills P K[x]^k, whose quotient
+    has dimension deg det P = n, so K^n = K[x]^k / P K[x]^k.  Hence chi_A =
+    prod P_jj, to which the f_i must multiply, and the g_j generate K^n, so
+    f_r annihilates A when f_r(A) g_j = 0 for every j.  With f_r = q P_jj +
+    r, the relation of column j makes f_r(A) g_j = r(A) g_j - sum_{i<j}
+    (q P_ij)(A) g_i, which is tested instead: zero with no product when f_r
+    = P_11 and k = 1, and in general a few more vectors of the first chains
+    instead of deg f_r of every chain.
 
-    General path, taken otherwise (more than one factor, deg f != n, or a
-    rank below n: e_1 is not cyclic, or p divides the Krylov determinant):
-    the invariant factors multiply to `charpoly(A)`, and the last one
-    annihilates A (`poly_eval_operator`).  Both pass the one-factor answer
-    chi_A for a derogatory A, whose minimal polynomial has degree below n.
+    Any chain whose product is chi_A and whose last factor is a multiple of
+    mu_A passes: chi_A alone for a derogatory A, for one.
     """
-    factors, n = dec.invariant_factors, A.rows
-    if len(factors) == 1 and factors[0].degree == n:
-        ring = _Lifted(A.field)
-        M, d = ring.rows(A)
-        ech = Echelon(A.field if ring.p else _CERTIFICATE_FIELD)
-        p, s = ech.ring.p, _CERTIFICATE_SQRT_MINUS_ONE
-        v, krylov = [ring.one] + [ring.zero] * (n - 1), []
-        for t in range(n):
+    field, n, factors = A.field, A.rows, dec.invariant_factors
+    if dec.presentation is None:
+        raise SelfCheckFailed("the decomposition keeps no Krylov presentation")
+    starts, P = dec.presentation.starts, dec.presentation.relations
+    k, diagonal = len(starts), P.diagonal_entries()
+    if (P.field != field or (P.rows, P.cols) != (k, k)
+            or any(not 0 <= g < n for g in starts)
+            or any(not P.values[i][j].is_zero for j in range(k) for i in range(j + 1, k))
+            or not all(e.is_monic for e in diagonal) or sum(e.degree for e in diagonal) != n):
+        raise SelfCheckFailed("the Krylov presentation is not triangular of degree n")
+    if sum(f.degree for f in factors) != n:
+        raise SelfCheckFailed("invariant factors do not multiply to the charpoly")
+    ring = _Lifted(field)
+    M, d = ring.rows(A)
+    chains = [[[ring.one if a == g else ring.zero for a in range(n)]] for g in starts]
+
+    def krylov(j, length) -> list:
+        """M^t g_j for t < length, each one matrix-vector product from the one
+        before, kept for the next call."""
+        chain = chains[j]
+        while len(chain) < length:
+            chain.append([ring.dot(row, chain[-1]) for row in M])
+        return chain[:length]
+
+    def vanishes(terms) -> bool:
+        """Whether sum e(A) g_j = 0 over the (e, j) terms: with each e stored
+        as u / den, L d^T times it, exactly, L the lcm of the dens and T the
+        highest degree."""
+        terms = [(e, j) for e, j in terms if not e.is_zero]
+        if not terms:
+            return True
+        T, L = max(e.degree for e, _ in terms), lcm(*(e.den for e, _ in terms))
+        coeffs, vectors = [], []
+        for e, j in terms:
+            coeffs += (ring.scale(L // e.den * d ** (T - t), c) for t, c in enumerate(e.u))
+            vectors += krylov(j, len(e.u))
+        return all(ring.dot(coeffs, column) == ring.zero for column in zip(*vectors))
+
+    if not all(vanishes((P.values[i][j], i) for i in range(j + 1)) for j in range(k)):
+        raise SelfCheckFailed("a closing relation of the Krylov presentation fails")
+    basis = [v for j, e in enumerate(diagonal) for v in krylov(j, e.degree)]
+    product, bound = 1, None
+    for i in count():
+        F, s = (field, 0) if ring.p else _certificate_prime(i)
+        ech, p = Echelon(F), F.p
+        for t, v in enumerate(basis):
             image = [(a + b * s) % p for a, b in v] if ring.gaussian else [a % p for a in v]
             ech.push(ech.reduce_lifted(image, 1)[0])
-            if len(ech.pivots) == t:  # v_t lies in the span of the earlier v mod p
+            if len(ech.pivots) == t:  # v lies in the span of the vectors before it mod p
                 break
-            krylov.append(v)
-            v = [ring.dot(row, v) for row in M]
+        if len(ech.pivots) == n:
+            break
+        product *= p
+        if bound is None:  # |det|^2 <= prod |v|^2 (Hadamard)
+            bound = prod(sum(x * x for a in v for x in (a if ring.gaussian else (a,))) for v in basis)
+        if ring.p or product ** (1 if ring.gaussian else 2) > bound:
+            raise SelfCheckFailed("the Krylov vectors of the presentation are dependent")
+    for j in range(k):  # f_r(A) g_j, reduced by the relation of column j
+        q, r = divmod(factors[-1], diagonal[j])
+        if not vanishes([(r, j)] + [(-(q * P.values[i][j]), i) for i in range(j)]):
+            raise SelfCheckFailed("last invariant factor does not annihilate the operator")
+    # the factors that the two products share cancel first
+    left, right = list(factors), []
+    for e in diagonal:
+        if e in left:
+            left.remove(e)
         else:
-            krylov.append(v)
-            g = [ring.scale(d ** (n - k), c) for k, c in enumerate(factors[0].u)]
-            if any(ring.dot(g, column) != ring.zero for column in zip(*krylov)):
-                raise SelfCheckFailed("last invariant factor does not annihilate the operator")
-            return
-    if _product(factors, A.field) != charpoly(A):
+            right.append(e)
+    if _product(left, field) != _product(right, field):
         raise SelfCheckFailed("invariant factors do not multiply to the charpoly")
-    if factors and not poly_eval_operator(factors[-1], A).is_zero:
-        raise SelfCheckFailed("last invariant factor does not annihilate the operator")
 
 
 def cmd_decompose(args):

@@ -8,11 +8,14 @@ a k x k polynomial matrix, k the number of chains, and only that matrix
 goes through the Smith form.  The chains are formed on the integral lift
 A = M / d, each vector scaled by d^t, into one record of their closing
 relations and D K^-1 (`_krylov_chains`), and the relations become
-polynomials from their lifts, without being boxed.  Finitely presented
-modules go through the Smith form of their presentation matrix directly.
+polynomials from their lifts, without being boxed.  The decomposition
+keeps that presentation with its chain starts (`KrylovPresentation`), on
+which the CLI checks it.  Finitely presented modules go through the Smith
+form of their presentation matrix directly.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,11 +63,27 @@ class PresentedModule:
 
 
 @dataclass(frozen=True)
+class KrylovPresentation:
+    """K^n presented by its Krylov chains: e_j -> g_j, the unit vector with
+    index starts[j], maps K[x]^k onto K^n, and column j of the k x k
+    `relations`, upper triangular with a monic diagonal, is the closing
+    relation sum_i relations[i][j](A) g_i = 0 of chain j."""
+
+    starts: tuple[int, ...]
+    relations: PolyMatrix
+
+
+@dataclass(frozen=True)
 class ModuleDecomposition:
-    """Free rank plus the monic invariant-factor chain a_1 | a_2 | ..."""
+    """Free rank plus the monic invariant-factor chain a_1 | a_2 | ...; an
+    operator module's decomposition keeps the Krylov presentation it was
+    read from, which takes no part in equality."""
 
     free_rank: int
     invariant_factors: tuple[Poly, ...]
+    presentation: KrylovPresentation | None = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         for f in self.invariant_factors:
@@ -140,15 +159,18 @@ def operator_from_action(
 def decompose_operator_module(module: OperatorModule) -> ModuleDecomposition:
     """Invariant factors of the operator-induced module: the nonconstant
     diagonal of the Smith form of its k x k Krylov presentation, where k
-    is the number of chains (1 for a generic operator).  Always torsion
-    (free rank 0)."""
-    diagonal = smith_diagonal(_krylov_presentation(module.operator))
+    is the number of chains (1 for a generic operator), which the result
+    keeps.  Always torsion (free rank 0)."""
+    presentation = _krylov_presentation(module.operator)
+    diagonal = smith_diagonal(presentation.relations)
     return ModuleDecomposition(
-        free_rank=0, invariant_factors=tuple(d for d in diagonal if d.degree >= 1)
+        free_rank=0,
+        invariant_factors=tuple(d for d in diagonal if d.degree >= 1),
+        presentation=presentation,
     )
 
 
-def _krylov_chains(ring: _Lifted, M: list, d: int) -> tuple[list, list]:
+def _krylov_chains(ring: _Lifted, M: list, d: int) -> tuple[list, list, list]:
     """The Krylov chains of A = M / d on K^n, M a list of lifted rows, in one
     `Echelon` over K in O(n^3) ring operations.  Krylov vector s enters it
     followed by e_s in K^{n+1}, so a reduced vector that vanishes on its
@@ -161,15 +183,16 @@ def _krylov_chains(ring: _Lifted, M: list, d: int) -> tuple[list, list]:
     = M (d^(t-1) A^(t-1) g_j), an integral matvec, and it enters with its
     whole K^(2n+1) vector scaled by d^t as the lift (u, d^t).
 
-    Gives the record (chains, inverse) in lifted values.  Chain j closes
-    with sum_{i <= j} r_ij(A) g_i = 0; chains[j] is (blocks, den), and
-    blocks[i] / den are the coefficients of r_ij, lowest degree first: d_i
-    of them for i < j, and d_j + 1 for the monic r_jj, whose last is den.
-    The rows of `inverse` are D K^-1 for the Krylov basis K in chain order.
+    Gives the record (chains, inverse, generators) in lifted values.  Chain
+    j closes with sum_{i <= j} r_ij(A) g_i = 0; chains[j] is (blocks, den),
+    and blocks[i] / den are the coefficients of r_ij, lowest degree first:
+    d_i of them for i < j, and d_j + 1 for the monic r_jj, whose last is
+    den.  The rows of `inverse` are D K^-1 for the Krylov basis K in chain
+    order, and g_j is the unit vector with index generators[j].
     """
     n = len(M)
     echelon = Echelon(ring.field)
-    starts, chains = [], []
+    starts, chains, generators = [], [], []
     s = 0  # the number of Krylov vectors so far
     for j in range(n):
         if s == n:
@@ -189,11 +212,12 @@ def _krylov_chains(ring: _Lifted, M: list, d: int) -> tuple[list, list]:
         if s > start:  # else e_j is already in the span
             c = w[n:]
             starts.append(start)
+            generators.append(j)
             chains.append(([c[a:b] for a, b in zip(starts, starts[1:] + [s + 1])], den))
-    return chains, list(zip(*(r[n : 2 * n] for _, r in echelon.basis())))
+    return chains, list(zip(*(r[n : 2 * n] for _, r in echelon.basis()))), generators
 
 
-def _krylov_presentation(A: Matrix) -> PolyMatrix:
+def _krylov_presentation(A: Matrix) -> KrylovPresentation:
     """Present the module of A by its Krylov chains (`_krylov_chains`) on
     the integral lift A = M / d.
 
@@ -207,14 +231,14 @@ def _krylov_presentation(A: Matrix) -> PolyMatrix:
     """
     field = A.field
     ring = _Lifted(field)
-    chains, _ = _krylov_chains(ring, *ring.rows(A))
+    chains, _, generators = _krylov_chains(ring, *ring.rows(A))
     columns = [[_from_lift(field, b, den) for b in blocks] for blocks, den in chains]
     k = len(columns)
-    return PolyMatrix._make(
+    return KrylovPresentation(tuple(generators), PolyMatrix._make(
         field,
         ((col[i] if i < len(col) else Poly.zero(field) for col in columns) for i in range(k)),
         (k, k),
-    )
+    ))
 
 
 def decompose_presented_module(module: PresentedModule) -> ModuleDecomposition:

@@ -103,9 +103,6 @@ def charpoly(A: Matrix) -> Poly:
     inner product is reduced once.  The coefficient at x^j of
     det(x*I - L*A) is divided by L^(n-j): the result is the lift whose
     numerator at x^j is that coefficient times L^j, over L^n.
-    The CLI uses it to check invariant factors that no cyclic vector
-    certifies (`cli._check_operator`), so it shares no elimination with
-    their Krylov computation.
     """
     if not A.is_square:
         raise NonSquare("characteristic matrix needs a square operator")

@@ -300,7 +300,7 @@ def _intertwiners(ring: _Lifted, M: list, N: list):
     Z = [M^t y_i], and Y is taken as Z (D K^-1), the chains' `inverse`.
     """
     n, m = len(M), len(N)
-    chains, inverse = _krylov_chains(ring, N, 1)
+    chains, inverse, _ = _krylov_chains(ring, N, 1)
     k, zero = len(chains), ring.zero
     lengths = [len(blocks[j]) - 1 for j, (blocks, _) in enumerate(chains)]
     powers = ring.powers(M, max(lengths))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import random
@@ -326,6 +327,19 @@ def test_decompose_check_catches_a_last_factor_that_does_not_annihilate(
     assert "last invariant factor does not annihilate the operator" in err
 
 
+def test_decompose_check_catches_factors_of_degree_n_off_the_charpoly(
+    capsys, tmp_path, monkeypatch
+):
+    # diag(1, 1, 2) is R/(x - 1) (+) R/((x - 1)(x - 2)); (x - 2) for the
+    # first factor keeps the degrees and the annihilating last factor
+    x_1, x_2 = Poly.from_ints(QQ, [-1, 1]), Poly.from_ints(QQ, [-2, 1])
+    tamper = _invariant_factors(x_2, x_1 * x_2)
+    operator = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
+    code, out, err = _run_tampered_decompose(capsys, tmp_path, monkeypatch, operator, tamper)
+    assert (code, out) == (3, "")
+    assert "invariant factors do not multiply to the charpoly" in err
+
+
 def test_decompose_check_catches_elementary_divisors_that_do_not_recombine(
     capsys, tmp_path, monkeypatch
 ):
@@ -348,11 +362,14 @@ def test_decompose_check_catches_elementary_divisors_that_do_not_recombine(
 
 
 def _count_operator_checks(monkeypatch):
-    """Wrap the general path's `charpoly` and `poly_eval_operator` in `cli`;
-    the dict returned counts their calls."""
-    import ximod.cli as cli
+    """Wrap `charpoly` and `poly_eval_operator` in every ximod module that
+    holds them; the dict returned counts their calls."""
+    import ximod.matrix
+    import ximod.polymatrix
 
-    calls = {"charpoly": 0, "poly_eval_operator": 0}
+    originals = {"charpoly": ximod.polymatrix.charpoly,
+                 "poly_eval_operator": ximod.matrix.poly_eval_operator}
+    calls = dict.fromkeys(originals, 0)
 
     def counted(name, check):
         def wrapper(*args):
@@ -360,9 +377,37 @@ def _count_operator_checks(monkeypatch):
             return check(*args)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "ximod"]
+    for name, check in originals.items():
+        for module in modules:
+            if getattr(module, name, None) is check:
+                monkeypatch.setattr(module, name, counted(name, check))
     return calls
+
+
+def _count_certificate_primes(monkeypatch):
+    """Record the indices that `cli._check_operator` asks of the prime sequence."""
+    import ximod.cli as cli
+
+    asked, prime = [], cli._certificate_prime
+
+    def recorded(i):
+        asked.append(i)
+        return prime(i)
+
+    monkeypatch.setattr(cli, "_certificate_prime", recorded)
+    return asked
+
+
+def _with_presentation(starts=None, change=None):
+    """A tamper that keeps the answer and replaces the route's Krylov
+    presentation: its starts by `starts`, its relations P by change(P)."""
+    def tamper(A, dec):
+        pres = dec.presentation
+        relations = pres.relations if change is None else change(pres.relations)
+        return dataclasses.replace(dec, presentation=dataclasses.replace(
+            pres, starts=pres.starts if starts is None else starts, relations=relations))
+    return tamper
 
 
 def test_decompose_certificate_catches_a_cyclic_factor_that_does_not_annihilate(
@@ -378,55 +423,201 @@ def test_decompose_certificate_catches_a_cyclic_factor_that_does_not_annihilate(
     assert calls == {"charpoly": 0, "poly_eval_operator": 0}
 
 
-def test_decompose_certificate_falls_back_when_e1_is_an_eigenvector(capsys, tmp_path, monkeypatch):
-    # diag(1, 2) is cyclic, but its Krylov vectors e_1, A e_1 = e_1 are not
-    calls = _count_operator_checks(monkeypatch)
+def test_decompose_certificate_takes_two_chains_when_e1_is_an_eigenvector(
+    capsys, tmp_path, monkeypatch
+):
+    # diag(1, 2) is cyclic, but its Krylov vectors e_1, A e_1 = e_1 are not:
+    # the route starts a second chain at e_2, and the certificate checks both
+    calls, seen = _count_operator_checks(monkeypatch), []
     code, out, err = _run_tampered_decompose(capsys, tmp_path, monkeypatch, [[1, 0], [0, 2]],
-                                             lambda A, dec: dec)
+                                             lambda A, dec: seen.append(dec) or dec)
     assert (code, err) == (0, "")
     assert "R/(x^2 - 3*x + 2)" in out
-    assert calls == {"charpoly": 1, "poly_eval_operator": 1}
+    assert seen[0].presentation.starts == (0, 1)
+    assert calls == {"charpoly": 0, "poly_eval_operator": 0}
 
 
-def test_decompose_certificate_falls_back_at_its_unlucky_prime(capsys, tmp_path, monkeypatch):
-    # e_1, A e_1 = (1, 0), (0, p) are independent over Q, not mod p
+def test_decompose_certificate_passes_its_unlucky_prime(capsys, tmp_path, monkeypatch):
+    # e_1, A e_1 = (1, 0), (0, p) are independent over Q, not mod the first
+    # prime p: the rank is n at the second
     import ximod.cli as cli
 
-    p = cli._CERTIFICATE_FIELD.p
-    calls = _count_operator_checks(monkeypatch)
+    p = cli._certificate_prime(0)[0].p
+    calls, asked = _count_operator_checks(monkeypatch), _count_certificate_primes(monkeypatch)
     code, out, err = _run_tampered_decompose(capsys, tmp_path, monkeypatch, [[0, 1], [p, 0]],
                                              lambda A, dec: dec)
     assert (code, err) == (0, "")
     assert f"R/(x^2 - {p})" in out
-    assert calls == {"charpoly": 1, "poly_eval_operator": 1}
+    assert asked == [0, 1]
+    assert calls == {"charpoly": 0, "poly_eval_operator": 0}
 
 
 def test_certified_decompose_calls_neither_charpoly_nor_poly_eval_operator(
     capsys, tmp_path, monkeypatch
 ):
+    # cyclic, scalar, Jordan and diagonal operators, with and without --primary
     calls = _count_operator_checks(monkeypatch)
     identity = lambda A, dec: dec  # noqa: E731
-    code, _, _ = _run_tampered_decompose(capsys, tmp_path, monkeypatch, [[0, 1], [1, 0]], identity)
-    assert code == 0
+    for operator in ([[0, 1], [1, 0]], [[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 2]],
+                     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]):
+        for primary in (False, True):
+            code, _, _ = _run_tampered_decompose(capsys, tmp_path, monkeypatch, operator, identity,
+                                                 primary=primary)
+            assert code == 0
     assert calls == {"charpoly": 0, "poly_eval_operator": 0}
-    code, _, _ = _run_tampered_decompose(capsys, tmp_path, monkeypatch, [[1, 0], [0, 1]], identity)
-    assert code == 0
-    assert calls == {"charpoly": 1, "poly_eval_operator": 1}
 
 
-def test_operator_certificate_over_qi_maps_i_to_a_square_root_of_minus_one(monkeypatch):
+def test_decompose_certificate_catches_a_changed_relation_coefficient(
+    capsys, tmp_path, monkeypatch
+):
+    # the Jordan block's presentation [[x - 1, -1], [0, x - 1]] with its -1
+    # made -2: (A - 1) e_2 - 2 e_1 = -e_1
+    def changed(P):
+        assert P.entries[0][1] == Poly.from_ints(QQ, [-1])
+        rows = [list(row) for row in P.entries]
+        rows[0][1] = Poly.from_ints(QQ, [-2])
+        return PolyMatrix(QQ, rows)
+
+    code, out, err = _run_tampered_decompose(capsys, tmp_path, monkeypatch, [[1, 1], [0, 1]],
+                                             _with_presentation(change=changed))
+    assert (code, out) == (3, "")
+    assert "a closing relation of the Krylov presentation fails" in err
+
+
+@pytest.mark.parametrize("field", [QQ, QI, PrimeField(101)], ids=["q", "qi", "fp101"])
+def test_operator_certificate_catches_every_changed_relation_coefficient(field):
+    # S diag(C, C, C) S^-1 for a 2 x 2 C, three chains, with denominators
+    # over Q and Q(i): adding 1 at x^t, t < d_i, to any entry of row i of P
+    # adds A^t g_i to its column's relation, a Krylov vector, so it fails
+    import ximod.cli as cli
+
+    rng = random.Random(f"changed-relations-{field.describe()}")
+    C = rand_matrix(field, 2, 2, rng).entries
+    D = Matrix(field, [[C[i % 2][j % 2] if i // 2 == j // 2 else field.zero() for j in range(6)]
+                       for i in range(6)])
+    A = _conjugated(D, rng)
+    dec = cli._decompose_operator(A)
+    cli._check_operator(A, dec)
+    P = dec.presentation.relations
+    k = P.rows
+    assert k == 3
+    changed = 0
+    for i in range(k):
+        for j in range(i, k):
+            for t in range(P.entries[i][i].degree):
+                rows = [list(row) for row in P.entries]
+                rows[i][j] = rows[i][j] + Poly.x(field) ** t
+                tampered = _with_presentation(change=lambda _: PolyMatrix(field, rows))(A, dec)
+                with pytest.raises(SelfCheckFailed, match="closing relation"):
+                    cli._check_operator(A, tampered)
+                changed += 1
+    assert changed == 12
+
+
+def _shape_tampers():
+    """(name, tamper of the Jordan block's decomposition) pairs, each giving a
+    presentation that is not upper triangular with a monic diagonal of
+    degree n on starts that are unit vectors."""
+    x = Poly.x(QQ)
+
+    def entry(i, j, value):
+        def change(P):
+            rows = [list(row) for row in P.entries]
+            rows[i][j] = value(rows[i][j])
+            return PolyMatrix(QQ, rows)
+        return _with_presentation(change=change)
+
+    yield "below the diagonal", entry(1, 0, lambda _: Poly.one(QQ))
+    yield "diagonal not monic", entry(0, 0, lambda e: e + e)
+    yield "diagonal of degree n + 1", entry(0, 0, lambda e: e * x)
+    yield "start out of range", _with_presentation(starts=(0, 2))
+    yield "one start too few", _with_presentation(starts=(0,))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _shape_tampers()])
+def test_operator_certificate_refuses_a_presentation_of_the_wrong_shape(name):
+    import ximod.cli as cli
+
+    A = Matrix.from_ints(QQ, [[1, 1], [0, 1]])
+    dec = cli._decompose_operator(A)
+    cli._check_operator(A, dec)
+    tamper = dict(_shape_tampers())[name]
+    with pytest.raises(SelfCheckFailed, match="the Krylov presentation is not triangular"):
+        cli._check_operator(A, tamper(A, dec))
+
+
+def test_operator_certificate_refuses_a_decomposition_without_a_presentation():
+    import ximod.cli as cli
+
+    A = Matrix.from_ints(QQ, [[1, 1], [0, 1]])
+    dec = dataclasses.replace(cli._decompose_operator(A), presentation=None)
+    with pytest.raises(SelfCheckFailed, match="keeps no Krylov presentation"):
+        cli._check_operator(A, dec)
+
+
+def test_decompose_certificate_proves_dependent_starts_past_the_hadamard_bound(
+    capsys, tmp_path, monkeypatch
+):
+    # B (+) B for B = [[0, 1], [N, 0]], N = 2^150, is R/(x^2 - N) (+)
+    # R/(x^2 - N), and both chains given the start e_1 close by x^2 - N;
+    # their Krylov vectors e_1, N e_2 twice are dependent at every prime, so
+    # the check fails once the primes' product passes |det| <= N^2
+    import ximod.cli as cli
+
+    N = 2 ** 150
+    operator = [[0, 1, 0, 0], [N, 0, 0, 0], [0, 0, 0, 1], [0, 0, N, 0]]
+    code, out, err = _run_tampered_decompose(capsys, tmp_path, monkeypatch, operator,
+                                             lambda A, dec: dec)
+    assert (code, err) == (0, "")
+    assert f"R/(x^2 - {N}) (+) R/(x^2 - {N})" in out
+    asked = _count_certificate_primes(monkeypatch)
+    code, out, err = _run_tampered_decompose(capsys, tmp_path, monkeypatch, operator,
+                                             _with_presentation(starts=(0, 0)))
+    assert (code, out) == (3, "")
+    assert "the Krylov vectors of the presentation are dependent" in err
+    tried, product, needed = list(asked), 1, 0
+    while product <= N ** 2:
+        product *= cli._certificate_prime(needed)[0].p
+        needed += 1
+    assert needed > 5
+    assert tried == list(range(needed))
+
+
+def test_decompose_certificate_needs_the_last_factor_to_annihilate_every_chain(
+    capsys, tmp_path, monkeypatch
+):
+    # diag(1, 1, J_2(1)) is R/(x - 1)^2 (+) (R/(x - 1))^2 on four chains;
+    # four copies of x - 1 multiply to chi_A, but x - 1 leaves e_4 -> e_3
+    seen = []
+
+    def rearranged(A, dec):
+        seen.append(dec)
+        return dataclasses.replace(dec, invariant_factors=(Poly.from_ints(QQ, [-1, 1]),) * 4)
+
+    operator = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
+    code, out, err = _run_tampered_decompose(capsys, tmp_path, monkeypatch, operator, rearranged)
+    assert (code, out) == (3, "")
+    assert "last invariant factor does not annihilate the operator" in err
+    assert [f.degree for f in seen[0].invariant_factors] == [1, 1, 2]
+    assert len(seen[0].presentation.starts) == 4
+
+
+def test_operator_certificate_over_qi_maps_i_to_a_square_root_of_minus_one():
     # A is cyclic, chi_A = x (x - i)^2, and e_1, A e_1 = (0, 1, i) span
-    # A^2 e_1 = i A e_1; their real parts, the images under i -> 0 (no ring
-    # map), would be independent
+    # A^2 e_1 = i A e_1, so (x - i)^2 x, the right answer, closes the chain
+    # of e_1 alone; its Krylov vectors' real parts, the images under i -> 0
+    # (no ring map), would be independent
     import ximod.cli as cli
 
     A = Matrix(QI, [[QI.scalar(c) for c in row]
                     for row in [[0, 0, 0], [1, (0, 2), -1], [(0, 1), -1, 0]]])
     dec = cli._decompose_operator(A)
     assert [f.degree for f in dec.invariant_factors] == [3]
-    calls = _count_operator_checks(monkeypatch)
+    assert dec.presentation.starts == (0, 1)
     cli._check_operator(A, dec)
-    assert calls == {"charpoly": 1, "poly_eval_operator": 1}
+    one_chain = _with_presentation((0,), lambda P: PolyMatrix(QI, [[dec.invariant_factors[0]]]))
+    with pytest.raises(SelfCheckFailed, match="Krylov vectors of the presentation are dependent"):
+        cli._check_operator(A, one_chain(A, dec))
 
 
 def _conjugated(D, rng):
@@ -458,40 +649,35 @@ def _certificate_operators(field, n, rng):
 @pytest.mark.parametrize("field", [QQ, QI, PrimeField(2), PrimeField(101)],
                          ids=["q", "qi", "fp2", "fp101"])
 def test_operator_certificate_matches_sympy(field, monkeypatch):
-    # the certified path runs exactly when e_1's Krylov matrix has rank n,
-    # and then its one factor is the charpoly; a perturbed factor raises
+    # every operator's answer is certified on its presentation, equals the
+    # determinantal divisors' and multiplies to sympy's charpoly; a
+    # perturbed single factor raises
     pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
     import ximod.cli as cli
+    from oracles import naive_invariant_factors
 
     domain, convert = sympy_domain(field)
     rng = random.Random(f"operator-certificate-{field.describe()}")
     calls = _count_operator_checks(monkeypatch)
-    certified = set()
+    chains = set()
     for n in range(1, 7):
         for A in _certificate_operators(field, n, rng):
             S = DomainMatrix([[convert(a) for a in row] for row in A.entries], (n, n), domain)
-            v = DomainMatrix([[domain.one if i == 0 else domain.zero] for i in range(n)],
-                             (n, 1), domain)
-            krylov = [v]
-            for _ in range(n - 1):
-                krylov.append(S * krylov[-1])
-            cyclic = krylov[0].hstack(*krylov[1:]).rank() == n
             dec = cli._decompose_operator(A)
-            calls["charpoly"] = 0
             cli._check_operator(A, dec)
-            assert (calls["charpoly"] == 0) == cyclic, (n, A)
-            if cyclic:
-                certified.add(n)
-                (f,) = dec.invariant_factors
-                assert [convert(c) for c in reversed(f.coeffs)] == S.charpoly()
+            chains.add(len(dec.presentation.starts))
+            assert dec.invariant_factors == naive_invariant_factors(A), (n, A)
+            product = functools.reduce(Poly.__mul__, dec.invariant_factors, Poly.one(field))
+            assert [convert(c) for c in reversed(product.coeffs)] == S.charpoly()
             if len(dec.invariant_factors) == 1:
                 f = dec.invariant_factors[0]
                 perturbed = dataclasses.replace(dec, invariant_factors=(f + Poly.one(field),))
                 with pytest.raises(SelfCheckFailed):
                     cli._check_operator(A, perturbed)
-    assert certified == set(range(1, 7))
+    assert calls == {"charpoly": 0, "poly_eval_operator": 0}
+    assert {1, 2, 3} <= chains, chains
 
 
 def test_operator_certificate_of_a_dense_qi_operator_runs_quickly():
@@ -507,6 +693,53 @@ def test_operator_certificate_of_a_dense_qi_operator_runs_quickly():
     start = time.process_time()
     cli._check_operator(A, dec)
     assert time.process_time() - start < 0.06
+
+
+def _ladder_derogatory_qi(n):
+    """The derogatory Q(i) rung of tools/decompose_ladder.py, drawn as it
+    draws it: L U diag(C, ..., C) U^-1 L^-1 for a dense 4 x 4 C with real
+    and imaginary parts in [-9, 9] and two shears L, U with -1, 0, 1 next
+    to the diagonal, whose inverses are integral."""
+    rng = random.Random(f"decompose-ladder-{QI.describe()}-{n}")
+
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 1))
+
+    C = [[QI.scalar((part(), part())) for _ in range(4)] for _ in range(4)]
+    D = Matrix(QI, [[C[i % 4][j % 4] if i // 4 == j // 4 else QI.zero() for j in range(n)]
+                    for i in range(n)])
+
+    def shear(lower):
+        off = [rng.randint(-1, 1) for _ in range(n)]
+        S = [[int(i == j) for j in range(n)] for i in range(n)]
+        inv = [[0] * n for _ in range(n)]
+        for i in range(n):
+            if i:
+                S[i][i - 1] = off[i]
+            prod = 1
+            for j in range(i, -1, -1):
+                inv[i][j] = prod
+                prod *= -off[j]
+        if not lower:
+            S, inv = ([list(col) for col in zip(*M)] for M in (S, inv))
+        return Matrix.from_ints(QI, S), Matrix.from_ints(QI, inv)
+
+    (L, L_inv), (U, U_inv) = shear(True), shear(False)
+    return L @ U @ D @ U_inv @ L_inv
+
+
+def test_operator_certificate_of_a_derogatory_qi_operator_runs_quickly():
+    # n / 4 = 8 chains that reach back into the earlier ones; 0.005-0.008 s
+    # of process time on a 2-vCPU VM, where charpoly and Paterson-Stockmeyer
+    # took 0.042 s
+    import ximod.cli as cli
+
+    A = _ladder_derogatory_qi(32)
+    dec = cli._decompose_operator(A)
+    assert len(dec.invariant_factors) == len(dec.presentation.starts) == 8
+    start = time.process_time()
+    cli._check_operator(A, dec)
+    assert time.process_time() - start < 0.02
 
 
 def test_tensor_check_rejects_annihilator_rows_that_are_not_independent(

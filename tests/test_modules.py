@@ -282,7 +282,7 @@ def test_krylov_route_matches_smith_form_of_characteristic_matrix(field):
     chains, coupled = {}, set()
     for n in range(1, 9):
         for name, A in _operator_classes(field, n, rng).items():
-            P = _krylov_presentation(A)
+            P = _krylov_presentation(A).relations
             # upper triangular, monic diagonal, deg det = n
             assert all(P.entries[i][j].is_zero for j in range(P.cols) for i in range(j + 1, P.rows))
             assert all(d.is_monic for d in P.diagonal_entries())
@@ -312,7 +312,7 @@ def test_krylov_smith_diagonal_over_qi_matches_determinantal_divisors():
         S_inv = Matrix(QI, zip(*(solve_linear(S, unit_vector(QI, n, j)) for j in range(n))))
         for name, A in _operator_classes(QI, n, rng).items():
             A = S @ A @ S_inv
-            snf = smith_normal_form(_krylov_presentation(A))
+            snf = smith_normal_form(_krylov_presentation(A).relations)
             assert tuple(snf.nonconstant_diagonal()) == naive_invariant_factors(A), (name, n)
 
 
@@ -346,12 +346,14 @@ def test_decompose_of_fractional_derogatory_operators_matches_determinantal_divi
         n = sum(degrees)
         A = _conjugate(_chain_operator(field, degrees, rng), rng)
         assert lift(field, [a.value for row in A.entries for a in row])[1] > 1
-        P = _krylov_presentation(A)
+        presentation = _krylov_presentation(A)
+        P = presentation.relations
         assert P.rows == P.cols >= len(degrees)
         assert all(d.is_monic for d in P.diagonal_entries())
         # each column is a relation among the chains' own unit vectors,
-        # unscaled: sum_i P[i][k](A) g_i = 0
+        # unscaled: sum_i P[i][k](A) g_i = 0, g_i kept as presentation.starts
         generators, _ = _chain_generators(A, [d.degree for d in P.diagonal_entries()])
+        assert generators == [unit_vector(field, n, j) for j in presentation.starts]
         for k in range(P.cols):
             images = [poly_eval_operator(P.entries[i][k], A).matvec(g)
                       for i, g in enumerate(generators)]
@@ -382,12 +384,13 @@ def test_krylov_chain_record_holds_its_relations_and_the_inverse_basis(field):
         for A in (integral, rand_matrix(field, n, n, rng), _conjugate(equal_blocks, rng)):
             M, d = ring.rows(A)
             seen["denominators"] += d > 1
-            chains, inverse = _krylov_chains(ring, M, d)
+            chains, inverse, starts = _krylov_chains(ring, M, d)
             k = len(chains)
             assert [len(blocks) for blocks, _ in chains] == list(range(1, k + 1))
             lengths = [len(blocks[j]) - 1 for j, (blocks, _) in enumerate(chains)]
             assert sum(lengths) == n
             generators, krylov = _chain_generators(A, lengths)
+            assert generators == [unit_vector(field, n, j) for j in starts]
             assert len(krylov) == n
             for j, (blocks, den) in enumerate(chains):
                 # sum_i r_ij(A) g_i = 0, r_jj monic of degree d_j

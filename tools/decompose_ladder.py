@@ -13,12 +13,16 @@ operator written to a JSON file f by `jsonio.matrix_to_json`, so that
 parsing, the self-checks and rendering show too (cli):
 
   * dense: entries drawn from [-9, 9] (real and imaginary parts over qi),
-    one Krylov chain for a generic operator, whose check is the cyclic
-    vector certificate;
+    one Krylov chain for a generic operator;
   * derogatory: S diag(C, ..., C) S^-1 for one dense 4 x 4 block C and an
     integral S with an integral inverse, so about n / 4 chains whose
-    closing relations reach back into the earlier chains, and whose check
-    falls back to `charpoly` and Paterson-Stockmeyer.
+    closing relations reach back into the earlier chains.
+
+Both checks run the one certificate on the Krylov presentation that the
+decomposition keeps: the presentation's Krylov vectors independent mod p,
+its closing relations exact, and the last invariant factor annihilating
+every chain start.  The charpoly column times Berkowitz's algorithm for
+comparison; no check calls it.
 
 After each field's rungs it prints the local slope of each column between
 neighbouring sizes, log(t2 / t1) / log(n2 / n1) of the medians, and over q and qi one rung
